@@ -5,8 +5,10 @@ conserve the excitation number.  Basis index convention: qubit 1 is the most
 significant bit, so ``|b_1 b_2 ... b_N>`` lives at index ``int(b, 2)``.
 Callers address qubits, never raw indices, so the convention stays internal.
 
-Gates are applied in place with stride (reshape-view) iteration over the
-amplitude array; no 2^N x 2^N matrix is ever materialized.
+``iterate_circuit`` walks a circuit spec step by step with fused layers;
+``build_circuit`` + ``apply_gate`` is the inspectable gate-by-gate reference
+it is tested against.  Both work in place on reshape views of the amplitude
+array; no 2^N x 2^N matrix is ever materialized.
 """
 
 from __future__ import annotations
@@ -16,9 +18,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, InvalidStateError
-from .model import GateKind, GateOp, TrotterCircuitSpec, build_circuit
+from .model import GateFamily, GateKind, GateOp, TrotterCircuitSpec, realize_z_layer
 
 MAX_QUBITS = 24  # desk-scale cap: 2^24 complex amplitudes = 256 MiB
+# Norm-drift bound of run_circuit: max(1e-12, NORM_DRIFT_C * eps * gates).
+# Each gate rounds every amplitude it touches about once, so the drift of a
+# long circuit grows at most linearly in the gate count (in practice like
+# its square root); the 1e-12 floor covers every circuit below ~4.5k gates.
+NORM_DRIFT_C = 1.0
 
 
 @dataclass
@@ -29,7 +36,8 @@ class StateVector:
     amplitudes: np.ndarray
 
     def norm_error(self) -> float:
-        return abs(float(np.sum(np.abs(self.amplitudes) ** 2)) - 1.0)
+        # vdot allocates nothing, unlike a 2^N-sized |a|^2 temporary
+        return abs(float(np.vdot(self.amplitudes, self.amplitudes).real) - 1.0)
 
 
 def _check_n(n_qubits: int) -> None:
@@ -88,15 +96,75 @@ def apply_gate(state: StateVector, gate: GateOp) -> StateVector:
     return state
 
 
+def _rz_table(phis) -> np.ndarray:
+    """Diagonal of an Rz layer on consecutive qubits, the first one most significant."""
+    table = np.ones(1, dtype=np.complex128)
+    for e in np.exp(0.5j * np.asarray(phis, dtype=float)):
+        table = np.multiply.outer(table, (e.conjugate(), e)).ravel()
+    return table
+
+
+def iterate_circuit(spec: TrotterCircuitSpec, seed: int | None = None):
+    """Yield (eta, state) after each Trotter step of ``spec``, eta = 1..n_steps.
+
+    Applies the gates ``build_circuit(spec, seed)`` lists, fused per layer:
+    each bond's cos and sin are computed once per circuit, each bond gate
+    mixes its two coupled blocks through one half-state scratch buffer, and
+    each Rz layer is two in-place multiplies by the Kronecker factors of its
+    diagonal (over the first floor(N/2) and the last ceil(N/2) qubits).  The
+    yielded state is live (mutated by further iteration); copy it to keep a
+    trajectory.
+    """
+    n = spec.n_qubits
+    _check_n(n)
+    phis = realize_z_layer(spec.z_layer, n, seed)
+    hi = _rz_table(phis[: n // 2])[:, None]
+    lo = _rz_table(phis[n // 2 :])
+    state = StateVector(n, np.zeros(2**n, dtype=np.complex128))
+    a = state.amplitudes
+    a[1 << (n - spec.initial_excitation_site)] = 1.0  # the X gate on |0...0>
+    z_view = a.reshape(hi.size, lo.size)
+
+    # A bond gate mixes the |01>,|10> (XY) or |10>,|11> (CRx) blocks of its
+    # pair as [[c, -is], [-is, c]]; ``pair[:, ::-1]`` holds the partners.
+    xy = spec.gate_family is GateFamily.XY
+    angles = np.asarray(spec.bond_angles, dtype=float) * (1.0 if xy else 0.5)
+    scratch = np.empty(2 ** (n - 1), dtype=np.complex128)
+    bonds = []
+    for j, c, ms in zip(range(1, n), np.cos(angles), -1j * np.sin(angles)):
+        quads = a.reshape(2 ** (j - 1), 4, -1)
+        pair = quads[:, 1:3] if xy else quads[:, 2:4]
+        bonds.append((pair, pair[:, ::-1], scratch.reshape(pair.shape), c, ms))
+
+    for eta in range(1, spec.n_steps + 1):
+        for pair, partners, mixed, c, ms in bonds:
+            np.multiply(partners, ms, out=mixed)
+            pair *= c
+            pair += mixed
+        if not (spec.drop_final_z and eta == spec.n_steps):
+            z_view *= hi
+            z_view *= lo
+        yield eta, state
+
+
 def run_circuit(spec: TrotterCircuitSpec, seed: int | None = None) -> StateVector:
-    """Build the circuit for ``spec`` and apply it to ``|0...0>``."""
-    _check_n(spec.n_qubits)
-    state = init_basis(spec.n_qubits, "0" * spec.n_qubits)
-    for gate in build_circuit(spec, seed):
-        apply_gate(state, gate)
+    """The state after the whole circuit for ``spec``, started from ``|0...0>``.
+
+    Raises InvalidStateError when the norm drifts by more than
+    ``max(1e-12, NORM_DRIFT_C * eps * gates)``, ``gates`` counting every
+    gate of ``build_circuit(spec)``.
+    """
+    for _, state in iterate_circuit(spec, seed):
+        pass
+    n, steps = spec.n_qubits, spec.n_steps
+    z_layers = steps - 1 if spec.drop_final_z else steps
+    gates = 1 + steps * (n - 1) + z_layers * n
+    bound = max(1e-12, NORM_DRIFT_C * np.finfo(float).eps * gates)
     err = state.norm_error()
-    if err > 1e-12:
-        raise InvalidStateError(f"norm drifted by {err:.3e} after circuit run")
+    if err > bound:
+        raise InvalidStateError(
+            f"norm drifted by {err:.3e} after {gates} gates (bound {bound:.1e})"
+        )
     return state
 
 
@@ -104,13 +172,19 @@ def occupation_probs(state: StateVector) -> np.ndarray:
     """P(qubit i measures 1) for i = 1..N.
 
     Valid for any state, including CRx outputs with several excitations
-    (the entries then need not sum to 1).
+    (the entries then need not sum to 1).  Reads one |a|^2 buffer: qubit i's
+    probability is the sum of its upper half once qubits 1..i-1 have been
+    summed out by folding the buffer in half, in place.
     """
     n = state.n_qubits
+    p = np.abs(state.amplitudes)
+    p *= p
     probs = np.empty(n)
-    for j in range(1, n + 1):
-        v = state.amplitudes.reshape(2 ** (j - 1), 2, -1)
-        probs[j - 1] = float(np.sum(np.abs(v[:, 1, :]) ** 2))
+    for i in range(n):
+        half = p.size // 2
+        probs[i] = p[half:].sum()
+        np.add(p[:half], p[half:], out=p[:half])
+        p = p[:half]
     return probs
 
 

@@ -18,23 +18,23 @@ import numpy as np
 
 from . import __version__
 from .analytics import LocalizationReport, ipr_ave, tail_prob
-from .dense import apply_gate, init_basis, occupation_probs, run_circuit
-from .errors import ConfigurationError
+from .dense import iterate_circuit, occupation_probs, run_circuit
+from .errors import ConfigurationError, NumericalError
 from .model import (
     ChainSpec,
     GateFamily,
-    GateKind,
-    GateOp,
     TrotterCircuitSpec,
     ZLayerSpec,
     parse_angle,
-    realize_z_layer,
 )
 from .subspace import (
     basis_state,
     chain_hamiltonian,
+    chain_hamiltonians,
     continuous_evolve,
+    evolve_chains,
     iterate_discrete,
+    run_discrete,
     step_matrix,
 )
 
@@ -160,8 +160,12 @@ def _require(fixed: dict, names: list[str], kind: ExperimentKind) -> None:
         )
 
 
-def _resolve_template(entries, params: dict) -> tuple[float, ...]:
-    """Turn template entries (numbers or '[-]name' strings) into floats."""
+def _resolve_template(entries, params: dict) -> tuple:
+    """Turn template entries (numbers or '[-]name' strings) into values.
+
+    A name bound to an array in ``params`` resolves to (plus or minus) that
+    array, so a whole grid resolves in one call; everything else to a float.
+    """
     out = []
     for e in entries:
         if isinstance(e, str):
@@ -169,10 +173,8 @@ def _resolve_template(entries, params: dict) -> tuple[float, ...]:
             sign = 1.0
             if name.startswith("-"):
                 sign, name = -1.0, name[1:]
-            if name in params:
-                out.append(sign * parse_angle(params[name]))
-            else:
-                out.append(sign * parse_angle(name))
+            value = params.get(name, name)
+            out.append(sign * (value if isinstance(value, np.ndarray) else parse_angle(value)))
         else:
             out.append(float(e))
     return tuple(out)
@@ -210,18 +212,11 @@ def _discrete_last_qubit_prob(
     if want == "subspace" or (
         verification_mode and circuit.gate_family is GateFamily.XY
     ):
-        last = None
-        for _, st in iterate_discrete(circuit, seed):
-            last = st
-        subspace_p = (
-            last.probabilities()
-            if last is not None
-            else basis_state(circuit.n_qubits, circuit.initial_excitation_site).probabilities()
-        )
+        subspace_p = run_discrete(circuit, circuit.n_steps, seed).probabilities()
     if verification_mode and dense_p is not None and subspace_p is not None:
         gap = float(np.max(np.abs(dense_p - subspace_p)))
         if gap > 1e-10:
-            raise ConfigurationError(
+            raise NumericalError(
                 f"verification mode: backends disagree by {gap:.3e}"
             )
     probs = dense_p if want == "dense" else subspace_p
@@ -256,19 +251,29 @@ def _eval_resonance_discrete(
     return {"probability": prob}
 
 
-def _eval_resonance_continuous(spec: SweepSpec, value: float) -> dict:
+def _template_grid(entries, params: dict, count: int) -> np.ndarray:
+    """(count, len(entries)) array: a template resolved at every grid value."""
+    out = np.empty((count, len(entries)))
+    for col, value in enumerate(_resolve_template(entries, params)):
+        out[:, col] = value
+    return out
+
+
+def _eval_resonance_continuous(spec: SweepSpec, values: list[float]) -> list[dict]:
+    """Observables at every grid value, from one stacked oracle call."""
     fixed = spec.fixed
     _require(fixed, ["couplings", "potentials", "t"], spec.kind)
     params = dict(fixed)
-    params[spec.swept] = value
-    chain = ChainSpec(
-        couplings=_resolve_template(fixed["couplings"], params),
-        potentials=_resolve_template(fixed["potentials"], params),
+    params[spec.swept] = np.asarray(values, dtype=float)
+    couplings = _template_grid(fixed["couplings"], params, len(values))
+    potentials = _template_grid(fixed["potentials"], params, len(values))
+    n = ChainSpec(tuple(couplings[0]), tuple(potentials[0])).n_sites  # shape check
+    target = int(fixed.get("target_site", n))
+    init = basis_state(n, int(fixed.get("init_site", 1))).amplitudes
+    amps = evolve_chains(
+        chain_hamiltonians(couplings, potentials), float(fixed["t"]), init
     )
-    target = int(fixed.get("target_site", chain.n_sites))
-    init = int(fixed.get("init_site", 1))
-    state = continuous_evolve(chain, float(fixed["t"]), init)
-    return {"probability": float(state.probabilities()[target - 1])}
+    return [{"probability": float(p)} for p in np.abs(amps[:, target - 1]) ** 2]
 
 
 def _localization_trace(
@@ -295,12 +300,10 @@ def _localization_trace(
         )
     want = _pick_backend(family, backend)
 
-    prob_series = []
     if want == "subspace":
-        for _, st in iterate_discrete(circuit, seed):
-            prob_series.append(st.probabilities())
+        prob_series = [st.probabilities() for _, st in iterate_discrete(circuit, seed)]
     else:
-        prob_series = list(_dense_occupation_trajectory(circuit, seed))
+        prob_series = [occupation_probs(st) for _, st in iterate_circuit(circuit, seed)]
 
     tail_series = tuple(tail_prob(p) for p in prob_series)
     profile = tuple(float(x) for x in prob_series[profile_eta - 1])
@@ -333,22 +336,6 @@ def _localization_trace(
     return obs, report
 
 
-def _dense_occupation_trajectory(circuit: TrotterCircuitSpec, seed: int | None):
-    """Yield occupation probabilities after each Trotter step (dense backend)."""
-    n = circuit.n_qubits
-    phis = realize_z_layer(circuit.z_layer, n, seed)
-    bond_kind = GateKind.XY if circuit.gate_family is GateFamily.XY else GateKind.CRX
-    state = init_basis(n, "0" * n)
-    apply_gate(state, GateOp(GateKind.X, (circuit.initial_excitation_site,)))
-    for eta in range(1, circuit.n_steps + 1):
-        for j in range(1, n):
-            apply_gate(state, GateOp(bond_kind, (j, j + 1), float(circuit.bond_angles[j - 1])))
-        if not (circuit.drop_final_z and eta == circuit.n_steps):
-            for j in range(1, n + 1):
-                apply_gate(state, GateOp(GateKind.RZ, (j,), phis[j - 1]))
-        yield occupation_probs(state)
-
-
 def _eval_convergence(spec: SweepSpec, n_steps: int) -> dict:
     fixed = spec.fixed
     _require(fixed, ["couplings", "potentials", "t"], spec.kind)
@@ -368,12 +355,12 @@ def _evaluate(
     backend: str,
     verification_mode: bool,
 ):
-    seed = child_seed(spec.master_seed, point_index, trial)
+    """One (point, trial) work item of a kind evaluated item by item."""
     if spec.kind in (ExperimentKind.RESONANCE_DISCRETE, ExperimentKind.CRX_RESONANCE):
+        seed = child_seed(spec.master_seed, point_index, trial)
         return _eval_resonance_discrete(spec, value, seed, backend, verification_mode), None
-    if spec.kind is ExperimentKind.RESONANCE_CONTINUOUS:
-        return _eval_resonance_continuous(spec, value), None
     if spec.kind is ExperimentKind.LOCALIZATION:
+        seed = child_seed(spec.master_seed, point_index, trial)
         return _localization_trace(spec, value, seed, backend)
     if spec.kind is ExperimentKind.CONVERGENCE:
         return _eval_convergence(spec, value), None
@@ -416,7 +403,12 @@ def run_sweep(
         i, v, k = item
         return _evaluate(spec, i, v, k, backend, verification_mode)
 
-    if threads > 1:
+    if spec.kind is ExperimentKind.RESONANCE_CONTINUOUS:
+        # seed-free: the whole grid is one stacked oracle call, every trial
+        # of a point repeats its value
+        point_obs = _eval_resonance_continuous(spec, values)
+        outputs = [(dict(point_obs[i]), None) for i, _, _ in items]
+    elif threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             outputs = list(pool.map(work, items))
     else:

@@ -14,7 +14,7 @@ import numpy as np
 from .analytics import p001_closed_form, p01_closed_form
 from .dense import occupation_probs, run_circuit
 from .model import ChainSpec, GateFamily, TrotterCircuitSpec, ZLayerSpec
-from .subspace import continuous_evolve, run_discrete
+from .subspace import basis_state, continuous_evolve, run_discrete
 from .sweep import convergence_study
 
 THETA_SECTIONS = (math.pi / 8, math.pi / 4, 3 * math.pi / 8, math.pi / 2, 5 * math.pi / 8)
@@ -156,10 +156,8 @@ def continuous_oracle_suite() -> SuiteReport:
         )
         t = float(rng.uniform(0, 30))
         fwd = continuous_evolve(chain, t)
-        roundtrip = _evolve_state(chain, fwd.amplitudes, -t)
-        init = np.zeros(n, dtype=np.complex128)
-        init[0] = 1.0
-        err = float(np.linalg.norm(roundtrip - init))
+        roundtrip = continuous_evolve(chain, -t, init_amplitudes=fwd.amplitudes)
+        err = float(np.linalg.norm(roundtrip.amplitudes - basis_state(n).amplitudes))
         worst = max(worst, err)
         passed, failed = (passed + 1, failed) if err <= 1e-9 else (passed, failed + 1)
     # t=0 identity
@@ -170,13 +168,6 @@ def continuous_oracle_suite() -> SuiteReport:
     worst = max(worst, err)
     passed, failed = (passed + 1, failed) if err == 0.0 else (passed, failed + 1)
     return SuiteReport("continuous-oracle", passed, failed, worst, f"max err={worst:.3e}")
-
-
-def _evolve_state(chain: ChainSpec, amplitudes: np.ndarray, t: float) -> np.ndarray:
-    from .subspace import chain_hamiltonian
-
-    evals, evecs = np.linalg.eigh(chain_hamiltonian(chain))
-    return evecs @ (np.exp(-1j * evals * t) * (evecs.T @ amplitudes))
 
 
 def trotter_convergence_suite() -> SuiteReport:

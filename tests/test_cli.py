@@ -285,3 +285,16 @@ def test_bad_kind_and_bad_family_are_config_errors(tmp_path):
     bad_seed = dict(RESONANCE_CONFIG)
     bad_seed["experiment"] = dict(bad_seed["experiment"], master_seed="abc")
     assert main(["resonance", "--config", write_config(tmp_path, bad_seed)]) == 2
+
+
+def test_verification_mode_backend_disagreement_exits_1(tmp_path, monkeypatch, capsys):
+    import trotterlab.sweep as sweep
+
+    real = sweep.occupation_probs
+    monkeypatch.setattr(sweep, "occupation_probs", lambda state: real(state) + 1e-6)
+    cfg = dict(RESONANCE_CONFIG, engine={"backend": "auto", "verification_mode": True})
+    out = tmp_path / "v.csv"
+    code = main(["resonance", "--config", write_config(tmp_path, cfg), "--out", str(out)])
+    assert code == 1
+    assert "backends disagree" in capsys.readouterr().err
+    assert not out.exists()

@@ -7,6 +7,8 @@ test never forms those matrices, so agreement is a real cross-check.
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from trotterlab.dense import (
@@ -14,6 +16,7 @@ from trotterlab.dense import (
     apply_gate,
     basis_prob,
     init_basis,
+    iterate_circuit,
     occupation_probs,
     run_circuit,
 )
@@ -24,6 +27,7 @@ from trotterlab.model import (
     GateOp,
     TrotterCircuitSpec,
     ZLayerSpec,
+    build_circuit,
 )
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -226,3 +230,72 @@ def test_crx_breaks_excitation_conservation():
     in_subspace = sum(abs(state.amplitudes[i]) ** 2 for i in single)
     assert in_subspace < 1.0 - 1e-3
     assert state.norm_error() <= 1e-12
+
+
+def test_long_circuit_norm_drift_bound_grows_with_gate_count():
+    # 46k gates drift past the old fixed 1e-12 bound; the circuit is valid
+    rng = np.random.default_rng(1)
+    spec = TrotterCircuitSpec(
+        n_qubits=12,
+        n_steps=2000,
+        gate_family=GateFamily.CRX,
+        bond_angles=tuple(rng.uniform(-np.pi, np.pi, 11)),
+        z_layer=ZLayerSpec(base_phi=float(rng.uniform(-3, 3)), disorder_radius=1.0),
+    )
+    state = run_circuit(spec, seed=0)
+    assert 1e-12 < state.norm_error() <= np.finfo(float).eps * len(build_circuit(spec, 0))
+
+
+def reference_trajectory(spec: TrotterCircuitSpec, seed: int) -> list[np.ndarray]:
+    """Amplitudes after each Trotter step, applying build_circuit gate by gate."""
+    n = spec.n_qubits
+    gates = iter(build_circuit(spec, seed))
+    state = apply_gate(init_basis(n, "0" * n), next(gates))  # the X gate
+    series = []
+    for eta in range(1, spec.n_steps + 1):
+        z_gates = 0 if spec.drop_final_z and eta == spec.n_steps else n
+        for _ in range(n - 1 + z_gates):
+            apply_gate(state, next(gates))
+        series.append(state.amplitudes.copy())
+    assert next(gates, None) is None
+    return series
+
+
+@st.composite
+def circuit_specs(draw):
+    n = draw(st.integers(2, 10))
+    angle = st.floats(-np.pi, np.pi)
+    if draw(st.booleans()):
+        z = ZLayerSpec(explicit_phis=tuple(draw(st.lists(angle, min_size=n, max_size=n))))
+    else:
+        z = ZLayerSpec(base_phi=draw(angle), disorder_radius=draw(st.floats(0, np.pi)))
+    spec = TrotterCircuitSpec(
+        n_qubits=n,
+        n_steps=draw(st.integers(1, 20)),
+        gate_family=draw(st.sampled_from(GateFamily)),
+        bond_angles=tuple(draw(st.lists(angle, min_size=n - 1, max_size=n - 1))),
+        z_layer=z,
+        drop_final_z=draw(st.booleans()),
+        initial_excitation_site=draw(st.integers(1, n)),
+    )
+    return spec, draw(st.integers(0, 2**63 - 1))
+
+
+@given(circuit_specs())
+def test_walker_matches_gate_by_gate_reference(case):
+    spec, seed = case
+    expected = reference_trajectory(spec, seed)
+    got = [state.amplitudes.copy() for _, state in iterate_circuit(spec, seed)]
+    assert len(got) == len(expected) == spec.n_steps
+    for amps, ref in zip(got, expected):
+        assert np.max(np.abs(amps - ref)) <= 1e-12
+
+
+@given(st.integers(1, 12), st.integers(0, 2**32 - 1))
+def test_folded_occupation_probs_match_per_qubit_sums(n, seed):
+    state = random_state(n, np.random.default_rng(seed))
+    per_qubit = [
+        np.sum(np.abs(state.amplitudes.reshape(2 ** (j - 1), 2, -1)[:, 1, :]) ** 2)
+        for j in range(1, n + 1)
+    ]
+    assert np.max(np.abs(occupation_probs(state) - per_qubit)) <= 1e-14

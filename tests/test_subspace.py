@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from trotterlab.dense import occupation_probs, run_circuit
@@ -16,7 +18,9 @@ from trotterlab.subspace import (
     SubspaceState,
     basis_state,
     chain_hamiltonian,
+    chain_hamiltonians,
     continuous_evolve,
+    evolve_chains,
     iterate_discrete,
     run_discrete,
     step_matrix,
@@ -238,3 +242,62 @@ def test_trotter_error_shrinks_with_step_count():
         dists.append(np.linalg.norm(state.amplitudes - exact))
     ratios = [a / b for a, b in zip(dists, dists[1:])]
     assert all(1.5 <= r <= 2.5 for r in ratios)
+
+
+def test_residual_bound_scales_with_hamiltonian_norm():
+    # ||H|| ~ 1e6: the residual (3.5e-10) is rounding, not a wrong eigenpair
+    chain = ChainSpec((1.0, 1.0, 1.0, 1.0), (1e6, -1e6, 0.0, 1e6, -1e6))
+    state = continuous_evolve(chain, 0.3)
+    expected = expm(-1j * chain_hamiltonian(chain) * 0.3)[:, 0]
+    # both routes round at about eps * ||H|| t = 7e-11
+    assert np.max(np.abs(state.amplitudes - expected)) < 1e-9
+
+
+def test_each_chain_of_a_stack_has_its_own_residual_check(monkeypatch):
+    real_eigh = np.linalg.eigh
+
+    def eigh_with_one_bad_pair(h):
+        evals, evecs = real_eigh(h)
+        evecs[1, 0, 0] += 1e-9
+        return evals, evecs
+
+    # chain 1 has ||H|| ~ 1, so 1e-9 is far above its bound; one bound for
+    # the whole stack, set by chain 2's ||H|| ~ 1e6, would let it pass
+    couplings = np.array([[0.5, 0.5], [0.5, 0.5], [1.0, 1.0]])
+    potentials = np.array([[0.1, 0.2, 0.3], [0.1, 0.2, 0.3], [1e6, -1e6, 1e6]])
+    monkeypatch.setattr(np.linalg, "eigh", eigh_with_one_bad_pair)
+    with pytest.raises(NumericalError, match="chain 1 of 3"):
+        evolve_chains(chain_hamiltonians(couplings, potentials), 1.0, basis_state(3).amplitudes)
+
+
+def test_continuous_evolve_from_amplitudes_runs_backwards():
+    chain = ChainSpec((1.0, -0.4, 0.9), (2.0, -1.0, 0.0, 0.5))
+    fwd = continuous_evolve(chain, 13.0, init_site=2)
+    back = continuous_evolve(chain, -13.0, init_amplitudes=fwd.amplitudes)
+    assert np.linalg.norm(back.amplitudes - basis_state(4, 2).amplitudes) < 1e-9
+    with pytest.raises(ConfigurationError):
+        continuous_evolve(chain, 1.0, init_amplitudes=np.ones(3))
+
+
+@st.composite
+def chain_stacks(draw):
+    b, n = draw(st.integers(1, 6)), draw(st.integers(2, 8))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    couplings = rng.uniform(-2, 2, (b, n - 1))
+    potentials = rng.uniform(-5, 5, (b, n))
+    return couplings, potentials, draw(st.floats(0, 25)), draw(st.integers(1, n))
+
+
+@given(chain_stacks())
+def test_stacked_oracle_rows_match_single_chain_and_expm(case):
+    couplings, potentials, t, init = case
+    n = potentials.shape[1]
+    amps = evolve_chains(
+        chain_hamiltonians(couplings, potentials), t, basis_state(n, init).amplitudes
+    )
+    for row, c, v in zip(amps, couplings, potentials):
+        chain = ChainSpec(tuple(c), tuple(v))
+        assert np.array_equal(row, continuous_evolve(chain, t, init).amplitudes)
+        expected = expm(-1j * chain_hamiltonian(chain) * t)[:, init - 1]
+        assert np.max(np.abs(row - expected)) <= 1e-11
