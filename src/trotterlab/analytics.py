@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import find_peaks as _scipy_find_peaks
 
 from .errors import ConfigurationError, InvalidStateError
 from .subspace import SubspaceState, check_normalized
@@ -63,26 +62,27 @@ def tail_start(n: int) -> int:
     return int(np.floor(2 * n / 3)) + 1
 
 
-def tail_prob(probs) -> float:
+def tail_prob(probs) -> "float | np.ndarray":
     """Summed probability on the last third of the qubits.
 
     The window is qubit indices strictly greater than floor(2N/3); for N=15
-    that is qubits 11..15.
+    that is qubits 11..15.  ``probs`` is one distribution (returns a float)
+    or a stack of them along the last axis (returns an array).
     """
     probs = np.asarray(probs, dtype=float)
-    n = probs.size
+    n = probs.shape[-1] if probs.ndim else 1
     if n < 3:
         raise ConfigurationError(f"tail_prob needs N >= 3, got {n}")
-    return float(np.sum(probs[tail_start(n) - 1 :]))
+    tail = np.sum(probs[..., tail_start(n) - 1 :], axis=-1)
+    return float(tail) if probs.ndim == 1 else tail
 
 
 @dataclass(frozen=True)
 class Curve:
-    """A sampled probability curve: strictly increasing xs, ys in [0, 1]."""
+    """A sampled probability curve: strictly increasing xs, ys in [0, 1] (no NaN)."""
 
     xs: np.ndarray
     ys: np.ndarray
-    metadata: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         xs = np.asarray(self.xs, dtype=float)
@@ -91,11 +91,11 @@ class Curve:
         object.__setattr__(self, "ys", ys)
         if xs.ndim != 1 or xs.size != ys.size:
             raise ConfigurationError("xs and ys must be 1-d and equally long")
-        if xs.size and np.any(np.diff(xs) <= 0):
+        if xs.size and not np.all(np.diff(xs) > 0):
             raise ConfigurationError("xs must be strictly increasing")
-        if ys.size and (ys.min() < -1e-12 or ys.max() > 1 + 1e-12):
+        if ys.size and not (ys.min() >= -1e-12 and ys.max() <= 1 + 1e-12):
             raise ConfigurationError(
-                f"ys outside [0, 1]: range ({ys.min():.3e}, {ys.max():.3e})"
+                f"ys must be finite and in [0, 1]: range ({ys.min():.3e}, {ys.max():.3e})"
             )
 
 
@@ -152,5 +152,9 @@ def find_peaks(
         raise ConfigurationError("find_peaks needs a nonempty curve")
     if curve.xs.size < 3:
         raise ConfigurationError("find_peaks needs at least 3 samples")
+    # imported here: scipy.signal takes over a second to import and no
+    # command-line path finds peaks
+    from scipy.signal import find_peaks as _scipy_find_peaks
+
     idx, _ = _scipy_find_peaks(curve.ys, prominence=min_prominence)
     return sorted(_refine_peak(curve.xs, curve.ys, i) for i in idx)

@@ -26,7 +26,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from . import __version__
@@ -65,7 +65,7 @@ def _parse_grid_triplet(raw) -> GridSpec:
         raw = parts
     if isinstance(raw, dict):
         raw = [raw.get("start"), raw.get("stop"), raw.get("count")]
-    if len(raw) != 3:
+    if not isinstance(raw, (list, tuple)) or len(raw) != 3:
         raise ConfigurationError(f"grid needs exactly (start, stop, count), got {raw!r}")
     start, stop = parse_angle(raw[0]), parse_angle(raw[1])
     try:
@@ -83,7 +83,8 @@ def load_config(path: str, default_kind: ExperimentKind) -> RunConfig:
     except json.JSONDecodeError as exc:
         raise ConfigurationError(f"config file {path} is not valid JSON: {exc}") from None
 
-    exp = data.get("experiment", {})
+    _require_object(data, "the config")
+    exp = _require_object(data.get("experiment", {}), "experiment")
     try:
         kind = ExperimentKind(exp.get("kind", default_kind.value))
     except ValueError:
@@ -96,12 +97,12 @@ def load_config(path: str, default_kind: ExperimentKind) -> RunConfig:
         kind=kind,
         swept=exp.get("swept", "V1"),
         grid=_parse_grid_triplet(exp["grid"]),
-        fixed=dict(exp.get("fixed", {})),
+        fixed=dict(_require_object(exp.get("fixed", {}), "experiment.fixed")),
         trials=_as_int(exp.get("trials"), "experiment.trials", optional=True),
         master_seed=_as_int(exp.get("master_seed", 0), "experiment.master_seed"),
     )
-    out = data.get("output", {})
-    engine = data.get("engine", {})
+    out = _require_object(data.get("output", {}), "output")
+    engine = _require_object(data.get("engine", {}), "engine")
     return RunConfig(
         spec=spec,
         out_path=out.get("path", "sweep.csv"),
@@ -110,6 +111,14 @@ def load_config(path: str, default_kind: ExperimentKind) -> RunConfig:
         threads=_as_int(engine.get("threads", 0) or 0, "engine.threads"),
         verification_mode=bool(engine.get("verification_mode", False)),
     )
+
+
+def _require_object(value, name: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigurationError(
+            f"{name} must be a JSON object, got {type(value).__name__}"
+        )
+    return value
 
 
 def _as_int(value, name: str, optional: bool = False):

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -265,10 +266,20 @@ def parse_angle(value: float | int | str) -> float:
 
     Accepted string forms: ``pi``, ``pi/k``, ``a*pi``, ``a*pi/b``, ``api/b``
     (with a, b, k decimal numbers), an optional leading sign, or a plain
-    decimal number.
+    decimal number.  NaN and infinite values are rejected.
     """
-    if isinstance(value, (int, float)):
-        return float(value)
+    if isinstance(value, numbers.Real):
+        angle = float(value)
+    elif isinstance(value, str):
+        angle = _parse_angle_text(value)
+    else:
+        raise ConfigurationError(f"cannot parse angle {value!r}")
+    if not math.isfinite(angle):
+        raise ConfigurationError(f"angle {value!r} is not finite")
+    return angle
+
+
+def _parse_angle_text(value: str) -> float:
     text = value.strip().lower().replace(" ", "")
     sign = 1.0
     if text.startswith(("+", "-")):
@@ -287,6 +298,6 @@ def parse_angle(value: float | int | str) -> float:
             if not denom.startswith("/"):
                 raise ValueError
             coeff /= float(denom[1:])
-    except ValueError:
+    except (ValueError, ZeroDivisionError):
         raise ConfigurationError(f"cannot parse angle {value!r}") from None
     return sign * coeff * math.pi

@@ -6,6 +6,11 @@ XY-family circuits conserve the excitation number, so a circuit started from
 ``<e_j|psi>``.  A realized Rz layer contributes the relative phase
 ``exp(-i phi_j)`` to site j, matching a chain with +V_j on-site potentials.
 
+``iterate_stack`` is the circuit walker: it steps a (B, N) stack of circuits
+that differ only in their z angles, one matrix product per Trotter step.
+``trotter_step`` applies one step bond by bond and is kept as the reference
+the walker is tested against.
+
 ``evolve_chains`` is the exact oracle: it applies ``exp(-iHt)`` to a stack
 of tight-binding chains via one eigendecomposition call instead of
 approximating continuous time with a large step count.
@@ -57,7 +62,10 @@ def trotter_step(
     z_angles: "np.ndarray | tuple[float, ...]",
     include_z: bool = True,
 ) -> SubspaceState:
-    """One Trotter step in place: ascending bond rotations, then z phases."""
+    """One Trotter step in place: ascending bond rotations, then z phases.
+
+    The bond-by-bond reference for ``iterate_stack``, which does not call it.
+    """
     n = state.n_sites
     if len(bond_angles) != n - 1 or len(z_angles) != n:
         raise ConfigurationError(
@@ -96,23 +104,63 @@ def iterate_discrete(
 ):
     """Yield (eta, state) after each Trotter step, eta = 1..n_steps.
 
-    The yielded state is live (mutated by further iteration); copy it to
-    keep a trajectory.
+    ``iterate_stack`` on a stack of one.  The yielded state is live (mutated
+    by further iteration); copy it to keep a trajectory.
+    """
+    phis = np.asarray([realize_z_layer(spec.z_layer, spec.n_qubits, seed)])
+    for eta, amps in iterate_stack(spec, phis, n_steps):
+        yield eta, SubspaceState(spec.n_qubits, amps[0])
+
+
+def iterate_stack(
+    spec: TrotterCircuitSpec, phis: np.ndarray, n_steps: int | None = None
+):
+    """Yield (eta, amps) after each Trotter step of a stack of circuits.
+
+    Every row shares ``spec``'s size, step count, bond angles, initial site
+    and ``drop_final_z``; row b has its own realized z angles ``phis[b]``
+    (``spec.z_layer`` is not used).  ``amps`` is the live (B, N) amplitude
+    stack.  A step is one product with the transposed bond-layer matrix and
+    one multiply by the z phases; the z layer is skipped at
+    ``eta == spec.n_steps`` when ``spec.drop_final_z``.
     """
     if spec.gate_family is not GateFamily.XY:
         raise ConfigurationError(
             "the subspace backend only supports XY-family circuits"
         )
+    n = spec.n_qubits
+    phis = np.asarray(phis, dtype=float)
+    if phis.ndim != 2 or phis.shape[1] != n:
+        raise ConfigurationError(
+            f"z angles have shape {phis.shape}, expected (B, {n})"
+        )
     total = spec.n_steps if n_steps is None else n_steps
     if total < 0:
         raise ConfigurationError(f"step count must be >= 0, got {total}")
-    phis = np.asarray(realize_z_layer(spec.z_layer, spec.n_qubits, seed))
-    thetas = np.asarray(spec.bond_angles, dtype=float)
-    state = basis_state(spec.n_qubits, spec.initial_excitation_site)
+    bond_t = bond_layer_matrix(spec.bond_angles).T
+    z_phases = np.exp(-1j * phis)
+    amps = np.zeros(phis.shape, dtype=np.complex128)
+    amps[:, spec.initial_excitation_site - 1] = 1.0
+    bonded = np.empty_like(amps)
     for eta in range(1, total + 1):
-        include_z = not (spec.drop_final_z and eta == spec.n_steps)
-        trotter_step(state, thetas, phis, include_z=include_z)
-        yield eta, state
+        np.matmul(amps, bond_t, out=bonded)
+        if spec.drop_final_z and eta == spec.n_steps:
+            amps[...] = bonded
+        else:
+            np.multiply(bonded, z_phases, out=amps)
+        yield eta, amps
+
+
+def bond_layer_matrix(bond_angles: "np.ndarray | tuple[float, ...]") -> np.ndarray:
+    """The N x N matrix of one bond layer (ascending XY rotations)."""
+    n = len(bond_angles) + 1
+    u = np.eye(n, dtype=np.complex128)
+    for j, th in enumerate(bond_angles):
+        c, s = np.cos(th), np.sin(th)
+        rows = u[[j, j + 1], :]
+        u[j, :] = c * rows[0] - 1j * s * rows[1]
+        u[j + 1, :] = -1j * s * rows[0] + c * rows[1]
+    return u
 
 
 def step_matrix(
@@ -124,14 +172,7 @@ def step_matrix(
     Algebraically identical to ``trotter_step``; used where applying the
     step a huge number of times is needed (binary powering).
     """
-    n = len(z_angles)
-    u = np.eye(n, dtype=np.complex128)
-    for j, th in enumerate(bond_angles):
-        c, s = np.cos(th), np.sin(th)
-        rows = u[[j, j + 1], :]
-        u[j, :] = c * rows[0] - 1j * s * rows[1]
-        u[j + 1, :] = -1j * s * rows[0] + c * rows[1]
-    return np.exp(-1j * np.asarray(z_angles))[:, None] * u
+    return np.exp(-1j * np.asarray(z_angles))[:, None] * bond_layer_matrix(bond_angles)
 
 
 def chain_hamiltonians(couplings: np.ndarray, potentials: np.ndarray) -> np.ndarray:

@@ -26,14 +26,14 @@ from .model import (
     TrotterCircuitSpec,
     ZLayerSpec,
     parse_angle,
+    realize_z_layer,
 )
 from .subspace import (
     basis_state,
-    chain_hamiltonian,
     chain_hamiltonians,
     continuous_evolve,
     evolve_chains,
-    iterate_discrete,
+    iterate_stack,
     run_discrete,
     step_matrix,
 )
@@ -160,6 +160,22 @@ def _require(fixed: dict, names: list[str], kind: ExperimentKind) -> None:
         )
 
 
+def _int_field(fixed: dict, name: str, default=None) -> int:
+    value = fixed.get(name, default)
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigurationError(f"{name} must be an integer, got {value!r}") from None
+
+
+def _list_field(fixed: dict, name: str):
+    """A list-valued fixed parameter (template entries), checked for shape."""
+    value = fixed[name]
+    if not isinstance(value, (list, tuple)):
+        raise ConfigurationError(f"{name} must be a list, got {value!r}")
+    return value
+
+
 def _resolve_template(entries, params: dict) -> tuple:
     """Turn template entries (numbers or '[-]name' strings) into values.
 
@@ -176,7 +192,7 @@ def _resolve_template(entries, params: dict) -> tuple:
             value = params.get(name, name)
             out.append(sign * (value if isinstance(value, np.ndarray) else parse_angle(value)))
         else:
-            out.append(float(e))
+            out.append(parse_angle(e))
     return tuple(out)
 
 
@@ -235,18 +251,18 @@ def _eval_resonance_discrete(
     )
     params = dict(fixed)
     params[spec.swept] = value
-    n = int(fixed["n_qubits"])
+    n = _int_field(fixed, "n_qubits")
     circuit = TrotterCircuitSpec(
         n_qubits=n,
-        n_steps=int(fixed["n_steps"]),
+        n_steps=_int_field(fixed, "n_steps"),
         gate_family=family,
-        bond_angles=_resolve_template(fixed["bond_angles"], params),
+        bond_angles=_resolve_template(_list_field(fixed, "bond_angles"), params),
         z_layer=ZLayerSpec(
-            explicit_phis=_resolve_template(fixed["z_template"], params)
+            explicit_phis=_resolve_template(_list_field(fixed, "z_template"), params)
         ),
         drop_final_z=bool(fixed.get("drop_final_z", True)),
     )
-    target = int(fixed.get("target_qubit", n))
+    target = _int_field(fixed, "target_qubit", n)
     prob = _discrete_last_qubit_prob(circuit, target, backend, seed, verification_mode)
     return {"probability": prob}
 
@@ -265,85 +281,118 @@ def _eval_resonance_continuous(spec: SweepSpec, values: list[float]) -> list[dic
     _require(fixed, ["couplings", "potentials", "t"], spec.kind)
     params = dict(fixed)
     params[spec.swept] = np.asarray(values, dtype=float)
-    couplings = _template_grid(fixed["couplings"], params, len(values))
-    potentials = _template_grid(fixed["potentials"], params, len(values))
+    couplings = _template_grid(_list_field(fixed, "couplings"), params, len(values))
+    potentials = _template_grid(_list_field(fixed, "potentials"), params, len(values))
     n = ChainSpec(tuple(couplings[0]), tuple(potentials[0])).n_sites  # shape check
-    target = int(fixed.get("target_site", n))
-    init = basis_state(n, int(fixed.get("init_site", 1))).amplitudes
+    target = _int_field(fixed, "target_site", n)
+    init = basis_state(n, _int_field(fixed, "init_site", 1)).amplitudes
     amps = evolve_chains(
-        chain_hamiltonians(couplings, potentials), float(fixed["t"]), init
+        chain_hamiltonians(couplings, potentials), parse_angle(fixed["t"]), init
     )
     return [{"probability": float(p)} for p in np.abs(amps[:, target - 1]) ** 2]
 
 
-def _localization_trace(
-    spec: SweepSpec, radius: float, seed: int, backend: str
-) -> tuple[dict, LocalizationReport]:
+def _localization_circuit(spec: SweepSpec, radius: float) -> tuple[TrotterCircuitSpec, int]:
+    """The circuit of one grid point (its z layer unrealized) and the profile step."""
     fixed = spec.fixed
     _require(fixed, ["n_qubits", "n_steps", "bond_angle", "base_phi"], spec.kind)
-    n = int(fixed["n_qubits"])
-    family = _gate_family(fixed.get("gate_family", "xy"))
+    n = _int_field(fixed, "n_qubits")
     circuit = TrotterCircuitSpec(
         n_qubits=n,
-        n_steps=int(fixed["n_steps"]),
-        gate_family=family,
+        n_steps=_int_field(fixed, "n_steps"),
+        gate_family=_gate_family(fixed.get("gate_family", "xy")),
         bond_angles=(parse_angle(fixed["bond_angle"]),) * (n - 1),
         z_layer=ZLayerSpec(
             base_phi=parse_angle(fixed["base_phi"]), disorder_radius=float(radius)
         ),
         drop_final_z=bool(fixed.get("drop_final_z", True)),
     )
-    profile_eta = int(fixed.get("profile_eta", 10))
+    profile_eta = _int_field(fixed, "profile_eta", 10)
     if not 1 <= profile_eta <= circuit.n_steps:
         raise ConfigurationError(
             f"profile_eta {profile_eta} outside [1, {circuit.n_steps}]"
         )
-    want = _pick_backend(family, backend)
+    return circuit, profile_eta
 
-    if want == "subspace":
-        prob_series = [st.probabilities() for _, st in iterate_discrete(circuit, seed)]
-    else:
-        prob_series = [occupation_probs(st) for _, st in iterate_circuit(circuit, seed)]
 
-    tail_series = tuple(tail_prob(p) for p in prob_series)
-    profile = tuple(float(x) for x in prob_series[profile_eta - 1])
-    if family is GateFamily.XY:
-        iprs = tuple(float(np.sum(p**2)) for p in prob_series)
-        report = LocalizationReport(
-            ipr_series=iprs,
-            ipr_ave=ipr_ave(iprs),
-            tail_series=tail_series,
-            final_profile=profile,
-            profile_eta=profile_eta,
-        )
-        obs = {
-            "ipr_ave": report.ipr_ave,
-            "mean_tail": float(np.mean(tail_series)),
-            "tail_at_profile_eta": tail_series[profile_eta - 1],
-        }
-    else:
-        report = LocalizationReport(
-            ipr_series=None,
-            ipr_ave=None,
-            tail_series=tail_series,
-            final_profile=profile,
-            profile_eta=profile_eta,
-        )
-        obs = {
-            "mean_tail": float(np.mean(tail_series)),
-            "tail_at_profile_eta": tail_series[profile_eta - 1],
-        }
+def _localization_output(
+    tail_series: tuple, ipr_series: tuple | None, profile: tuple, profile_eta: int
+) -> tuple[dict, LocalizationReport]:
+    """Observables and report of one run; ``ipr_series`` is None for CRx."""
+    report = LocalizationReport(
+        ipr_series=ipr_series,
+        ipr_ave=None if ipr_series is None else ipr_ave(ipr_series),
+        tail_series=tail_series,
+        final_profile=profile,
+        profile_eta=profile_eta,
+    )
+    obs = {} if ipr_series is None else {"ipr_ave": report.ipr_ave}
+    obs["mean_tail"] = float(np.mean(tail_series))
+    obs["tail_at_profile_eta"] = tail_series[profile_eta - 1]
     return obs, report
+
+
+def _localization_dense(
+    spec: SweepSpec, radius: float, seed: int
+) -> tuple[dict, LocalizationReport]:
+    """One (point, trial) item of a localization sweep on the dense backend."""
+    circuit, profile_eta = _localization_circuit(spec, radius)
+    prob_series = [occupation_probs(st) for _, st in iterate_circuit(circuit, seed)]
+    tail_series = tuple(tail_prob(p) for p in prob_series)
+    iprs = None
+    if circuit.gate_family is GateFamily.XY:
+        iprs = tuple(float(np.sum(p**2)) for p in prob_series)
+    profile = tuple(float(x) for x in prob_series[profile_eta - 1])
+    return _localization_output(tail_series, iprs, profile, profile_eta)
+
+
+def _localization_subspace(
+    spec: SweepSpec, values: list[float], items: list
+) -> list[tuple[dict, LocalizationReport]]:
+    """Every (point, trial) item of an XY localization sweep in one walk.
+
+    Item (i, k) realizes point i's z layer with ``child_seed(master, i, k)``;
+    the items are stacked in (point, trial) order and walked together.
+    """
+    circuits = [_localization_circuit(spec, v) for v in values]
+    circuit, profile_eta = circuits[0]
+    phis = np.array(
+        [
+            realize_z_layer(
+                circuits[i][0].z_layer,
+                circuit.n_qubits,
+                child_seed(spec.master_seed, i, k),
+            )
+            for i, _, k in items
+        ]
+    )
+    tails = np.empty((circuit.n_steps, len(items)))
+    iprs = np.empty_like(tails)
+    for eta, amps in iterate_stack(circuit, phis):
+        probs = np.abs(amps) ** 2
+        tails[eta - 1] = tail_prob(probs)
+        iprs[eta - 1] = np.sum(probs**2, axis=1)
+        if eta == profile_eta:
+            profile = probs
+    return [
+        _localization_output(
+            tuple(tails[:, b].tolist()),
+            tuple(iprs[:, b].tolist()),
+            tuple(profile[b].tolist()),
+            profile_eta,
+        )
+        for b in range(len(items))
+    ]
 
 
 def _eval_convergence(spec: SweepSpec, n_steps: int) -> dict:
     fixed = spec.fixed
     _require(fixed, ["couplings", "potentials", "t"], spec.kind)
     chain = ChainSpec(
-        couplings=tuple(float(x) for x in fixed["couplings"]),
-        potentials=tuple(float(x) for x in fixed["potentials"]),
+        couplings=_resolve_template(_list_field(fixed, "couplings"), {}),
+        potentials=_resolve_template(_list_field(fixed, "potentials"), {}),
     )
-    table = convergence_study(chain, float(fixed["t"]), [int(n_steps)])
+    table = convergence_study(chain, parse_angle(fixed["t"]), [int(n_steps)])
     return {"distance": table[0][1]}
 
 
@@ -361,7 +410,7 @@ def _evaluate(
         return _eval_resonance_discrete(spec, value, seed, backend, verification_mode), None
     if spec.kind is ExperimentKind.LOCALIZATION:
         seed = child_seed(spec.master_seed, point_index, trial)
-        return _localization_trace(spec, value, seed, backend)
+        return _localization_dense(spec, value, seed)
     if spec.kind is ExperimentKind.CONVERGENCE:
         return _eval_convergence(spec, value), None
     raise ConfigurationError(f"unknown experiment kind {spec.kind}")
@@ -408,6 +457,11 @@ def run_sweep(
         # of a point repeats its value
         point_obs = _eval_resonance_continuous(spec, values)
         outputs = [(dict(point_obs[i]), None) for i, _, _ in items]
+    elif spec.kind is ExperimentKind.LOCALIZATION and _pick_backend(
+        _gate_family(spec.fixed.get("gate_family", "xy")), backend
+    ) == "subspace":
+        # one walk over every item's circuit; the pool serves dense items only
+        outputs = _localization_subspace(spec, values, items)
     elif threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             outputs = list(pool.map(work, items))
@@ -483,8 +537,3 @@ def convergence_study(
         disc = np.linalg.matrix_power(u, n_t) @ init
         out.append((n_t, float(np.linalg.norm(disc - exact))))
     return out
-
-
-def chain_spectrum(chain: ChainSpec) -> np.ndarray:
-    """Eigenvalues of the chain Hamiltonian (ascending)."""
-    return np.linalg.eigvalsh(chain_hamiltonian(chain))

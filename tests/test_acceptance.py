@@ -102,7 +102,7 @@ def test_criterion_04_four_site_peak_positions():
         v2 = {"V2=10": 10.0, "V2=20": 20.0}[label]
         target = math.sqrt(20.0**2 + v2**2)
         xs, ys = result.mean_curve("probability")
-        peaks = find_peaks(Curve(xs, ys, {}), min_prominence=0.02)
+        peaks = find_peaks(Curve(xs, ys), min_prominence=0.02)
         assert len(peaks) == 2, f"{label}: expected exactly 2 peaks, got {len(peaks)}"
         for pos, _ in peaks:
             assert abs(abs(pos) - target) / target <= 0.05
@@ -126,7 +126,7 @@ def test_criterion_05_five_site_peak_positions():
         v2 = {"V2=10": 10.0, "V2=20": 20.0}[label]
         target = math.sqrt(2 * 20.0**2 + v2**2)
         xs, ys = result.mean_curve("probability")
-        peaks = find_peaks(Curve(xs, ys, {}), min_prominence=0.1)
+        peaks = find_peaks(Curve(xs, ys), min_prominence=0.1)
         assert len(peaks) == 3, f"{label}: expected 3 peaks, got {len(peaks)}"
         positions = [p for p, _ in peaks]
         assert abs(positions[1]) <= 1.0
@@ -151,7 +151,7 @@ def _discrete_curve(n, n_steps, bond_angles, z_template, alpha):
         },
     )
     xs, ys = run_sweep(spec).mean_curve("probability")
-    return Curve(xs, ys, {})
+    return Curve(xs, ys)
 
 
 def test_criterion_06_discrete_resonance_signature():

@@ -109,6 +109,14 @@ def test_tail_prob_examples():
         tail_prob([0.5, 0.5])
 
 
+def test_tail_prob_of_a_stack_is_per_row():
+    rng = np.random.default_rng(5)
+    stack = rng.uniform(0, 1, (4, 7))
+    assert np.array_equal(tail_prob(stack), [tail_prob(row) for row in stack])
+    with pytest.raises(ConfigurationError):
+        tail_prob(np.zeros((3, 2)))
+
+
 def test_tail_plus_head_is_total():
     rng = np.random.default_rng(3)
     for _ in range(50):
@@ -127,6 +135,10 @@ def test_curve_validation():
         Curve(np.array([0.0, 1.0]), np.array([0.0, 1.1]))
     with pytest.raises(ConfigurationError):
         Curve(np.array([0.0, 1.0]), np.array([-0.1, 0.5]))
+    with pytest.raises(ConfigurationError):
+        Curve(np.array([0.0, 1.0, 2.0]), np.array([0.5, np.nan, 0.5]))
+    with pytest.raises(ConfigurationError):
+        Curve(np.array([0.0, np.nan, 2.0]), np.array([0.5, 0.5, 0.5]))
 
 
 def test_localization_report_invariant():

@@ -1,9 +1,14 @@
 """CLI end to end: configs, overrides, exit codes, file schemas."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import trotterlab
 from trotterlab.cli import main
 
 RESONANCE_CONFIG = {
@@ -298,3 +303,86 @@ def test_verification_mode_backend_disagreement_exits_1(tmp_path, monkeypatch, c
     assert code == 1
     assert "backends disagree" in capsys.readouterr().err
     assert not out.exists()
+
+
+def _with_fixed(**fields):
+    experiment = dict(RESONANCE_CONFIG["experiment"])
+    experiment["fixed"] = dict(experiment["fixed"], **fields)
+    return dict(RESONANCE_CONFIG, experiment=experiment)
+
+
+@pytest.mark.parametrize(
+    "cfg, message",
+    [
+        ([1, 2], "the config must be a JSON object"),
+        ({"experiment": [1]}, "experiment must be a JSON object"),
+        (dict(RESONANCE_CONFIG, engine=3), "engine must be a JSON object"),
+        (_with_fixed(bond_angles="pi/4"), "bond_angles must be a list, got 'pi/4'"),
+        (_with_fixed(z_template={"phi": 1}), "z_template must be a list"),
+        (_with_fixed(n_qubits="two"), "n_qubits must be an integer"),
+        (dict(RESONANCE_CONFIG, experiment=dict(RESONANCE_CONFIG["experiment"], grid=5)), "grid"),
+    ],
+)
+def test_malformed_config_shape_exits_2_naming_the_field(tmp_path, capsys, cfg, message):
+    out = tmp_path / "m.csv"
+    assert main(["resonance", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "cfg, message",
+    [
+        (
+            {
+                "experiment": {
+                    "kind": "resonance_continuous",
+                    "grid": [0, 1, 3],
+                    "fixed": {"couplings": 1.0, "potentials": ["V1", 0.0], "t": 1.0},
+                }
+            },
+            "couplings must be a list",
+        ),
+        (
+            {
+                "experiment": {
+                    "kind": "resonance_continuous",
+                    "grid": [0, 1, 3],
+                    "fixed": {"couplings": [1.0], "potentials": "V1", "t": 1.0},
+                }
+            },
+            "potentials must be a list",
+        ),
+    ],
+)
+def test_chain_fields_must_be_lists(tmp_path, capsys, cfg, message):
+    out = tmp_path / "c.csv"
+    assert main(["resonance", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-1e400"])
+def test_non_finite_angle_exits_2_without_writing(tmp_path, capsys, bad):
+    out = tmp_path / "nan.csv"
+    cfg = _with_fixed(z_template=["phi", bad])
+    assert main(["resonance", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 2
+    assert "is not finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_non_finite_json_number_exits_2(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(_with_fixed(alpha=float("nan"))))  # writes a bare NaN token
+    out = tmp_path / "n.csv"
+    assert main(["resonance", "--config", str(path), "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+def test_cli_import_leaves_scipy_signal_unloaded():
+    code = "import sys, trotterlab.cli; print('scipy.signal' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(Path(trotterlab.__file__).parents[1]))
+    run = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    )
+    assert run.stdout.strip() == "False"

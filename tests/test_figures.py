@@ -21,7 +21,7 @@ def test_2a4_single_resonance_peak_per_series():
     targets = {"V2=0": 0.0, "V2=-pi/2": -np.pi / 2}
     for label, result in fig.series:
         xs, ys = result.mean_curve("probability")
-        peaks = find_peaks(Curve(xs, ys, {}), min_prominence=0.2)
+        peaks = find_peaks(Curve(xs, ys), min_prominence=0.2)
         assert len(peaks) == 1
         assert abs(peaks[0][0] - targets[label]) < 0.05
 
@@ -39,7 +39,7 @@ def test_3b_two_peak_structure():
     separations = []
     for _, result in fig.series:
         xs, ys = result.mean_curve("probability")
-        peaks = find_peaks(Curve(xs, ys, {}), min_prominence=0.02)
+        peaks = find_peaks(Curve(xs, ys), min_prominence=0.02)
         assert len(peaks) >= 2
         positions = [p for p, _ in peaks]
         separations.append(max(positions) - min(positions))

@@ -226,7 +226,16 @@ def test_parse_angle(text, expected):
     assert parse_angle(text) == pytest.approx(expected, abs=1e-15)
 
 
-@pytest.mark.parametrize("bad", ["pie", "pi/", "x*pi", "", "pi/0x2"])
+@pytest.mark.parametrize(
+    "bad",
+    ["pie", "pi/", "x*pi", "", "pi/0x2", "pi/0", "nan", "inf", "-inf", "1e400", None, [1.0]],
+)
 def test_parse_angle_rejects_garbage(bad):
     with pytest.raises(ConfigurationError):
+        parse_angle(bad)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), np.float32("nan")])
+def test_parse_angle_rejects_non_finite_numbers(bad):
+    with pytest.raises(ConfigurationError, match="not finite"):
         parse_angle(bad)

@@ -22,6 +22,7 @@ from trotterlab.subspace import (
     continuous_evolve,
     evolve_chains,
     iterate_discrete,
+    iterate_stack,
     run_discrete,
     step_matrix,
     trotter_step,
@@ -301,3 +302,36 @@ def test_stacked_oracle_rows_match_single_chain_and_expm(case):
         assert np.array_equal(row, continuous_evolve(chain, t, init).amplitudes)
         expected = expm(-1j * chain_hamiltonian(chain) * t)[:, init - 1]
         assert np.max(np.abs(row - expected)) <= 1e-11
+
+
+@st.composite
+def circuit_stacks(draw):
+    n, b = draw(st.integers(2, 20)), draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    spec = TrotterCircuitSpec(
+        n_qubits=n,
+        n_steps=draw(st.integers(1, 30)),
+        bond_angles=tuple(rng.uniform(-np.pi, np.pi, n - 1)),
+        drop_final_z=draw(st.booleans()),
+        initial_excitation_site=draw(st.integers(1, n)),
+    )
+    return spec, rng.uniform(-np.pi, np.pi, (b, n))
+
+
+@given(circuit_stacks())
+def test_stacked_walker_rows_match_per_bond_steps(case):
+    spec, phis = case
+    refs = [basis_state(spec.n_qubits, spec.initial_excitation_site) for _ in phis]
+    for eta, amps in iterate_stack(spec, phis):
+        include_z = not (spec.drop_final_z and eta == spec.n_steps)
+        for row, ref, z in zip(amps, refs, phis):
+            trotter_step(ref, spec.bond_angles, z, include_z=include_z)
+            assert np.max(np.abs(row - ref.amplitudes)) <= 1e-12
+    assert eta == spec.n_steps
+
+
+def test_iterate_stack_rejects_misshapen_z_angles():
+    spec = TrotterCircuitSpec(n_qubits=3, n_steps=2, bond_angles=(0.1, 0.2))
+    for phis in (np.zeros(3), np.zeros((2, 4))):
+        with pytest.raises(ConfigurationError, match="z angles"):
+            next(iterate_stack(spec, phis))

@@ -4,10 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from trotterlab.analytics import Curve, find_peaks
 from trotterlab.errors import ConfigurationError
-from trotterlab.model import ChainSpec, ZLayerSpec, realize_z_layer
+from trotterlab.analytics import tail_prob
+from trotterlab.model import ChainSpec, TrotterCircuitSpec, ZLayerSpec, realize_z_layer
+from trotterlab.subspace import chain_hamiltonian, iterate_discrete
 from trotterlab.sweep import (
     ExperimentKind,
     GridSpec,
@@ -62,7 +66,7 @@ def test_child_seed_is_deterministic_and_spread():
 def test_resonance_discrete_peak_at_alpha():
     result = run_sweep(discrete_n2_spec())
     xs, ys = result.mean_curve("probability")
-    peaks = find_peaks(Curve(xs, ys, {}), min_prominence=0.02)
+    peaks = find_peaks(Curve(xs, ys), min_prominence=0.02)
     assert len(peaks) == 1
     assert peaks[0][0] == pytest.approx(0.0, abs=0.01)
 
@@ -123,9 +127,6 @@ def test_child_seed_contract_reproduces_work_item():
     phis = realize_z_layer(
         ZLayerSpec(base_phi=math.pi / 2, disorder_radius=r_values[i]), 8, seed
     )
-    from trotterlab.model import TrotterCircuitSpec
-    from trotterlab.subspace import iterate_discrete
-
     circuit = TrotterCircuitSpec(
         n_qubits=8,
         n_steps=12,
@@ -234,9 +235,7 @@ def test_grid_validation():
 def test_resonance_peaks_sit_on_barrier_spectrum():
     # the transmission maxima of the 4-site chain line up with the
     # eigenvalues of its isolated middle dimer
-    from trotterlab.sweep import chain_spectrum
-
-    dimer_levels = chain_spectrum(ChainSpec((20.0,), (10.0, -10.0)))
+    dimer_levels = np.linalg.eigvalsh(chain_hamiltonian(ChainSpec((20.0,), (10.0, -10.0))))
     spec = SweepSpec(
         kind=ExperimentKind.RESONANCE_CONTINUOUS,
         swept="V1",
@@ -248,7 +247,67 @@ def test_resonance_peaks_sit_on_barrier_spectrum():
         },
     )
     xs, ys = run_sweep(spec).mean_curve("probability")
-    peaks = find_peaks(Curve(xs, ys, {}), min_prominence=0.02)
+    peaks = find_peaks(Curve(xs, ys), min_prominence=0.02)
     assert len(peaks) == len(dimer_levels) == 2
     for (pos, _), level in zip(peaks, dimer_levels):
         assert abs(pos - level) < 0.05 * abs(level)
+
+
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    trials=st.integers(1, 4),
+    n=st.integers(3, 10),
+    steps=st.integers(1, 12),
+    drop_final_z=st.booleans(),
+)
+def test_batched_localization_rows_match_items_run_alone(seed, trials, n, steps, drop_final_z):
+    # every (i, k) row and trace of the one-walk ensemble equals
+    # iterate_discrete on that item alone with child_seed(master, i, k)
+    spec = SweepSpec(
+        kind=ExperimentKind.LOCALIZATION,
+        swept="R",
+        grid=GridSpec(0.0, math.pi, 3),
+        fixed={
+            "n_qubits": n,
+            "n_steps": steps,
+            "bond_angle": 0.7,
+            "base_phi": 1.1,
+            "profile_eta": steps,
+            "drop_final_z": drop_final_z,
+        },
+        trials=trials,
+        master_seed=seed,
+    )
+    result = run_sweep(spec)
+    assert [(r.swept_value, r.trial) for r in result.rows] == [
+        (t.swept_value, t.trial) for t in result.traces
+    ]
+    for idx, (row, trace) in enumerate(zip(result.rows, result.traces)):
+        i, k = divmod(idx, trials)
+        circuit = TrotterCircuitSpec(
+            n_qubits=n,
+            n_steps=steps,
+            bond_angles=(0.7,) * (n - 1),
+            z_layer=ZLayerSpec(base_phi=1.1, disorder_radius=row.swept_value),
+            drop_final_z=drop_final_z,
+        )
+        probs = [
+            state.probabilities()
+            for _, state in iterate_discrete(circuit, child_seed(seed, i, k))
+        ]
+        rep = trace.report
+        assert np.max(np.abs(np.array(rep.ipr_series) - [np.sum(p**2) for p in probs])) <= 1e-12
+        assert np.max(np.abs(np.array(rep.tail_series) - [tail_prob(p) for p in probs])) <= 1e-12
+        assert np.max(np.abs(np.array(rep.final_profile) - probs[-1])) <= 1e-12
+        assert abs(row.observables["ipr_ave"] - rep.ipr_ave) == 0.0
+        assert abs(row.observables["mean_tail"] - np.mean(rep.tail_series)) <= 1e-15
+
+
+def test_localization_sweep_is_the_same_on_both_backends():
+    spec = localization_spec(seed=5, trials=2, n=6, steps=9)
+    sub, dense = run_sweep(spec, backend="subspace"), run_sweep(spec, backend="dense")
+    for a, b in zip(sub.rows, dense.rows):
+        assert a.observables.keys() == b.observables.keys()
+        for name in a.observables:
+            assert abs(a.observables[name] - b.observables[name]) <= 1e-12
+    assert run_sweep(spec, threads=2, backend="dense") == dense
