@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, InvalidStateError
-from .subspace import SubspaceState, check_normalized
+from .subspace import SubspaceState
 
 DEFAULT_PEAK_PROMINENCE = 0.02  # absolute probability
 
@@ -40,7 +40,9 @@ def ipr(state: SubspaceState) -> float:
     1/N for a uniform superposition, 1 for a basis state.  The state must be
     normalized (checked to 1e-9).
     """
-    check_normalized(state)
+    err = state.norm_error()
+    if err > 1e-9:
+        raise InvalidStateError(f"state norm deviates by {err:.3e} (tol 1.0e-09)")
     return float(np.sum(np.abs(state.amplitudes) ** 4))
 
 

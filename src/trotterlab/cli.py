@@ -95,7 +95,7 @@ def load_config(path: str, default_kind: ExperimentKind) -> RunConfig:
         raise ConfigurationError("experiment.grid is required")
     spec = SweepSpec(
         kind=kind,
-        swept=exp.get("swept", "V1"),
+        swept=_require_str(exp.get("swept", "V1"), "experiment.swept"),
         grid=_parse_grid_triplet(exp["grid"]),
         fixed=dict(_require_object(exp.get("fixed", {}), "experiment.fixed")),
         trials=_as_int(exp.get("trials"), "experiment.trials", optional=True),
@@ -105,7 +105,7 @@ def load_config(path: str, default_kind: ExperimentKind) -> RunConfig:
     engine = _require_object(data.get("engine", {}), "engine")
     return RunConfig(
         spec=spec,
-        out_path=out.get("path", "sweep.csv"),
+        out_path=_require_str(out.get("path", "sweep.csv"), "output.path"),
         out_format=out.get("format", "csv"),
         backend=engine.get("backend", "auto"),
         threads=_as_int(engine.get("threads", 0) or 0, "engine.threads"),
@@ -118,6 +118,12 @@ def _require_object(value, name: str) -> dict:
         raise ConfigurationError(
             f"{name} must be a JSON object, got {type(value).__name__}"
         )
+    return value
+
+
+def _require_str(value, name: str) -> str:
+    if not isinstance(value, str):
+        raise ConfigurationError(f"{name} must be a string, got {value!r}")
     return value
 
 

@@ -5,10 +5,12 @@ conserve the excitation number.  Basis index convention: qubit 1 is the most
 significant bit, so ``|b_1 b_2 ... b_N>`` lives at index ``int(b, 2)``.
 Callers address qubits, never raw indices, so the convention stays internal.
 
-``iterate_circuit`` walks a circuit spec step by step with fused layers;
-``build_circuit`` + ``apply_gate`` is the inspectable gate-by-gate reference
-it is tested against.  Both work in place on reshape views of the amplitude
-array; no 2^N x 2^N matrix is ever materialized.
+``iterate_stack`` is the circuit walker: it steps a (B, 2^N) stack of
+circuits that differ only in their z angles, with fused layers;
+``iterate_circuit`` and ``run_circuit`` are the same walker on a stack of
+one.  ``build_circuit`` + ``apply_gate`` is the inspectable gate-by-gate
+reference it is tested against.  Both work in place on reshape views of the
+amplitude array; no 2^N x 2^N matrix is ever materialized.
 """
 
 from __future__ import annotations
@@ -96,45 +98,56 @@ def apply_gate(state: StateVector, gate: GateOp) -> StateVector:
     return state
 
 
-def _rz_table(phis) -> np.ndarray:
-    """Diagonal of an Rz layer on consecutive qubits, the first one most significant."""
-    table = np.ones(1, dtype=np.complex128)
-    for e in np.exp(0.5j * np.asarray(phis, dtype=float)):
-        table = np.multiply.outer(table, (e.conjugate(), e)).ravel()
+def _rz_tables(phis: np.ndarray) -> np.ndarray:
+    """(B, 2^k) Rz-layer diagonals on k consecutive qubits, the first one most significant."""
+    b = len(phis)
+    table = np.ones((b, 1), dtype=np.complex128)
+    for e in np.exp(0.5j * phis).T:
+        factors = np.stack((e.conjugate(), e), axis=1)
+        table = (table[:, :, None] * factors[:, None, :]).reshape(b, -1)
     return table
 
 
-def iterate_circuit(spec: TrotterCircuitSpec, seed: int | None = None):
-    """Yield (eta, state) after each Trotter step of ``spec``, eta = 1..n_steps.
+def iterate_stack(spec: TrotterCircuitSpec, phis: np.ndarray):
+    """Yield (eta, amps) after each Trotter step of a stack of circuits, eta = 1..n_steps.
 
-    Applies the gates ``build_circuit(spec, seed)`` lists, fused per layer:
-    each bond's cos and sin are computed once per circuit, each bond gate
-    mixes its two coupled blocks through one half-state scratch buffer, and
-    each Rz layer is two in-place multiplies by the Kronecker factors of its
-    diagonal (over the first floor(N/2) and the last ceil(N/2) qubits).  The
-    yielded state is live (mutated by further iteration); copy it to keep a
-    trajectory.
+    Every row shares ``spec``'s size, step count, gate family, bond angles,
+    initial site and ``drop_final_z``; row b has its own realized z angles
+    ``phis[b]`` (``spec.z_layer`` is not used).  ``amps`` is the live
+    (B, 2^N) amplitude stack, mutated by further iteration; copy it to keep
+    a trajectory.
+
+    Applies the gates ``build_circuit`` lists, fused per layer: each bond's
+    cos and sin are computed once per walk, each bond gate mixes its two
+    coupled blocks through one half-stack scratch buffer, and each Rz layer
+    is two in-place multiplies by the Kronecker factors of its diagonals
+    (over the first floor(N/2) and the last ceil(N/2) qubits), made for the
+    whole stack at once.
     """
     n = spec.n_qubits
     _check_n(n)
-    phis = realize_z_layer(spec.z_layer, n, seed)
-    hi = _rz_table(phis[: n // 2])[:, None]
-    lo = _rz_table(phis[n // 2 :])
-    state = StateVector(n, np.zeros(2**n, dtype=np.complex128))
-    a = state.amplitudes
-    a[1 << (n - spec.initial_excitation_site)] = 1.0  # the X gate on |0...0>
-    z_view = a.reshape(hi.size, lo.size)
+    phis = np.asarray(phis, dtype=float)
+    if phis.ndim != 2 or phis.shape[1] != n:
+        raise ConfigurationError(
+            f"z angles have shape {phis.shape}, expected (B, {n})"
+        )
+    b = len(phis)
+    hi = _rz_tables(phis[:, : n // 2])[:, :, None]
+    lo = _rz_tables(phis[:, n // 2 :])[:, None, :]
+    amps = np.zeros((b, 2**n), dtype=np.complex128)
+    amps[:, 1 << (n - spec.initial_excitation_site)] = 1.0  # the X gate on |0...0>
+    z_view = amps.reshape(b, hi.shape[1], lo.shape[2])
 
     # A bond gate mixes the |01>,|10> (XY) or |10>,|11> (CRx) blocks of its
-    # pair as [[c, -is], [-is, c]]; ``pair[:, ::-1]`` holds the partners.
+    # pair as [[c, -is], [-is, c]]; ``pair[:, :, ::-1]`` holds the partners.
     xy = spec.gate_family is GateFamily.XY
     angles = np.asarray(spec.bond_angles, dtype=float) * (1.0 if xy else 0.5)
-    scratch = np.empty(2 ** (n - 1), dtype=np.complex128)
+    scratch = np.empty(b * 2 ** (n - 1), dtype=np.complex128)
     bonds = []
     for j, c, ms in zip(range(1, n), np.cos(angles), -1j * np.sin(angles)):
-        quads = a.reshape(2 ** (j - 1), 4, -1)
-        pair = quads[:, 1:3] if xy else quads[:, 2:4]
-        bonds.append((pair, pair[:, ::-1], scratch.reshape(pair.shape), c, ms))
+        quads = amps.reshape(b, 2 ** (j - 1), 4, -1)
+        pair = quads[:, :, 1:3] if xy else quads[:, :, 2:4]
+        bonds.append((pair, pair[:, :, ::-1], scratch.reshape(pair.shape), c, ms))
 
     for eta in range(1, spec.n_steps + 1):
         for pair, partners, mixed, c, ms in bonds:
@@ -144,7 +157,18 @@ def iterate_circuit(spec: TrotterCircuitSpec, seed: int | None = None):
         if not (spec.drop_final_z and eta == spec.n_steps):
             z_view *= hi
             z_view *= lo
-        yield eta, state
+        yield eta, amps
+
+
+def iterate_circuit(spec: TrotterCircuitSpec, seed: int | None = None):
+    """Yield (eta, state) after each Trotter step of ``spec``, eta = 1..n_steps.
+
+    ``iterate_stack`` on a stack of one.  The yielded state is live (mutated
+    by further iteration); copy it to keep a trajectory.
+    """
+    phis = np.asarray([realize_z_layer(spec.z_layer, spec.n_qubits, seed)])
+    for eta, amps in iterate_stack(spec, phis):
+        yield eta, StateVector(spec.n_qubits, amps[0])
 
 
 def run_circuit(spec: TrotterCircuitSpec, seed: int | None = None) -> StateVector:
@@ -169,27 +193,25 @@ def run_circuit(spec: TrotterCircuitSpec, seed: int | None = None) -> StateVecto
 
 
 def occupation_probs(state: StateVector) -> np.ndarray:
-    """P(qubit i measures 1) for i = 1..N.
+    """P(qubit i measures 1) for i = 1..N: ``occupation_stack`` on a stack of one."""
+    return occupation_stack(state.amplitudes[None])[0]
+
+
+def occupation_stack(amps: np.ndarray) -> np.ndarray:
+    """(B, N) occupations P(qubit i measures 1) of a (B, 2^N) amplitude stack.
 
     Valid for any state, including CRx outputs with several excitations
-    (the entries then need not sum to 1).  Reads one |a|^2 buffer: qubit i's
-    probability is the sum of its upper half once qubits 1..i-1 have been
-    summed out by folding the buffer in half, in place.
+    (a row then need not sum to 1).  Reads one |a|^2 buffer: qubit i's
+    probability is the sum of a row's upper half once qubits 1..i-1 have
+    been summed out by folding the rows in half, in place.
     """
-    n = state.n_qubits
-    p = np.abs(state.amplitudes)
+    p = np.abs(amps)
     p *= p
-    probs = np.empty(n)
-    for i in range(n):
-        half = p.size // 2
-        probs[i] = p[half:].sum()
-        np.add(p[:half], p[half:], out=p[:half])
-        p = p[:half]
+    b, size = p.shape
+    probs = np.empty((b, size.bit_length() - 1))
+    for i in range(probs.shape[1]):
+        half = p.shape[1] // 2
+        probs[:, i] = p[:, half:].sum(axis=1)
+        np.add(p[:, :half], p[:, half:], out=p[:, :half])
+        p = p[:, :half]
     return probs
-
-
-def basis_prob(state: StateVector, bitstring: str) -> float:
-    """|<bitstring|state>|^2."""
-    if len(bitstring) != state.n_qubits:
-        raise ConfigurationError("bitstring length must equal n_qubits")
-    return float(abs(state.amplitudes[int(bitstring, 2)]) ** 2)

@@ -23,10 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, InvalidStateError, NumericalError
+from .errors import ConfigurationError, NumericalError
 from .model import ChainSpec, GateFamily, TrotterCircuitSpec, realize_z_layer
 
-MAX_CHAIN_SITES = 1000
+MAX_CHAIN_SITES = 1000  # also caps N of the walker: its bond-layer matrix is N x N
 # Eigen-residual bound: max|H v - lambda v| <= EIGH_RESIDUAL_C * eps * N * max|lambda|.
 # A backward-stable symmetric eigensolver meets it with a constant of order
 # 1 (random chains of 2-50 sites at scales 1e-3..1e6 reach 1.4); 10 leaves
@@ -129,6 +129,8 @@ def iterate_stack(
             "the subspace backend only supports XY-family circuits"
         )
     n = spec.n_qubits
+    if n > MAX_CHAIN_SITES:
+        raise ConfigurationError(f"n_qubits {n} exceeds {MAX_CHAIN_SITES}")
     phis = np.asarray(phis, dtype=float)
     if phis.ndim != 2 or phis.shape[1] != n:
         raise ConfigurationError(
@@ -245,10 +247,3 @@ def continuous_evolve(
         )
     amps = evolve_chains(chain_hamiltonian(chain)[None], t, init_amplitudes)
     return SubspaceState(n, amps[0])
-
-
-def check_normalized(state: SubspaceState, tol: float = 1e-9) -> SubspaceState:
-    err = state.norm_error()
-    if err > tol:
-        raise InvalidStateError(f"state norm deviates by {err:.3e} (tol {tol:.1e})")
-    return state

@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import enum
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import __version__
 from .analytics import LocalizationReport, ipr_ave, tail_prob
-from .dense import iterate_circuit, occupation_probs, run_circuit
+from .dense import iterate_stack as dense_stack, occupation_stack
 from .errors import ConfigurationError, NumericalError
 from .model import (
     ChainSpec,
@@ -33,12 +33,18 @@ from .subspace import (
     chain_hamiltonians,
     continuous_evolve,
     evolve_chains,
-    iterate_stack,
-    run_discrete,
+    iterate_stack as subspace_stack,
     step_matrix,
 )
 
 _MASK64 = (1 << 64) - 1
+# Amplitudes per stack walk.  Stacking pays where items are small (an N = 4
+# CRx scan walks its 315 circuits as one stack); an N = 15 dense state (2^15
+# amplitudes) walks alone, because stacking states that size is slower (panel
+# 3c as one stack of 5: 1256 ms, item by item: 1103 ms, at one thread on a
+# 2-core Xeon VM, median of 5) and leaves the thread pool one task, where
+# item by item it runs the 5 items in 733 ms on 2 threads.
+MAX_STACK_AMPLITUDES = 2**15
 
 
 def _splitmix64(x: int) -> int:
@@ -213,35 +219,16 @@ def _pick_backend(family: GateFamily, backend: str) -> str:
     return backend
 
 
-def _discrete_last_qubit_prob(
-    circuit: TrotterCircuitSpec,
-    target: int,
-    backend: str,
-    seed: int | None,
-    verification_mode: bool,
-) -> float:
-    """P(target qubit is 1) after the full circuit, on the chosen backend."""
-    want = _pick_backend(circuit.gate_family, backend)
-    dense_p = subspace_p = None
-    if want == "dense" or verification_mode:
-        dense_p = occupation_probs(run_circuit(circuit, seed))
-    if want == "subspace" or (
-        verification_mode and circuit.gate_family is GateFamily.XY
-    ):
-        subspace_p = run_discrete(circuit, circuit.n_steps, seed).probabilities()
-    if verification_mode and dense_p is not None and subspace_p is not None:
-        gap = float(np.max(np.abs(dense_p - subspace_p)))
-        if gap > 1e-10:
-            raise NumericalError(
-                f"verification mode: backends disagree by {gap:.3e}"
-            )
-    probs = dense_p if want == "dense" else subspace_p
-    return float(probs[target - 1])
+def _index_field(fixed: dict, name: str, default: int, top: int) -> int:
+    """A 1-based index field (a qubit, a site or a step) in [1, top]."""
+    index = _int_field(fixed, name, default)
+    if not 1 <= index <= top:
+        raise ConfigurationError(f"{name} must be in [1, {top}], got {index}")
+    return index
 
 
-def _eval_resonance_discrete(
-    spec: SweepSpec, value: float, seed: int, backend: str, verification_mode: bool
-) -> dict:
+def _resonance_circuit(spec: SweepSpec, value: float) -> TrotterCircuitSpec:
+    """The circuit of one grid point of a resonance_discrete/crx_resonance sweep."""
     fixed = spec.fixed
     _require(fixed, ["n_qubits", "n_steps", "bond_angles", "z_template"], spec.kind)
     family = (
@@ -251,9 +238,8 @@ def _eval_resonance_discrete(
     )
     params = dict(fixed)
     params[spec.swept] = value
-    n = _int_field(fixed, "n_qubits")
-    circuit = TrotterCircuitSpec(
-        n_qubits=n,
+    return TrotterCircuitSpec(
+        n_qubits=_int_field(fixed, "n_qubits"),
         n_steps=_int_field(fixed, "n_steps"),
         gate_family=family,
         bond_angles=_resolve_template(_list_field(fixed, "bond_angles"), params),
@@ -262,9 +248,6 @@ def _eval_resonance_discrete(
         ),
         drop_final_z=bool(fixed.get("drop_final_z", True)),
     )
-    target = _int_field(fixed, "target_qubit", n)
-    prob = _discrete_last_qubit_prob(circuit, target, backend, seed, verification_mode)
-    return {"probability": prob}
 
 
 def _template_grid(entries, params: dict, count: int) -> np.ndarray:
@@ -284,7 +267,7 @@ def _eval_resonance_continuous(spec: SweepSpec, values: list[float]) -> list[dic
     couplings = _template_grid(_list_field(fixed, "couplings"), params, len(values))
     potentials = _template_grid(_list_field(fixed, "potentials"), params, len(values))
     n = ChainSpec(tuple(couplings[0]), tuple(potentials[0])).n_sites  # shape check
-    target = _int_field(fixed, "target_site", n)
+    target = _index_field(fixed, "target_site", n, n)
     init = basis_state(n, _int_field(fixed, "init_site", 1)).amplitudes
     amps = evolve_chains(
         chain_hamiltonians(couplings, potentials), parse_angle(fixed["t"]), init
@@ -292,12 +275,24 @@ def _eval_resonance_continuous(spec: SweepSpec, values: list[float]) -> list[dic
     return [{"probability": float(p)} for p in np.abs(amps[:, target - 1]) ** 2]
 
 
-def _localization_circuit(spec: SweepSpec, radius: float) -> tuple[TrotterCircuitSpec, int]:
-    """The circuit of one grid point (its z layer unrealized) and the profile step."""
+def _eval_convergence_ladder(spec: SweepSpec, values: list[float]) -> list[dict]:
+    """Distance to the exact state at every step count, from one study."""
+    fixed = spec.fixed
+    _require(fixed, ["couplings", "potentials", "t"], spec.kind)
+    chain = ChainSpec(
+        couplings=_resolve_template(_list_field(fixed, "couplings"), {}),
+        potentials=_resolve_template(_list_field(fixed, "potentials"), {}),
+    )
+    table = convergence_study(chain, parse_angle(fixed["t"]), values)
+    return [{"distance": distance} for _, distance in table]
+
+
+def _localization_circuit(spec: SweepSpec, radius: float) -> TrotterCircuitSpec:
+    """The circuit of one grid point of a localization sweep (z layer unrealized)."""
     fixed = spec.fixed
     _require(fixed, ["n_qubits", "n_steps", "bond_angle", "base_phi"], spec.kind)
     n = _int_field(fixed, "n_qubits")
-    circuit = TrotterCircuitSpec(
+    return TrotterCircuitSpec(
         n_qubits=n,
         n_steps=_int_field(fixed, "n_steps"),
         gate_family=_gate_family(fixed.get("gate_family", "xy")),
@@ -307,113 +302,117 @@ def _localization_circuit(spec: SweepSpec, radius: float) -> tuple[TrotterCircui
         ),
         drop_final_z=bool(fixed.get("drop_final_z", True)),
     )
-    profile_eta = _int_field(fixed, "profile_eta", 10)
-    if not 1 <= profile_eta <= circuit.n_steps:
-        raise ConfigurationError(
-            f"profile_eta {profile_eta} outside [1, {circuit.n_steps}]"
-        )
-    return circuit, profile_eta
 
 
-def _localization_output(
-    tail_series: tuple, ipr_series: tuple | None, profile: tuple, profile_eta: int
-) -> tuple[dict, LocalizationReport]:
-    """Observables and report of one run; ``ipr_series`` is None for CRx."""
-    report = LocalizationReport(
-        ipr_series=ipr_series,
-        ipr_ave=None if ipr_series is None else ipr_ave(ipr_series),
-        tail_series=tail_series,
-        final_profile=profile,
-        profile_eta=profile_eta,
-    )
-    obs = {} if ipr_series is None else {"ipr_ave": report.ipr_ave}
-    obs["mean_tail"] = float(np.mean(tail_series))
-    obs["tail_at_profile_eta"] = tail_series[profile_eta - 1]
-    return obs, report
+def _walk(backend: str):
+    """A backend's stack walker and its (B, amplitudes) -> (B, N) occupation readout."""
+    if backend == "dense":
+        return dense_stack, occupation_stack
+    return subspace_stack, lambda amps: np.abs(amps) ** 2
 
 
-def _localization_dense(
-    spec: SweepSpec, radius: float, seed: int
-) -> tuple[dict, LocalizationReport]:
-    """One (point, trial) item of a localization sweep on the dense backend."""
-    circuit, profile_eta = _localization_circuit(spec, radius)
-    prob_series = [occupation_probs(st) for _, st in iterate_circuit(circuit, seed)]
-    tail_series = tuple(tail_prob(p) for p in prob_series)
-    iprs = None
-    if circuit.gate_family is GateFamily.XY:
-        iprs = tuple(float(np.sum(p**2)) for p in prob_series)
-    profile = tuple(float(x) for x in prob_series[profile_eta - 1])
-    return _localization_output(tail_series, iprs, profile, profile_eta)
-
-
-def _localization_subspace(
-    spec: SweepSpec, values: list[float], items: list
-) -> list[tuple[dict, LocalizationReport]]:
-    """Every (point, trial) item of an XY localization sweep in one walk.
-
-    Item (i, k) realizes point i's z layer with ``child_seed(master, i, k)``;
-    the items are stacked in (point, trial) order and walked together.
-    """
-    circuits = [_localization_circuit(spec, v) for v in values]
-    circuit, profile_eta = circuits[0]
-    phis = np.array(
-        [
-            realize_z_layer(
-                circuits[i][0].z_layer,
-                circuit.n_qubits,
-                child_seed(spec.master_seed, i, k),
-            )
-            for i, _, k in items
-        ]
-    )
-    tails = np.empty((circuit.n_steps, len(items)))
-    iprs = np.empty_like(tails)
-    for eta, amps in iterate_stack(circuit, phis):
-        probs = np.abs(amps) ** 2
-        tails[eta - 1] = tail_prob(probs)
-        iprs[eta - 1] = np.sum(probs**2, axis=1)
-        if eta == profile_eta:
-            profile = probs
-    return [
-        _localization_output(
-            tuple(tails[:, b].tolist()),
-            tuple(iprs[:, b].tolist()),
-            tuple(profile[b].tolist()),
-            profile_eta,
-        )
-        for b in range(len(items))
-    ]
-
-
-def _eval_convergence(spec: SweepSpec, n_steps: int) -> dict:
-    fixed = spec.fixed
-    _require(fixed, ["couplings", "potentials", "t"], spec.kind)
-    chain = ChainSpec(
-        couplings=_resolve_template(_list_field(fixed, "couplings"), {}),
-        potentials=_resolve_template(_list_field(fixed, "potentials"), {}),
-    )
-    table = convergence_study(chain, parse_angle(fixed["t"]), [int(n_steps)])
-    return {"distance": table[0][1]}
-
-
-def _evaluate(
+def _evaluate_stack(
     spec: SweepSpec,
-    point_index: int,
-    value: float,
-    trial: int,
+    circuit: TrotterCircuitSpec,
+    phis: np.ndarray,
+    readout: int,
     backend: str,
     verification_mode: bool,
-):
-    """One (point, trial) work item of a kind evaluated item by item."""
-    if spec.kind in (ExperimentKind.RESONANCE_DISCRETE, ExperimentKind.CRX_RESONANCE):
-        seed = child_seed(spec.master_seed, point_index, trial)
-        return _eval_resonance_discrete(spec, value, seed, backend, verification_mode), None
-    if spec.kind is ExperimentKind.LOCALIZATION:
-        seed = child_seed(spec.master_seed, point_index, trial)
-        return _localization_dense(spec, value, seed)
-    if spec.kind is ExperimentKind.CONVERGENCE:
-        return _eval_convergence(spec, value), None
-    raise ConfigurationError(f"unknown experiment kind {spec.kind}")
+) -> list[tuple[dict, LocalizationReport | None]]:
+    """Observables of every row of one stack, in row order.
+
+    ``readout`` is the target qubit of a resonance sweep or the profile step
+    of a localization sweep.  Localization reduces the occupations of each
+    step as it goes; resonance reads them after the last step only.
+    """
+    localization = spec.kind is ExperimentKind.LOCALIZATION
+    walk, occupations = _walk(backend)
+    tails = np.empty((circuit.n_steps, len(phis)))
+    iprs = np.empty_like(tails)
+    for eta, amps in walk(circuit, phis):
+        if localization:
+            probs = occupations(amps)
+            tails[eta - 1] = tail_prob(probs)
+            iprs[eta - 1] = np.sum(probs**2, axis=1)
+            if eta == readout:
+                profile = probs
+    final = probs if localization else occupations(amps)
+    if verification_mode and circuit.gate_family is GateFamily.XY:
+        walk, occupations = _walk("subspace" if backend == "dense" else "dense")
+        for _, amps in walk(circuit, phis):
+            pass
+        gap = float(np.max(np.abs(final - occupations(amps))))
+        if gap > 1e-10:
+            raise NumericalError(f"verification mode: backends disagree by {gap:.3e}")
+    if not localization:
+        return [({"probability": float(p)}, None) for p in final[:, readout - 1]]
+    xy = circuit.gate_family is GateFamily.XY
+    outputs = []
+    for b in range(len(phis)):
+        tail_series = tuple(tails[:, b].tolist())
+        ipr_series = tuple(iprs[:, b].tolist()) if xy else None
+        report = LocalizationReport(
+            ipr_series=ipr_series,
+            ipr_ave=ipr_ave(ipr_series) if xy else None,
+            tail_series=tail_series,
+            final_profile=tuple(profile[b].tolist()),
+            profile_eta=readout,
+        )
+        obs = {"ipr_ave": report.ipr_ave} if xy else {}
+        obs["mean_tail"] = float(np.mean(tail_series))
+        obs["tail_at_profile_eta"] = tail_series[readout - 1]
+        outputs.append((obs, report))
+    return outputs
+
+
+def _evaluate_items(
+    spec: SweepSpec,
+    values: list[float],
+    threads: int,
+    backend: str,
+    verification_mode: bool,
+) -> list[tuple[dict, LocalizationReport | None]]:
+    """Every (point, trial) item of a seeded kind, walked as stacks.
+
+    Item (i, k) realizes point i's z layer with ``child_seed(master, i, k)``.
+    Consecutive items whose circuits differ only in their z layer share a
+    stack of at most MAX_STACK_AMPLITUDES amplitudes (an item too large for
+    that walks alone).  Outputs come back in (point, trial) order.
+    """
+    localization = spec.kind is ExperimentKind.LOCALIZATION
+    point_circuit = _localization_circuit if localization else _resonance_circuit
+    circuits = [point_circuit(spec, v) for v in values]
+    n, steps = circuits[0].n_qubits, circuits[0].n_steps
+    if localization:
+        readout = _index_field(spec.fixed, "profile_eta", 10, steps)
+    else:
+        readout = _index_field(spec.fixed, "target_qubit", n, n)
+    backend = _pick_backend(circuits[0].gate_family, backend)
+    width = 2**n if backend == "dense" or verification_mode else n
+
+    stacks = []  # [circuit without its z layer, realized z angles of each row]
+    for i, circuit in enumerate(circuits):
+        shared = replace(circuit, z_layer=ZLayerSpec())
+        for k in range(spec.trials):
+            phis = realize_z_layer(circuit.z_layer, n, child_seed(spec.master_seed, i, k))
+            last = stacks[-1] if stacks else None
+            if last and last[0] == shared and (len(last[1]) + 1) * width <= MAX_STACK_AMPLITUDES:
+                last[1].append(phis)
+            else:
+                stacks.append((shared, [phis]))
+
+    def work(stack):
+        shared, rows = stack
+        return _evaluate_stack(
+            spec, shared, np.array(rows), readout, backend, verification_mode
+        )
+
+    if threads > 1 and len(stacks) > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            parts = list(pool.map(work, stacks))
+    else:
+        parts = [work(stack) for stack in stacks]
+    return [out for part in parts for out in part]
 
 
 def _welford(values: list[float]) -> tuple[float, float]:
@@ -435,8 +434,10 @@ def run_sweep(
 ) -> SweepResult:
     """Evaluate the experiment on every (grid point, trial) work item.
 
-    The result is independent of ``threads``: items are pure functions of
-    (spec, point, trial) and rows are merged in (point, trial) order.
+    Seeded kinds walk their items as stacks, on a pool of ``threads`` when
+    there is more than one stack.  The result is independent of ``threads``:
+    items are pure functions of (spec, point, trial) and rows are merged in
+    (point, trial) order.
     """
     if spec.kind is ExperimentKind.CONVERGENCE:
         values = [float(v) for v in spec.grid.geometric_int_values()]
@@ -444,29 +445,19 @@ def run_sweep(
             raise ConfigurationError("convergence sweeps are deterministic; trials=1")
     else:
         values = [float(v) for v in spec.grid.values()]
-    items = [
-        (i, v, k) for i, v in enumerate(values) for k in range(spec.trials)
-    ]
-
-    def work(item):
-        i, v, k = item
-        return _evaluate(spec, i, v, k, backend, verification_mode)
-
-    if spec.kind is ExperimentKind.RESONANCE_CONTINUOUS:
-        # seed-free: the whole grid is one stacked oracle call, every trial
-        # of a point repeats its value
-        point_obs = _eval_resonance_continuous(spec, values)
+    items = [(i, v, k) for i, v in enumerate(values) for k in range(spec.trials)]
+    if spec.kind in (ExperimentKind.RESONANCE_CONTINUOUS, ExperimentKind.CONVERGENCE):
+        # seed-free: one call for the whole grid, every trial of a point
+        # repeats its value
+        evaluate = (
+            _eval_resonance_continuous
+            if spec.kind is ExperimentKind.RESONANCE_CONTINUOUS
+            else _eval_convergence_ladder
+        )
+        point_obs = evaluate(spec, values)
         outputs = [(dict(point_obs[i]), None) for i, _, _ in items]
-    elif spec.kind is ExperimentKind.LOCALIZATION and _pick_backend(
-        _gate_family(spec.fixed.get("gate_family", "xy")), backend
-    ) == "subspace":
-        # one walk over every item's circuit; the pool serves dense items only
-        outputs = _localization_subspace(spec, values, items)
-    elif threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outputs = list(pool.map(work, items))
     else:
-        outputs = [work(it) for it in items]
+        outputs = _evaluate_items(spec, values, threads, backend, verification_mode)
 
     rows, traces = [], []
     for (i, v, k), (obs, report) in zip(items, outputs):

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytics import p001_closed_form, p01_closed_form
-from .dense import occupation_probs, run_circuit
+from .dense import iterate_stack, occupation_probs, occupation_stack, run_circuit
 from .model import ChainSpec, GateFamily, TrotterCircuitSpec, ZLayerSpec
 from .subspace import basis_state, continuous_evolve, run_discrete
 from .sweep import convergence_study
@@ -33,55 +33,43 @@ class SuiteReport:
         return self.failed == 0
 
 
-def _closed_form_grid():
-    phis = np.linspace(-math.pi, math.pi, 21)
-    diffs = np.linspace(-math.pi, math.pi, 21)
+def _tally(name: str, errors, ok, detail: str) -> SuiteReport:
+    """Count the passed and failed checks; ``worst`` is the largest error.
+
+    ``detail`` is a format string that may show the worst error as ``{worst}``.
+    """
+    passed = sum(bool(x) for x in ok)
+    worst = float(max(errors, default=0.0))
+    return SuiteReport(name, passed, len(ok) - passed, worst, detail.format(worst=worst))
+
+
+def _closed_form_suite(name: str, n: int, closed_form, tol: float) -> SuiteReport:
+    """Dense N=n, N_T=2 last-qubit occupation versus its closed form.
+
+    The z angles are (phi, alpha) or (phi, alpha, phi) over a 21 x 21 grid of
+    phi and alpha - phi; each theta section walks the grid as one stack.
+    """
+    axis = np.linspace(-math.pi, math.pi, 21)
+    grid = [(phi, phi + d) for phi in axis for d in axis]
+    z = np.array([(phi, alpha, phi)[:n] for phi, alpha in grid])
+    errors = []
     for theta in THETA_SECTIONS:
-        for phi in phis:
-            for d in diffs:
-                yield theta, phi, phi + d
+        spec = TrotterCircuitSpec(n_qubits=n, n_steps=2, bond_angles=(theta,) * (n - 1))
+        for _, amps in iterate_stack(spec, z):
+            pass
+        got = occupation_stack(amps)[:, n - 1]
+        errors += [abs(g - closed_form(theta, *pa)) for g, pa in zip(got, grid)]
+    return _tally(name, errors, [e <= tol for e in errors], "max |err|={worst:.3e}")
 
 
 def closed_form_n2_suite(tol: float = 1e-12) -> SuiteReport:
     """Dense N=2, N_T=2 versus the two-qubit closed form."""
-    passed = failed = 0
-    worst = 0.0
-    for theta, phi, alpha in _closed_form_grid():
-        spec = TrotterCircuitSpec(
-            n_qubits=2,
-            n_steps=2,
-            bond_angles=(theta,),
-            z_layer=ZLayerSpec(explicit_phis=(phi, alpha)),
-        )
-        got = occupation_probs(run_circuit(spec))[1]
-        err = abs(got - p01_closed_form(theta, phi, alpha))
-        worst = max(worst, err)
-        if err <= tol:
-            passed += 1
-        else:
-            failed += 1
-    return SuiteReport("closed-form-n2", passed, failed, worst, f"max |err|={worst:.3e}")
+    return _closed_form_suite("closed-form-n2", 2, p01_closed_form, tol)
 
 
 def closed_form_n3_suite(tol: float = 1e-12) -> SuiteReport:
     """Dense N=3, N_T=2 versus the three-qubit closed form."""
-    passed = failed = 0
-    worst = 0.0
-    for theta, phi, alpha in _closed_form_grid():
-        spec = TrotterCircuitSpec(
-            n_qubits=3,
-            n_steps=2,
-            bond_angles=(theta, theta),
-            z_layer=ZLayerSpec(explicit_phis=(phi, alpha, phi)),
-        )
-        got = occupation_probs(run_circuit(spec))[2]
-        err = abs(got - p001_closed_form(theta, phi, alpha))
-        worst = max(worst, err)
-        if err <= tol:
-            passed += 1
-        else:
-            failed += 1
-    return SuiteReport("closed-form-n3", passed, failed, worst, f"max |err|={worst:.3e}")
+    return _closed_form_suite("closed-form-n3", 3, p001_closed_form, tol)
 
 
 def random_circuit_spec(rng: np.random.Generator) -> tuple[TrotterCircuitSpec, int]:
@@ -113,8 +101,7 @@ def backend_equivalence_suite(
 ) -> SuiteReport:
     """Dense vs subspace occupation probabilities on random XY circuits."""
     rng = np.random.default_rng(seed)
-    passed = failed = 0
-    worst = 0.0
+    gaps, ok = [], []
     for _ in range(n_circuits):
         spec, z_seed = random_circuit_spec(rng)
         dense_state = run_circuit(spec, z_seed)
@@ -123,20 +110,14 @@ def backend_equivalence_suite(
             np.max(np.abs(occupation_probs(dense_state) - sub_state.probabilities()))
         )
         drift = max(dense_state.norm_error(), sub_state.norm_error())
-        worst = max(worst, gap)
-        if gap <= tol and drift <= norm_tol:
-            passed += 1
-        else:
-            failed += 1
-    return SuiteReport(
-        "backend-equivalence", passed, failed, worst, f"max prob gap={worst:.3e}"
-    )
+        gaps.append(gap)
+        ok.append(gap <= tol and drift <= norm_tol)
+    return _tally("backend-equivalence", gaps, ok, "max prob gap={worst:.3e}")
 
 
 def continuous_oracle_suite() -> SuiteReport:
     """Exact-propagator sanity: two-level formula, time reversal, t=0."""
-    passed = failed = 0
-    worst = 0.0
+    errors, ok = [], []
     rng = np.random.default_rng(7)
     # two-level: P2(t) = sin^2(Jt) when V1 = V2
     for _ in range(10):
@@ -145,9 +126,8 @@ def continuous_oracle_suite() -> SuiteReport:
         t = float(rng.uniform(0, 20))
         chain = ChainSpec((coupling,), (v, v))
         p2 = continuous_evolve(chain, t).probabilities()[1]
-        err = abs(p2 - math.sin(coupling * t) ** 2)
-        worst = max(worst, err)
-        passed, failed = (passed + 1, failed) if err <= 1e-12 else (passed, failed + 1)
+        errors.append(abs(p2 - math.sin(coupling * t) ** 2))
+        ok.append(errors[-1] <= 1e-12)
     # forward by t then backward by t returns the initial basis state
     for _ in range(10):
         n = int(rng.integers(2, 8))
@@ -157,17 +137,15 @@ def continuous_oracle_suite() -> SuiteReport:
         t = float(rng.uniform(0, 30))
         fwd = continuous_evolve(chain, t)
         roundtrip = continuous_evolve(chain, -t, init_amplitudes=fwd.amplitudes)
-        err = float(np.linalg.norm(roundtrip.amplitudes - basis_state(n).amplitudes))
-        worst = max(worst, err)
-        passed, failed = (passed + 1, failed) if err <= 1e-9 else (passed, failed + 1)
+        errors.append(float(np.linalg.norm(roundtrip.amplitudes - basis_state(n).amplitudes)))
+        ok.append(errors[-1] <= 1e-9)
     # t=0 identity
     chain = ChainSpec((1.0, 2.0), (0.5, -0.5, 1.5))
-    err = float(
-        np.linalg.norm(continuous_evolve(chain, 0.0).amplitudes - np.array([1, 0, 0]))
+    errors.append(
+        float(np.linalg.norm(continuous_evolve(chain, 0.0).amplitudes - np.array([1, 0, 0])))
     )
-    worst = max(worst, err)
-    passed, failed = (passed + 1, failed) if err == 0.0 else (passed, failed + 1)
-    return SuiteReport("continuous-oracle", passed, failed, worst, f"max err={worst:.3e}")
+    ok.append(errors[-1] == 0.0)
+    return _tally("continuous-oracle", errors, ok, "max err={worst:.3e}")
 
 
 def trotter_convergence_suite() -> SuiteReport:
@@ -176,12 +154,10 @@ def trotter_convergence_suite() -> SuiteReport:
     table = convergence_study(chain, 3.0, [10, 20, 40, 80])
     dists = [d for _, d in table]
     ratios = [a / b for a, b in zip(dists, dists[1:])]
-    bad = [r for r in ratios if not 1.5 <= r <= 2.5]
-    return SuiteReport(
+    return _tally(
         "trotter-convergence",
-        len(ratios) - len(bad),
-        len(bad),
-        max(ratios) if ratios else 0.0,
+        ratios,
+        [1.5 <= r <= 2.5 for r in ratios],
         f"ratios={['%.3f' % r for r in ratios]}",
     )
 

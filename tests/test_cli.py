@@ -295,8 +295,8 @@ def test_bad_kind_and_bad_family_are_config_errors(tmp_path):
 def test_verification_mode_backend_disagreement_exits_1(tmp_path, monkeypatch, capsys):
     import trotterlab.sweep as sweep
 
-    real = sweep.occupation_probs
-    monkeypatch.setattr(sweep, "occupation_probs", lambda state: real(state) + 1e-6)
+    real = sweep.occupation_stack
+    monkeypatch.setattr(sweep, "occupation_stack", lambda amps: real(amps) + 1e-6)
     cfg = dict(RESONANCE_CONFIG, engine={"backend": "auto", "verification_mode": True})
     out = tmp_path / "v.csv"
     code = main(["resonance", "--config", write_config(tmp_path, cfg), "--out", str(out)])
@@ -321,6 +321,28 @@ def _with_fixed(**fields):
         (_with_fixed(z_template={"phi": 1}), "z_template must be a list"),
         (_with_fixed(n_qubits="two"), "n_qubits must be an integer"),
         (dict(RESONANCE_CONFIG, experiment=dict(RESONANCE_CONFIG["experiment"], grid=5)), "grid"),
+        (
+            dict(RESONANCE_CONFIG, experiment=dict(RESONANCE_CONFIG["experiment"], swept=["phi"])),
+            "experiment.swept must be a string",
+        ),
+        (dict(RESONANCE_CONFIG, output={"path": 3}), "output.path must be a string"),
+        (_with_fixed(target_qubit=0), "target_qubit must be in [1, 2], got 0"),
+        (_with_fixed(target_qubit=9), "target_qubit must be in [1, 2], got 9"),
+        (
+            {
+                "experiment": {
+                    "kind": "resonance_continuous",
+                    "grid": [0, 1, 3],
+                    "fixed": {
+                        "couplings": [1.0],
+                        "potentials": ["V1", 0.0],
+                        "t": 1.0,
+                        "target_site": 3,
+                    },
+                }
+            },
+            "target_site must be in [1, 2], got 3",
+        ),
     ],
 )
 def test_malformed_config_shape_exits_2_naming_the_field(tmp_path, capsys, cfg, message):

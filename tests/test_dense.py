@@ -5,6 +5,8 @@ scipy.linalg.expm and embeds it with Kronecker products; the backend under
 test never forms those matrices, so agreement is a real cross-check.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -14,10 +16,11 @@ from scipy.linalg import expm
 from trotterlab.dense import (
     StateVector,
     apply_gate,
-    basis_prob,
     init_basis,
     iterate_circuit,
+    iterate_stack,
     occupation_probs,
+    occupation_stack,
     run_circuit,
 )
 from trotterlab.errors import ConfigurationError
@@ -152,7 +155,7 @@ def test_run_circuit_n2_resonant_point():
         z_layer=ZLayerSpec(explicit_phis=(0.0, 0.0)),
     )
     state = run_circuit(spec)
-    assert abs(basis_prob(state, "01") - 1.0) < 1e-12
+    assert abs(abs(state.amplitudes[int("01", 2)]) ** 2 - 1.0) < 1e-12
 
 
 def test_run_circuit_zero_hopping_keeps_excitation():
@@ -163,7 +166,7 @@ def test_run_circuit_zero_hopping_keeps_excitation():
         z_layer=ZLayerSpec(base_phi=0.7),
     )
     state = run_circuit(spec, seed=1)
-    assert abs(basis_prob(state, "1000") - 1.0) < 1e-12
+    assert abs(abs(state.amplitudes[int("1000", 2)]) ** 2 - 1.0) < 1e-12
 
 
 def test_run_circuit_n3_frozen_value():
@@ -175,7 +178,7 @@ def test_run_circuit_n3_frozen_value():
         bond_angles=(np.pi / 4, np.pi / 4),
         z_layer=ZLayerSpec(explicit_phis=(0.0, 0.0, 0.0)),
     )
-    assert abs(basis_prob(run_circuit(spec), "001") - expected) < 1e-12
+    assert abs(abs(run_circuit(spec).amplitudes[int("001", 2)]) ** 2 - expected) < 1e-12
 
 
 def test_norm_preserved_after_every_gate():
@@ -299,3 +302,42 @@ def test_folded_occupation_probs_match_per_qubit_sums(n, seed):
         for j in range(1, n + 1)
     ]
     assert np.max(np.abs(occupation_probs(state) - per_qubit)) <= 1e-14
+
+
+@st.composite
+def stack_cases(draw):
+    n = draw(st.integers(2, 10))
+    angle = st.floats(-np.pi, np.pi)
+    spec = TrotterCircuitSpec(
+        n_qubits=n,
+        n_steps=draw(st.integers(1, 12)),
+        gate_family=draw(st.sampled_from(GateFamily)),
+        bond_angles=tuple(draw(st.lists(angle, min_size=n - 1, max_size=n - 1))),
+        drop_final_z=draw(st.booleans()),
+        initial_excitation_site=draw(st.integers(1, n)),
+    )
+    rows = draw(st.lists(st.lists(angle, min_size=n, max_size=n), min_size=1, max_size=6))
+    return spec, np.array(rows)
+
+
+@given(stack_cases())
+def test_each_stack_row_matches_gate_by_gate_reference(case):
+    # row b of the stack walk is the circuit with z angles phis[b], applied
+    # gate by gate; the occupation fold of the stack is row by row
+    spec, phis = case
+    got = [(amps.copy(), occupation_stack(amps)) for _, amps in iterate_stack(spec, phis)]
+    assert len(got) == spec.n_steps
+    for b, row in enumerate(phis):
+        alone = replace(spec, z_layer=ZLayerSpec(explicit_phis=tuple(row)))
+        expected = reference_trajectory(alone, 0)
+        for (amps, occ), ref in zip(got, expected):
+            assert np.max(np.abs(amps[b] - ref)) <= 1e-12
+            ref_occ = occupation_probs(StateVector(spec.n_qubits, ref))
+            assert np.max(np.abs(occ[b] - ref_occ)) <= 1e-12
+
+
+def test_stack_rejects_misshapen_z_angles():
+    spec = TrotterCircuitSpec(n_qubits=3, n_steps=1, bond_angles=(0.1, 0.2))
+    for phis in (np.zeros(3), np.zeros((2, 4))):
+        with pytest.raises(ConfigurationError, match="z angles"):
+            next(iterate_stack(spec, phis))

@@ -335,3 +335,15 @@ def test_iterate_stack_rejects_misshapen_z_angles():
     for phis in (np.zeros(3), np.zeros((2, 4))):
         with pytest.raises(ConfigurationError, match="z angles"):
             next(iterate_stack(spec, phis))
+
+
+def test_iterate_stack_caps_the_chain_size_before_allocating(monkeypatch):
+    import trotterlab.subspace as subspace
+
+    def no_matrix(bond_angles):
+        raise AssertionError("bond_layer_matrix called for an oversized chain")
+
+    monkeypatch.setattr(subspace, "bond_layer_matrix", no_matrix)
+    spec = TrotterCircuitSpec(n_qubits=1001, n_steps=1, bond_angles=(0.1,) * 1000)
+    with pytest.raises(ConfigurationError, match="n_qubits 1001 exceeds 1000"):
+        next(iterate_stack(spec, np.zeros((1, 1001))))

@@ -8,10 +8,17 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from trotterlab.analytics import Curve, find_peaks
-from trotterlab.errors import ConfigurationError
+from trotterlab.errors import ConfigurationError, NumericalError
 from trotterlab.analytics import tail_prob
-from trotterlab.model import ChainSpec, TrotterCircuitSpec, ZLayerSpec, realize_z_layer
-from trotterlab.subspace import chain_hamiltonian, iterate_discrete
+from trotterlab.dense import occupation_probs, run_circuit
+from trotterlab.model import (
+    ChainSpec,
+    GateFamily,
+    TrotterCircuitSpec,
+    ZLayerSpec,
+    realize_z_layer,
+)
+from trotterlab.subspace import chain_hamiltonian, iterate_discrete, run_discrete
 from trotterlab.sweep import (
     ExperimentKind,
     GridSpec,
@@ -175,6 +182,17 @@ def test_verification_mode_cross_checks_backends():
     assert len(result.rows) == 11
 
 
+def test_verification_mode_cross_checks_localization_stacks(monkeypatch):
+    import trotterlab.sweep as sweep
+
+    spec = localization_spec(seed=2, trials=2, n=5, steps=6)
+    assert run_sweep(spec, verification_mode=True).rows == run_sweep(spec).rows
+    real = sweep.occupation_stack
+    monkeypatch.setattr(sweep, "occupation_stack", lambda amps: real(amps) + 1e-6)
+    with pytest.raises(NumericalError, match="backends disagree"):
+        run_sweep(spec, verification_mode=True)
+
+
 def test_convergence_study_first_order_ratios():
     chain = ChainSpec((0.5, 0.5, 0.5, 0.5), (1.0, 0.5, 0.0, -0.5, 1.0))
     table = convergence_study(chain, 3.0, [10, 20, 40, 80])
@@ -218,6 +236,10 @@ def test_convergence_sweep_uses_geometric_grid():
     assert [int(r.swept_value) for r in result.rows] == [10, 20, 40, 80]
     dists = [r.observables["distance"] for r in result.rows]
     assert all(b < a for a, b in zip(dists, dists[1:]))
+    chain = ChainSpec((0.5, 0.5, 0.5, 0.5), (1.0, 0.5, 0.0, -0.5, 1.0))
+    assert convergence_study(chain, 3.0, [10, 20, 40, 80]) == [
+        (int(r.swept_value), r.observables["distance"]) for r in result.rows
+    ]
 
 
 def test_grid_validation():
@@ -311,3 +333,61 @@ def test_localization_sweep_is_the_same_on_both_backends():
         for name in a.observables:
             assert abs(a.observables[name] - b.observables[name]) <= 1e-12
     assert run_sweep(spec, threads=2, backend="dense") == dense
+
+
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    crx=st.booleans(),
+    n=st.integers(2, 6),
+    steps=st.integers(1, 6),
+    trials=st.integers(1, 3),
+    swept_bond=st.booleans(),
+    drop_final_z=st.booleans(),
+    verification_mode=st.booleans(),
+    threads=st.sampled_from([1, 2]),
+)
+def test_resonance_rows_match_items_run_alone(
+    seed, crx, n, steps, trials, swept_bond, drop_final_z, verification_mode, threads
+):
+    # each (i, k) row of a stacked resonance sweep equals that item's circuit
+    # run alone with child_seed(master, i, k); a bond template naming the
+    # swept parameter gives every point its own stack
+    kind = ExperimentKind.CRX_RESONANCE if crx else ExperimentKind.RESONANCE_DISCRETE
+    bonds = ["phi"] + [0.9] * (n - 2) if swept_bond else [0.9] * (n - 1)
+    spec = SweepSpec(
+        kind=kind,
+        swept="phi",
+        grid=GridSpec(-2.0, 2.5, 4),
+        fixed={
+            "n_qubits": n,
+            "n_steps": steps,
+            "bond_angles": bonds,
+            "z_template": ["phi", "-alpha"] + [0.3] * (n - 2),
+            "alpha": 0.4,
+            "target_qubit": n - 1 if n > 2 else n,
+            "drop_final_z": drop_final_z,
+        },
+        trials=trials,
+        master_seed=seed,
+    )
+    result = run_sweep(spec, threads=threads, verification_mode=verification_mode and not crx)
+    assert len(result.rows) == 4 * trials
+    target = spec.fixed["target_qubit"]
+    for idx, row in enumerate(result.rows):
+        i, k = divmod(idx, trials)
+        phi = row.swept_value
+        circuit = TrotterCircuitSpec(
+            n_qubits=n,
+            n_steps=steps,
+            gate_family=GateFamily.CRX if crx else GateFamily.XY,
+            bond_angles=tuple([phi] + [0.9] * (n - 2) if swept_bond else [0.9] * (n - 1)),
+            z_layer=ZLayerSpec(explicit_phis=(phi, -0.4) + (0.3,) * (n - 2)),
+            drop_final_z=drop_final_z,
+        )
+        item_seed = child_seed(seed, i, k)
+        if crx:
+            want = occupation_probs(run_circuit(circuit, item_seed))[target - 1]
+        else:
+            want = run_discrete(circuit, steps, item_seed).probabilities()[target - 1]
+        assert row.trial == k
+        assert abs(row.observables["probability"] - want) <= 1e-12
