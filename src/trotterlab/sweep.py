@@ -13,12 +13,13 @@ from __future__ import annotations
 import enum
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
 from . import __version__
 from .analytics import LocalizationReport, ipr_ave, tail_prob
-from .dense import iterate_stack as dense_stack, occupation_stack
+from .dense import check_norms, iterate_stack as dense_stack, occupation_stack
 from .errors import ConfigurationError, NumericalError
 from .model import (
     ChainSpec,
@@ -311,66 +312,62 @@ def _walk(backend: str):
     return subspace_stack, lambda amps: np.abs(amps) ** 2
 
 
-def _evaluate_stack(
-    spec: SweepSpec,
-    circuit: TrotterCircuitSpec,
-    phis: np.ndarray,
-    readout: int,
-    backend: str,
-    verification_mode: bool,
-) -> list[tuple[dict, LocalizationReport | None]]:
-    """Observables of every row of one stack, in row order.
+def _walk_stack(circuit, phis, backend: str, verification_mode: bool, on_step=None) -> np.ndarray:
+    """Walk one stack; return its (B, N) occupations after the last step.
 
-    ``readout`` is the target qubit of a resonance sweep or the profile step
-    of a localization sweep.  Localization reduces the occupations of each
-    step as it goes; resonance reads them after the last step only.
+    ``on_step(eta, probs)``, if given, sees the (B, N) occupations after
+    every step.  A dense walk's final norms are checked (``check_norms``).
+    In verification mode an XY stack is also walked on the other backend,
+    and the two final occupations must agree to 1e-10.
     """
-    localization = spec.kind is ExperimentKind.LOCALIZATION
     walk, occupations = _walk(backend)
-    tails = np.empty((circuit.n_steps, len(phis)))
-    iprs = np.empty_like(tails)
     for eta, amps in walk(circuit, phis):
-        if localization:
-            probs = occupations(amps)
-            tails[eta - 1] = tail_prob(probs)
-            iprs[eta - 1] = np.sum(probs**2, axis=1)
-            if eta == readout:
-                profile = probs
-    final = probs if localization else occupations(amps)
+        if on_step is not None:
+            on_step(eta, occupations(amps))
+    if backend == "dense":
+        check_norms(circuit, amps)
+    final = occupations(amps)
     if verification_mode and circuit.gate_family is GateFamily.XY:
-        walk, occupations = _walk("subspace" if backend == "dense" else "dense")
-        for _, amps in walk(circuit, phis):
-            pass
-        gap = float(np.max(np.abs(final - occupations(amps))))
+        other = "subspace" if backend == "dense" else "dense"
+        gap = float(np.max(np.abs(final - _walk_stack(circuit, phis, other, False))))
         if gap > 1e-10:
             raise NumericalError(f"verification mode: backends disagree by {gap:.3e}")
-    if not localization:
-        return [({"probability": float(p)}, None) for p in final[:, readout - 1]]
+    return final
+
+
+def _resonance_rows(walk, circuit, phis, target: int):
+    """Resonance observables of one stack: the target qubit's final occupation."""
+    return [({"probability": float(p)}, None) for p in walk(circuit, phis)[:, target - 1]]
+
+
+def _localization_rows(walk, circuit, phis, profile_eta: int):
+    """Localization observables and reports of one stack, reduced step by step."""
+    tails = np.empty((circuit.n_steps, len(phis)))
+    iprs = np.empty_like(tails)
+    profile = np.empty((len(phis), circuit.n_qubits))
+
+    def on_step(eta, probs):
+        tails[eta - 1] = tail_prob(probs)
+        iprs[eta - 1] = np.sum(probs**2, axis=1)
+        if eta == profile_eta:
+            profile[:] = probs
+
+    walk(circuit, phis, on_step=on_step)
     xy = circuit.gate_family is GateFamily.XY
     outputs = []
-    for b in range(len(phis)):
-        tail_series = tuple(tails[:, b].tolist())
-        ipr_series = tuple(iprs[:, b].tolist()) if xy else None
+    for tail, ipr, prof in zip(tails.T.tolist(), iprs.T.tolist(), profile.tolist()):
+        ipr = tuple(ipr) if xy else None
         report = LocalizationReport(
-            ipr_series=ipr_series,
-            ipr_ave=ipr_ave(ipr_series) if xy else None,
-            tail_series=tail_series,
-            final_profile=tuple(profile[b].tolist()),
-            profile_eta=readout,
+            ipr, ipr_ave(ipr) if xy else None, tuple(tail), tuple(prof), profile_eta
         )
         obs = {"ipr_ave": report.ipr_ave} if xy else {}
-        obs["mean_tail"] = float(np.mean(tail_series))
-        obs["tail_at_profile_eta"] = tail_series[readout - 1]
+        obs.update(mean_tail=float(np.mean(tail)), tail_at_profile_eta=tail[profile_eta - 1])
         outputs.append((obs, report))
     return outputs
 
 
 def _evaluate_items(
-    spec: SweepSpec,
-    values: list[float],
-    threads: int,
-    backend: str,
-    verification_mode: bool,
+    spec: SweepSpec, values: list[float], threads: int, backend: str, verification_mode: bool
 ) -> list[tuple[dict, LocalizationReport | None]]:
     """Every (point, trial) item of a seeded kind, walked as stacks.
 
@@ -384,9 +381,9 @@ def _evaluate_items(
     circuits = [point_circuit(spec, v) for v in values]
     n, steps = circuits[0].n_qubits, circuits[0].n_steps
     if localization:
-        readout = _index_field(spec.fixed, "profile_eta", 10, steps)
+        rows, readout = _localization_rows, _index_field(spec.fixed, "profile_eta", 10, steps)
     else:
-        readout = _index_field(spec.fixed, "target_qubit", n, n)
+        rows, readout = _resonance_rows, _index_field(spec.fixed, "target_qubit", n, n)
     backend = _pick_backend(circuits[0].gate_family, backend)
     width = 2**n if backend == "dense" or verification_mode else n
 
@@ -401,11 +398,10 @@ def _evaluate_items(
             else:
                 stacks.append((shared, [phis]))
 
+    walk = partial(_walk_stack, backend=backend, verification_mode=verification_mode)
+
     def work(stack):
-        shared, rows = stack
-        return _evaluate_stack(
-            spec, shared, np.array(rows), readout, backend, verification_mode
-        )
+        return rows(walk, stack[0], np.array(stack[1]), readout)
 
     if threads > 1 and len(stacks) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:

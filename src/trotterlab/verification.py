@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytics import p001_closed_form, p01_closed_form
-from .dense import iterate_stack, occupation_probs, occupation_stack, run_circuit
+from .dense import check_norms, iterate_stack, occupation_probs, occupation_stack, run_circuit
 from .model import ChainSpec, GateFamily, TrotterCircuitSpec, ZLayerSpec
 from .subspace import basis_state, continuous_evolve, run_discrete
 from .sweep import convergence_study
@@ -57,6 +57,7 @@ def _closed_form_suite(name: str, n: int, closed_form, tol: float) -> SuiteRepor
         spec = TrotterCircuitSpec(n_qubits=n, n_steps=2, bond_angles=(theta,) * (n - 1))
         for _, amps in iterate_stack(spec, z):
             pass
+        check_norms(spec, amps)
         got = occupation_stack(amps)[:, n - 1]
         errors += [abs(g - closed_form(theta, *pa)) for g, pa in zip(got, grid)]
     return _tally(name, errors, [e <= tol for e in errors], "max |err|={worst:.3e}")

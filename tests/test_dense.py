@@ -16,6 +16,7 @@ from scipy.linalg import expm
 from trotterlab.dense import (
     StateVector,
     apply_gate,
+    check_norms,
     init_basis,
     iterate_circuit,
     iterate_stack,
@@ -23,7 +24,7 @@ from trotterlab.dense import (
     occupation_stack,
     run_circuit,
 )
-from trotterlab.errors import ConfigurationError
+from trotterlab.errors import ConfigurationError, InvalidStateError
 from trotterlab.model import (
     GateFamily,
     GateKind,
@@ -247,6 +248,16 @@ def test_long_circuit_norm_drift_bound_grows_with_gate_count():
     )
     state = run_circuit(spec, seed=0)
     assert 1e-12 < state.norm_error() <= np.finfo(float).eps * len(build_circuit(spec, 0))
+
+
+def test_check_norms_flags_any_drifted_row_of_a_stack():
+    spec = TrotterCircuitSpec(n_qubits=3, n_steps=4, bond_angles=(0.7, 1.1))
+    for _, amps in iterate_stack(spec, np.zeros((4, 3))):
+        pass
+    check_norms(spec, amps)
+    amps[-1] *= 1 + 1e-9
+    with pytest.raises(InvalidStateError, match="norm drifted by 2.000e-09"):
+        check_norms(spec, amps)
 
 
 def reference_trajectory(spec: TrotterCircuitSpec, seed: int) -> list[np.ndarray]:

@@ -1,6 +1,7 @@
 """Sweep harness: determinism, seeding, aggregation, convergence."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from trotterlab.analytics import Curve, find_peaks
-from trotterlab.errors import ConfigurationError, NumericalError
+from trotterlab.errors import ConfigurationError, InvalidStateError, NumericalError
 from trotterlab.analytics import tail_prob
 from trotterlab.dense import occupation_probs, run_circuit
 from trotterlab.model import (
@@ -191,6 +192,37 @@ def test_verification_mode_cross_checks_localization_stacks(monkeypatch):
     monkeypatch.setattr(sweep, "occupation_stack", lambda amps: real(amps) + 1e-6)
     with pytest.raises(NumericalError, match="backends disagree"):
         run_sweep(spec, verification_mode=True)
+
+
+def drifting_walker(real):
+    """A stack walker whose last row loses norm 1 in its last step."""
+
+    def walk(circuit, phis):
+        for eta, amps in real(circuit, phis):
+            if eta == circuit.n_steps:
+                amps[-1] *= 1 + 1e-9
+            yield eta, amps
+
+    return walk
+
+
+@pytest.mark.parametrize(
+    "spec, options",
+    [
+        (replace(discrete_n2_spec(count=3), kind=ExperimentKind.CRX_RESONANCE), {}),
+        (discrete_n2_spec(count=3), {"backend": "dense"}),
+        (discrete_n2_spec(count=3), {"verification_mode": True}),
+        (localization_spec(trials=2, n=4, steps=6), {"backend": "dense"}),
+    ],
+    ids=["crx", "dense-resonance", "verification-mode", "dense-localization"],
+)
+def test_dense_stack_norm_drift_raises(monkeypatch, spec, options):
+    import trotterlab.sweep as sweep
+
+    run_sweep(spec, **options)
+    monkeypatch.setattr(sweep, "dense_stack", drifting_walker(sweep.dense_stack))
+    with pytest.raises(InvalidStateError, match="norm drifted"):
+        run_sweep(spec, **options)
 
 
 def test_convergence_study_first_order_ratios():
