@@ -26,13 +26,13 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from . import __version__
 from .errors import ConfigurationError, TrotterlabError
 from .figures import FIGURE_IDS, figure_recipe
-from .model import parse_angle
+from .model import parse_angle, parse_bool, parse_int, require_type
 from .output import write_figure, write_sweep
 from .sweep import ExperimentKind, GridSpec, SweepSpec, run_sweep
 from .verification import run_all_suites
@@ -67,12 +67,7 @@ def _parse_grid_triplet(raw) -> GridSpec:
         raw = [raw.get("start"), raw.get("stop"), raw.get("count")]
     if not isinstance(raw, (list, tuple)) or len(raw) != 3:
         raise ConfigurationError(f"grid needs exactly (start, stop, count), got {raw!r}")
-    start, stop = parse_angle(raw[0]), parse_angle(raw[1])
-    try:
-        count = int(raw[2])
-    except (TypeError, ValueError):
-        raise ConfigurationError(f"grid count must be an integer, got {raw[2]!r}") from None
-    return GridSpec(start, stop, count)
+    return GridSpec(parse_angle(raw[0]), parse_angle(raw[1]), parse_int(raw[2], "grid count"))
 
 
 def load_config(path: str, default_kind: ExperimentKind) -> RunConfig:
@@ -83,8 +78,8 @@ def load_config(path: str, default_kind: ExperimentKind) -> RunConfig:
     except json.JSONDecodeError as exc:
         raise ConfigurationError(f"config file {path} is not valid JSON: {exc}") from None
 
-    _require_object(data, "the config")
-    exp = _require_object(data.get("experiment", {}), "experiment")
+    require_type(data, "JSON object", "the config")
+    exp = require_type(data.get("experiment", {}), "JSON object", "experiment")
     try:
         kind = ExperimentKind(exp.get("kind", default_kind.value))
     except ValueError:
@@ -93,47 +88,31 @@ def load_config(path: str, default_kind: ExperimentKind) -> RunConfig:
         ) from None
     if "grid" not in exp:
         raise ConfigurationError("experiment.grid is required")
+    trials = exp.get("trials")
     spec = SweepSpec(
         kind=kind,
-        swept=_require_str(exp.get("swept", "V1"), "experiment.swept"),
+        swept=require_type(exp.get("swept", "V1"), "string", "experiment.swept"),
         grid=_parse_grid_triplet(exp["grid"]),
-        fixed=dict(_require_object(exp.get("fixed", {}), "experiment.fixed")),
-        trials=_as_int(exp.get("trials"), "experiment.trials", optional=True),
-        master_seed=_as_int(exp.get("master_seed", 0), "experiment.master_seed"),
+        fixed=dict(require_type(exp.get("fixed", {}), "JSON object", "experiment.fixed")),
+        trials=None if trials is None else parse_int(trials, "experiment.trials"),
+        master_seed=parse_int(exp.get("master_seed", 0), "experiment.master_seed"),
     )
-    out = _require_object(data.get("output", {}), "output")
-    engine = _require_object(data.get("engine", {}), "engine")
+    out = require_type(data.get("output", {}), "JSON object", "output")
+    out_format = out.get("format", "csv")
+    if out_format not in ("csv", "json"):
+        raise ConfigurationError(f"output.format must be 'csv' or 'json', got {out_format!r}")
+    engine = require_type(data.get("engine", {}), "JSON object", "engine")
+    threads = engine.get("threads")
     return RunConfig(
         spec=spec,
-        out_path=_require_str(out.get("path", "sweep.csv"), "output.path"),
-        out_format=out.get("format", "csv"),
+        out_path=require_type(out.get("path", "sweep.csv"), "string", "output.path"),
+        out_format=out_format,
         backend=engine.get("backend", "auto"),
-        threads=_as_int(engine.get("threads", 0) or 0, "engine.threads"),
-        verification_mode=bool(engine.get("verification_mode", False)),
+        threads=0 if threads is None else parse_int(threads, "engine.threads"),
+        verification_mode=parse_bool(
+            engine.get("verification_mode", False), "engine.verification_mode"
+        ),
     )
-
-
-def _require_object(value, name: str) -> dict:
-    if not isinstance(value, dict):
-        raise ConfigurationError(
-            f"{name} must be a JSON object, got {type(value).__name__}"
-        )
-    return value
-
-
-def _require_str(value, name: str) -> str:
-    if not isinstance(value, str):
-        raise ConfigurationError(f"{name} must be a string, got {value!r}")
-    return value
-
-
-def _as_int(value, name: str, optional: bool = False):
-    if value is None and optional:
-        return None
-    try:
-        return int(value)
-    except (TypeError, ValueError):
-        raise ConfigurationError(f"{name} must be an integer, got {value!r}") from None
 
 
 def _resolve_threads(flag_value: int | None, config_value: int = 0) -> int:
@@ -143,12 +122,7 @@ def _resolve_threads(flag_value: int | None, config_value: int = 0) -> int:
         return config_value
     env = os.environ.get("TROTTERLAB_THREADS", "")
     if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ConfigurationError(
-                f"TROTTERLAB_THREADS must be an integer, got {env!r}"
-            ) from None
+        return max(1, parse_int(env, "TROTTERLAB_THREADS"))
     return 1
 
 
@@ -192,16 +166,9 @@ def _run_sweep_command(command: str, args) -> int:
         )
     spec = config.spec
     if args.seed is not None:
-        spec = SweepSpec(spec.kind, spec.swept, spec.grid, spec.fixed, spec.trials, args.seed)
+        spec = replace(spec, master_seed=args.seed)
     if args.grid is not None:
-        spec = SweepSpec(
-            spec.kind,
-            spec.swept,
-            _parse_grid_triplet(args.grid),
-            spec.fixed,
-            spec.trials,
-            spec.master_seed,
-        )
+        spec = replace(spec, grid=_parse_grid_triplet(args.grid))
     threads = _resolve_threads(args.threads, config.threads)
     result = run_sweep(
         spec,

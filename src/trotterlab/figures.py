@@ -58,8 +58,6 @@ def _continuous_series(
     t: float,
     grid: GridSpec,
     master_seed: int,
-    threads: int,
-    assumptions: dict | None = None,
 ):
     series = []
     for label, value in label_values:
@@ -75,7 +73,7 @@ def _continuous_series(
             },
             master_seed=master_seed,
         )
-        series.append((label, run_sweep(spec, threads=threads, assumptions=assumptions)))
+        series.append((label, run_sweep(spec)))
     return tuple(series)
 
 
@@ -83,7 +81,6 @@ def figure_recipe(
     figure_id: str,
     master_seed: int = 0,
     threads: int = 1,
-    backend: str = "auto",
 ) -> FigureData:
     """Run the bundled recipe for one panel identifier."""
     fid = figure_id.lower()
@@ -101,7 +98,6 @@ def figure_recipe(
             t=15.0,
             grid=grid,
             master_seed=master_seed,
-            threads=threads,
         )
         return FigureData(fid, "resonance", series)
 
@@ -114,7 +110,6 @@ def figure_recipe(
             t=22.0,
             grid=grid,
             master_seed=master_seed,
-            threads=threads,
         )
         return FigureData(fid, "resonance", series)
 
@@ -127,7 +122,6 @@ def figure_recipe(
             t=3.0,
             grid=grid,
             master_seed=master_seed,
-            threads=threads,
         )
         return FigureData(fid, "resonance", series)
 
@@ -140,7 +134,6 @@ def figure_recipe(
             t=40.0,
             grid=grid,
             master_seed=master_seed,
-            threads=threads,
         )
         return FigureData(fid, "resonance", series)
 
@@ -168,9 +161,7 @@ def figure_recipe(
                 },
                 master_seed=master_seed,
             )
-            series.append(
-                (label, run_sweep(spec, threads=threads, backend=backend, assumptions=assumptions))
-            )
+            series.append((label, run_sweep(spec, threads=threads, assumptions=assumptions)))
         return FigureData(fid, "resonance", tuple(series))
 
     if fid in ("3c", "3d"):
@@ -191,7 +182,7 @@ def figure_recipe(
             trials=1,
             master_seed=master_seed,
         )
-        result = run_sweep(spec, threads=threads, backend=backend, assumptions=assumptions)
+        result = run_sweep(spec, threads=threads, assumptions=assumptions)
         return FigureData(fid, "localization", (("R-grid", result),))
 
     # 4a-4d: XY localization panels.
@@ -215,5 +206,5 @@ def figure_recipe(
         trials=trials,
         master_seed=master_seed,
     )
-    result = run_sweep(spec, threads=threads, backend=backend, assumptions=assumptions)
+    result = run_sweep(spec, threads=threads, assumptions=assumptions)
     return FigureData(fid, "localization", (("R-grid", result),))

@@ -301,3 +301,40 @@ def _parse_angle_text(value: str) -> float:
     except (ValueError, ZeroDivisionError):
         raise ConfigurationError(f"cannot parse angle {value!r}") from None
     return sign * coeff * math.pi
+
+
+def parse_int(value, name: str) -> int:
+    """An integer config value ``name``: an int, an integral float or an integer string.
+
+    Booleans, fractional and non-finite numbers, and other strings are rejected.
+    """
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, str):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+
+
+def parse_bool(value, name: str) -> bool:
+    """A boolean config value ``name``: JSON ``true`` or ``false`` only."""
+    if not isinstance(value, bool):
+        raise ConfigurationError(f"{name} must be true or false, got {value!r}")
+    return value
+
+
+_JSON_TYPES = {"JSON object": dict, "list": (list, tuple), "string": str}
+
+
+def require_type(value, kind: str, name: str):
+    """``value`` if it is a ``kind``: "JSON object", "list" or "string".
+
+    Otherwise a ConfigurationError names the field ``name``.
+    """
+    if not isinstance(value, _JSON_TYPES[kind]):
+        raise ConfigurationError(f"{name} must be a {kind}, got {value!r}")
+    return value

@@ -27,7 +27,10 @@ from .model import (
     TrotterCircuitSpec,
     ZLayerSpec,
     parse_angle,
+    parse_bool,
+    parse_int,
     realize_z_layer,
+    require_type,
 )
 from .subspace import (
     basis_state,
@@ -167,42 +170,6 @@ def _require(fixed: dict, names: list[str], kind: ExperimentKind) -> None:
         )
 
 
-def _int_field(fixed: dict, name: str, default=None) -> int:
-    value = fixed.get(name, default)
-    try:
-        return int(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigurationError(f"{name} must be an integer, got {value!r}") from None
-
-
-def _list_field(fixed: dict, name: str):
-    """A list-valued fixed parameter (template entries), checked for shape."""
-    value = fixed[name]
-    if not isinstance(value, (list, tuple)):
-        raise ConfigurationError(f"{name} must be a list, got {value!r}")
-    return value
-
-
-def _resolve_template(entries, params: dict) -> tuple:
-    """Turn template entries (numbers or '[-]name' strings) into values.
-
-    A name bound to an array in ``params`` resolves to (plus or minus) that
-    array, so a whole grid resolves in one call; everything else to a float.
-    """
-    out = []
-    for e in entries:
-        if isinstance(e, str):
-            name = e.strip()
-            sign = 1.0
-            if name.startswith("-"):
-                sign, name = -1.0, name[1:]
-            value = params.get(name, name)
-            out.append(sign * (value if isinstance(value, np.ndarray) else parse_angle(value)))
-        else:
-            out.append(parse_angle(e))
-    return tuple(out)
-
-
 def _gate_family(name) -> GateFamily:
     try:
         return GateFamily(name)
@@ -222,40 +189,30 @@ def _pick_backend(family: GateFamily, backend: str) -> str:
 
 def _index_field(fixed: dict, name: str, default: int, top: int) -> int:
     """A 1-based index field (a qubit, a site or a step) in [1, top]."""
-    index = _int_field(fixed, name, default)
+    index = parse_int(fixed.get(name, default), name)
     if not 1 <= index <= top:
         raise ConfigurationError(f"{name} must be in [1, {top}], got {index}")
     return index
 
 
-def _resonance_circuit(spec: SweepSpec, value: float) -> TrotterCircuitSpec:
-    """The circuit of one grid point of a resonance_discrete/crx_resonance sweep."""
-    fixed = spec.fixed
-    _require(fixed, ["n_qubits", "n_steps", "bond_angles", "z_template"], spec.kind)
-    family = (
-        GateFamily.CRX
-        if spec.kind is ExperimentKind.CRX_RESONANCE
-        else _gate_family(fixed.get("gate_family", "xy"))
-    )
-    params = dict(fixed)
-    params[spec.swept] = value
-    return TrotterCircuitSpec(
-        n_qubits=_int_field(fixed, "n_qubits"),
-        n_steps=_int_field(fixed, "n_steps"),
-        gate_family=family,
-        bond_angles=_resolve_template(_list_field(fixed, "bond_angles"), params),
-        z_layer=ZLayerSpec(
-            explicit_phis=_resolve_template(_list_field(fixed, "z_template"), params)
-        ),
-        drop_final_z=bool(fixed.get("drop_final_z", True)),
-    )
+def _template_grid(fixed: dict, name: str, params: dict, count: int) -> np.ndarray:
+    """(count, len) array: the template field ``name`` resolved at every grid value.
 
-
-def _template_grid(entries, params: dict, count: int) -> np.ndarray:
-    """(count, len(entries)) array: a template resolved at every grid value."""
+    Entries are numbers or '[-]name' strings.  A name bound in ``params``
+    resolves to plus or minus its value (the swept name is bound to the
+    whole grid, an array); any other string is parsed as an angle.
+    """
+    entries = require_type(fixed[name], "list", name)
     out = np.empty((count, len(entries)))
-    for col, value in enumerate(_resolve_template(entries, params)):
-        out[:, col] = value
+    for col, e in enumerate(entries):
+        if not isinstance(e, str):
+            out[:, col] = parse_angle(e)
+            continue
+        key, sign = e.strip(), 1.0
+        if key.startswith("-"):
+            sign, key = -1.0, key[1:]
+        value = params.get(key, key)
+        out[:, col] = sign * (value if isinstance(value, np.ndarray) else parse_angle(value))
     return out
 
 
@@ -263,13 +220,12 @@ def _eval_resonance_continuous(spec: SweepSpec, values: list[float]) -> list[dic
     """Observables at every grid value, from one stacked oracle call."""
     fixed = spec.fixed
     _require(fixed, ["couplings", "potentials", "t"], spec.kind)
-    params = dict(fixed)
-    params[spec.swept] = np.asarray(values, dtype=float)
-    couplings = _template_grid(_list_field(fixed, "couplings"), params, len(values))
-    potentials = _template_grid(_list_field(fixed, "potentials"), params, len(values))
+    params = {**fixed, spec.swept: np.asarray(values, dtype=float)}
+    couplings = _template_grid(fixed, "couplings", params, len(values))
+    potentials = _template_grid(fixed, "potentials", params, len(values))
     n = ChainSpec(tuple(couplings[0]), tuple(potentials[0])).n_sites  # shape check
     target = _index_field(fixed, "target_site", n, n)
-    init = basis_state(n, _int_field(fixed, "init_site", 1)).amplitudes
+    init = basis_state(n, parse_int(fixed.get("init_site", 1), "init_site")).amplitudes
     amps = evolve_chains(
         chain_hamiltonians(couplings, potentials), parse_angle(fixed["t"]), init
     )
@@ -281,28 +237,44 @@ def _eval_convergence_ladder(spec: SweepSpec, values: list[float]) -> list[dict]
     fixed = spec.fixed
     _require(fixed, ["couplings", "potentials", "t"], spec.kind)
     chain = ChainSpec(
-        couplings=_resolve_template(_list_field(fixed, "couplings"), {}),
-        potentials=_resolve_template(_list_field(fixed, "potentials"), {}),
+        couplings=tuple(_template_grid(fixed, "couplings", {}, 1)[0].tolist()),
+        potentials=tuple(_template_grid(fixed, "potentials", {}, 1)[0].tolist()),
     )
     table = convergence_study(chain, parse_angle(fixed["t"]), values)
     return [{"distance": distance} for _, distance in table]
 
 
-def _localization_circuit(spec: SweepSpec, radius: float) -> TrotterCircuitSpec:
-    """The circuit of one grid point of a localization sweep (z layer unrealized)."""
+def _point_circuits(spec: SweepSpec, values: list[float]) -> list[TrotterCircuitSpec]:
+    """Every grid point's circuit (z layer unrealized), from fields read once.
+
+    A localization point's disorder radius is its grid value; a resonance
+    point resolves its ``bond_angles`` and ``z_template`` templates.
+    """
     fixed = spec.fixed
-    _require(fixed, ["n_qubits", "n_steps", "bond_angle", "base_phi"], spec.kind)
-    n = _int_field(fixed, "n_qubits")
-    return TrotterCircuitSpec(
-        n_qubits=n,
-        n_steps=_int_field(fixed, "n_steps"),
-        gate_family=_gate_family(fixed.get("gate_family", "xy")),
-        bond_angles=(parse_angle(fixed["bond_angle"]),) * (n - 1),
-        z_layer=ZLayerSpec(
-            base_phi=parse_angle(fixed["base_phi"]), disorder_radius=float(radius)
-        ),
-        drop_final_z=bool(fixed.get("drop_final_z", True)),
+    localization = spec.kind is ExperimentKind.LOCALIZATION
+    layers = ["bond_angle", "base_phi"] if localization else ["bond_angles", "z_template"]
+    _require(fixed, ["n_qubits", "n_steps", *layers], spec.kind)
+    n = parse_int(fixed["n_qubits"], "n_qubits")
+    n_steps = parse_int(fixed["n_steps"], "n_steps")
+    family = (
+        GateFamily.CRX
+        if spec.kind is ExperimentKind.CRX_RESONANCE
+        else _gate_family(fixed.get("gate_family", "xy"))
     )
+    drop_final_z = parse_bool(fixed.get("drop_final_z", True), "drop_final_z")
+    if localization:
+        bonds = [(parse_angle(fixed["bond_angle"]),) * (n - 1)] * len(values)
+        base_phi = parse_angle(fixed["base_phi"])
+        z_layers = [ZLayerSpec(base_phi=base_phi, disorder_radius=r) for r in values]
+    else:
+        params = {**fixed, spec.swept: np.asarray(values, dtype=float)}
+        bonds = _template_grid(fixed, "bond_angles", params, len(values)).tolist()
+        phis = _template_grid(fixed, "z_template", params, len(values)).tolist()
+        z_layers = [ZLayerSpec(explicit_phis=tuple(row)) for row in phis]
+    return [
+        TrotterCircuitSpec(n, n_steps, family, tuple(b), z, drop_final_z)
+        for b, z in zip(bonds, z_layers)
+    ]
 
 
 def _walk(backend: str):
@@ -376,11 +348,9 @@ def _evaluate_items(
     stack of at most MAX_STACK_AMPLITUDES amplitudes (an item too large for
     that walks alone).  Outputs come back in (point, trial) order.
     """
-    localization = spec.kind is ExperimentKind.LOCALIZATION
-    point_circuit = _localization_circuit if localization else _resonance_circuit
-    circuits = [point_circuit(spec, v) for v in values]
+    circuits = _point_circuits(spec, values)
     n, steps = circuits[0].n_qubits, circuits[0].n_steps
-    if localization:
+    if spec.kind is ExperimentKind.LOCALIZATION:
         rows, readout = _localization_rows, _index_field(spec.fixed, "profile_eta", 10, steps)
     else:
         rows, readout = _resonance_rows, _index_field(spec.fixed, "target_qubit", n, n)

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from trotterlab.analytics import (
     Curve,
@@ -17,7 +19,9 @@ from trotterlab.analytics import (
     tail_prob,
     tail_start,
 )
+from trotterlab.dense import iterate_stack, occupation_stack
 from trotterlab.errors import ConfigurationError, InvalidStateError
+from trotterlab.model import TrotterCircuitSpec
 from trotterlab.subspace import SubspaceState, basis_state
 
 
@@ -50,6 +54,20 @@ def test_closed_forms_depend_only_on_angle_difference(formula):
         base = formula(theta, phi, alpha)
         assert formula(theta, phi + shift, alpha + shift) == pytest.approx(base, abs=1e-12)
         assert formula(theta, phi, alpha + 2 * math.pi) == pytest.approx(base, abs=1e-11)
+
+
+angles = st.floats(-3 * math.pi, 3 * math.pi)
+
+
+@given(n=st.sampled_from([2, 3]), theta=angles, phi=angles, alpha=angles)
+def test_closed_forms_match_the_dense_walker(n, theta, phi, alpha):
+    # last-qubit occupation of the N=n, N_T=2 circuit with z angles
+    # (phi, alpha) or (phi, alpha, phi)
+    spec = TrotterCircuitSpec(n_qubits=n, n_steps=2, bond_angles=(theta,) * (n - 1))
+    for _, amps in iterate_stack(spec, np.array([(phi, alpha, phi)[:n]])):
+        pass
+    closed_form = p01_closed_form if n == 2 else p001_closed_form
+    assert abs(occupation_stack(amps)[0, n - 1] - closed_form(theta, phi, alpha)) <= 1e-12
 
 
 def test_ipr_reference_values():

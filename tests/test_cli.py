@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import trotterlab
+from trotterlab import cli
 from trotterlab.cli import main
 
 RESONANCE_CONFIG = {
@@ -305,6 +306,10 @@ def test_verification_mode_backend_disagreement_exits_1(tmp_path, monkeypatch, c
     assert not out.exists()
 
 
+def _with_experiment(**fields):
+    return dict(RESONANCE_CONFIG, experiment=dict(RESONANCE_CONFIG["experiment"], **fields))
+
+
 def _with_fixed(**fields):
     experiment = dict(RESONANCE_CONFIG["experiment"])
     experiment["fixed"] = dict(experiment["fixed"], **fields)
@@ -343,6 +348,23 @@ def _with_fixed(**fields):
             },
             "target_site must be in [1, 2], got 3",
         ),
+        (_with_fixed(n_qubits=2.5), "n_qubits must be an integer, got 2.5"),
+        (_with_fixed(n_qubits=True), "n_qubits must be an integer, got True"),
+        (_with_fixed(n_steps=float("inf")), "n_steps must be an integer, got inf"),
+        (_with_experiment(master_seed=float("inf")), "experiment.master_seed must be an integer"),
+        (_with_experiment(master_seed=True), "experiment.master_seed must be an integer"),
+        (_with_experiment(trials=float("inf")), "experiment.trials must be an integer"),
+        (_with_experiment(trials=2.5), "experiment.trials must be an integer, got 2.5"),
+        (_with_experiment(grid=[0, 1, float("inf")]), "grid count must be an integer"),
+        (
+            dict(RESONANCE_CONFIG, engine={"threads": float("inf")}),
+            "engine.threads must be an integer",
+        ),
+        (
+            dict(RESONANCE_CONFIG, engine={"verification_mode": "false"}),
+            "engine.verification_mode must be true or false, got 'false'",
+        ),
+        (_with_fixed(drop_final_z="false"), "drop_final_z must be true or false, got 'false'"),
     ],
 )
 def test_malformed_config_shape_exits_2_naming_the_field(tmp_path, capsys, cfg, message):
@@ -350,6 +372,17 @@ def test_malformed_config_shape_exits_2_naming_the_field(tmp_path, capsys, cfg, 
     assert main(["resonance", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_output_format_is_checked_before_the_sweep_runs(tmp_path, capsys, monkeypatch):
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("run_sweep was called")
+
+    monkeypatch.setattr(cli, "run_sweep", no_sweep)
+    cfg = dict(RESONANCE_CONFIG, output={"path": str(tmp_path / "x.xml"), "format": "xml"})
+    assert main(["resonance", "--config", write_config(tmp_path, cfg)]) == 2
+    assert "output.format must be 'csv' or 'json', got 'xml'" in capsys.readouterr().err
+    assert not (tmp_path / "x.xml").exists()
 
 
 @pytest.mark.parametrize(
