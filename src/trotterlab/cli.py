@@ -16,8 +16,9 @@ Config file layout (JSON)::
     }
 
 Angle-valued entries accept plain numbers or "pi" literals such as
-``"pi/2"`` or ``"-pi/1.5"``.  ``--threads`` falls back to the
-``TROTTERLAB_THREADS`` environment variable, then 1.
+``"pi/2"`` or ``"-pi/1.5"``.  ``--threads`` falls back to
+``engine.threads``, then the ``TROTTERLAB_THREADS`` environment variable,
+then 1; a thread count below 1 from any of them is a configuration error.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from .output import write_figure, write_sweep
 from .sweep import ExperimentKind, GridSpec, SweepSpec, run_sweep
 from .verification import run_all_suites
 
+_BACKENDS = ("auto", "dense", "subspace")
 _SUBCOMMAND_KINDS = {
     "resonance": (ExperimentKind.RESONANCE_DISCRETE, ExperimentKind.RESONANCE_CONTINUOUS),
     "localization": (ExperimentKind.LOCALIZATION,),
@@ -53,7 +55,7 @@ class RunConfig:
     out_path: str = "sweep.csv"
     out_format: str = "csv"
     backend: str = "auto"
-    threads: int = 1
+    threads: int | None = None  # None -> --threads, TROTTERLAB_THREADS, then 1
     verification_mode: bool = False
 
 
@@ -63,8 +65,6 @@ def _parse_grid_triplet(raw) -> GridSpec:
         if len(parts) != 3:
             raise ConfigurationError(f"grid must be 'start:stop:count', got {raw!r}")
         raw = parts
-    if isinstance(raw, dict):
-        raw = [raw.get("start"), raw.get("stop"), raw.get("count")]
     if not isinstance(raw, (list, tuple)) or len(raw) != 3:
         raise ConfigurationError(f"grid needs exactly (start, stop, count), got {raw!r}")
     return GridSpec(parse_angle(raw[0]), parse_angle(raw[1]), parse_int(raw[2], "grid count"))
@@ -102,28 +102,38 @@ def load_config(path: str, default_kind: ExperimentKind) -> RunConfig:
     if out_format not in ("csv", "json"):
         raise ConfigurationError(f"output.format must be 'csv' or 'json', got {out_format!r}")
     engine = require_type(data.get("engine", {}), "JSON object", "engine")
+    backend = engine.get("backend", "auto")
+    if backend not in _BACKENDS:
+        raise ConfigurationError(
+            f"engine.backend must be one of {', '.join(_BACKENDS)}, got {backend!r}"
+        )
     threads = engine.get("threads")
     return RunConfig(
         spec=spec,
         out_path=require_type(out.get("path", "sweep.csv"), "string", "output.path"),
         out_format=out_format,
-        backend=engine.get("backend", "auto"),
-        threads=0 if threads is None else parse_int(threads, "engine.threads"),
+        backend=backend,
+        threads=None if threads is None else _thread_count(threads, "engine.threads"),
         verification_mode=parse_bool(
             engine.get("verification_mode", False), "engine.verification_mode"
         ),
     )
 
 
-def _resolve_threads(flag_value: int | None, config_value: int = 0) -> int:
-    if flag_value:
-        return flag_value
-    if config_value:
+def _thread_count(value, name: str) -> int:
+    threads = parse_int(value, name)
+    if threads < 1:
+        raise ConfigurationError(f"{name} must be >= 1, got {threads}")
+    return threads
+
+
+def _resolve_threads(flag_value: int | None, config_value: int | None = None) -> int:
+    if flag_value is not None:
+        return _thread_count(flag_value, "--threads")
+    if config_value is not None:
         return config_value
     env = os.environ.get("TROTTERLAB_THREADS", "")
-    if env:
-        return max(1, parse_int(env, "TROTTERLAB_THREADS"))
-    return 1
+    return _thread_count(env, "TROTTERLAB_THREADS") if env else 1
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -135,23 +145,23 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"trotterlab {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, needs_config=True):
-        if needs_config:
-            p.add_argument("--config", required=True, help="JSON config path")
+    def add_common(p):
         p.add_argument("--seed", type=int, default=None, help="override master seed")
         p.add_argument("--out", default=None, help="output file path")
         p.add_argument("--format", choices=("csv", "json"), default=None)
         p.add_argument("--threads", type=int, default=None)
+
+    for name in ("resonance", "localization", "convergence", "crx"):
+        p = sub.add_parser(name, help=f"run a {name} sweep from a config")
+        p.add_argument("--config", required=True, help="JSON config path")
+        add_common(p)
         p.add_argument(
             "--grid", default=None, help="override swept grid as 'start:stop:count'"
         )
 
-    for name in ("resonance", "localization", "convergence", "crx"):
-        add_common(sub.add_parser(name, help=f"run a {name} sweep from a config"))
-
     fig = sub.add_parser("figure", help="regenerate one reference panel's data")
     fig.add_argument("figure_id", help=f"one of {', '.join(FIGURE_IDS)}")
-    add_common(fig, needs_config=False)
+    add_common(fig)
 
     sub.add_parser("verify", help="run the self-check suites and report pass/fail")
     return parser

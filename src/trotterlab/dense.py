@@ -61,7 +61,7 @@ def init_basis(n_qubits: int, bitstring: str) -> StateVector:
     return StateVector(n_qubits, amps)
 
 
-def _pair_view(amps: np.ndarray, n: int, j: int) -> np.ndarray:
+def _pair_view(amps: np.ndarray, j: int) -> np.ndarray:
     """View with qubits j, j+1 exposed as axes 1 and 2 (j is 1-based)."""
     return amps.reshape(2 ** (j - 1), 2, 2, -1)
 
@@ -80,14 +80,14 @@ def apply_gate(state: StateVector, gate: GateOp) -> StateVector:
         v[:, 0, :] *= np.exp(-0.5j * gate.angle)
         v[:, 1, :] *= np.exp(+0.5j * gate.angle)
     elif gate.kind is GateKind.XY:
-        v = _pair_view(a, n, gate.sites[0])
+        v = _pair_view(a, gate.sites[0])
         c, s = np.cos(gate.angle), np.sin(gate.angle)
         a01 = v[:, 0, 1, :].copy()
         a10 = v[:, 1, 0, :]
         v[:, 0, 1, :] = c * a01 - 1j * s * a10
         v[:, 1, 0, :] = -1j * s * a01 + c * a10
     elif gate.kind is GateKind.CRX:
-        v = _pair_view(a, n, gate.sites[0])
+        v = _pair_view(a, gate.sites[0])
         c, s = np.cos(gate.angle / 2), np.sin(gate.angle / 2)
         a10 = v[:, 1, 0, :].copy()
         a11 = v[:, 1, 1, :]
@@ -180,10 +180,12 @@ def run_circuit(spec: TrotterCircuitSpec, seed: int | None = None) -> StateVecto
 
 
 def check_norms(spec: TrotterCircuitSpec, amps: np.ndarray) -> None:
-    """Raise InvalidStateError if a row of a final (B, 2^N) stack of ``spec`` drifted.
+    """Raise InvalidStateError if a row of a final stack of ``spec`` drifted.
 
-    The bound is NORM_DRIFT_C's, with ``gates`` counting every gate of
-    ``build_circuit(spec)``; ``vdot`` allocates no 2^N temporary.
+    ``amps`` is either backend's final stack: (B, 2^N) dense or (B, N)
+    single-excitation amplitudes.  The bound is NORM_DRIFT_C's, with
+    ``gates`` counting every gate of ``build_circuit(spec)``; ``vdot``
+    allocates no 2^N temporary.
     """
     n, steps = spec.n_qubits, spec.n_steps
     z_layers = steps - 1 if spec.drop_final_z else steps

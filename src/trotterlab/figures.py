@@ -1,6 +1,6 @@
 """Bundled recipes that regenerate the reference panel data.
 
-Each recipe hard-codes its panel's parameters so tests and the CLI share one
+The panels' parameters are the tables below, so tests and the CLI share one
 source of truth.  Resonance panels hold one sweep per plotted series;
 localization panels hold a single sweep over the disorder radius, with
 per-step series kept as traces.
@@ -20,24 +20,77 @@ from dataclasses import dataclass
 from .errors import ConfigurationError
 from .sweep import ExperimentKind, GridSpec, SweepResult, SweepSpec, run_sweep
 
-FIGURE_IDS = (
-    "2a4",
-    "2b4",
-    "2c4",
-    "2d4",
-    "3b",
-    "3c",
-    "3d",
-    "4a",
-    "4b",
-    "4c",
-    "4d",
-)
-
 # Direct hop angle equivalent to the quarter-normalized "pi/2" bond setting.
 XY_LOCALIZATION_BOND = math.pi / 4
 LOCALIZATION_N = 15
 LOCALIZATION_STEPS = 80
+
+# Continuous resonance panels, P_N(V1) at time t for each V2 series:
+# id -> (V1 grid, ((label, V2), ...), couplings, potentials, t).
+RESONANCE_PANELS = {
+    "2a4": (
+        GridSpec(-math.pi, math.pi, 321),  # pitch 0.0196 <= 0.02
+        (("V2=0", 0.0), ("V2=-pi/2", -math.pi / 2)),
+        (0.1,),
+        ("V1", "V2"),
+        15.0,
+    ),
+    "2b4": (
+        GridSpec(-math.pi, math.pi, 321),
+        (("V2=0", 0.0), ("V2=-pi/2", -math.pi / 2)),
+        (0.1, 0.1),
+        ("V1", "V2", "V1"),
+        22.0,
+    ),
+    "2c4": (
+        GridSpec(-40.0, 40.0, 2001),
+        (("V2=10", 10.0), ("V2=20", 20.0)),
+        (1.0, 20.0, 1.0),
+        ("V1", "V2", "-V2", "V1"),
+        3.0,
+    ),
+    "2d4": (
+        GridSpec(-45.0, 45.0, 4501),
+        (("V2=10", 10.0), ("V2=20", 20.0)),
+        (0.1, 20.0, 20.0, 0.1),
+        ("V1", "V2", 0.0, "-V2", "V1"),
+        40.0,
+    ),
+}
+
+# Localization panels sweep R over [0, pi/2] from one shared ``fixed``
+# dict plus their gate family's entries: id -> (family, R count, trials).
+LOCALIZATION_PANELS = {
+    "3c": ("crx", 5, 1),
+    "3d": ("crx", 5, 1),
+    "4a": ("xy", 2, 1),
+    "4b": ("xy", 5, 20),
+    "4c": ("xy", 5, 1),
+    "4d": ("xy", 5, 1),
+}
+_LOCALIZATION_FIXED = {
+    "n_qubits": LOCALIZATION_N,
+    "n_steps": LOCALIZATION_STEPS,
+    "base_phi": math.pi / 2,
+    "profile_eta": 10,
+}
+# family -> (its ``fixed`` entries, its provenance assumptions).  The CRx
+# panels do not state N; 15 is assumed.
+_LOCALIZATION_FAMILIES = {
+    "crx": (
+        {"gate_family": "crx", "bond_angle": math.pi / 2},
+        {"n_qubits_assumed": LOCALIZATION_N, "theta": "pi/2", "phi": "pi/2"},
+    ),
+    "xy": (
+        {"bond_angle": XY_LOCALIZATION_BOND},
+        {
+            "bond_angle": "pi/4 (direct hop; quarter-normalized caption value pi/2)",
+            "base_phi": "pi/2",
+        },
+    ),
+}
+
+FIGURE_IDS = (*RESONANCE_PANELS, "3b", *LOCALIZATION_PANELS)
 
 
 @dataclass(frozen=True)
@@ -49,32 +102,6 @@ class FigureData:
     @property
     def provenance(self) -> dict:
         return self.series[0][1].provenance
-
-
-def _continuous_series(
-    label_values,
-    couplings,
-    potentials,
-    t: float,
-    grid: GridSpec,
-    master_seed: int,
-):
-    series = []
-    for label, value in label_values:
-        spec = SweepSpec(
-            kind=ExperimentKind.RESONANCE_CONTINUOUS,
-            swept="V1",
-            grid=grid,
-            fixed={
-                "couplings": couplings,
-                "potentials": potentials,
-                "t": t,
-                "V2": value,
-            },
-            master_seed=master_seed,
-        )
-        series.append((label, run_sweep(spec)))
-    return tuple(series)
 
 
 def figure_recipe(
@@ -89,53 +116,24 @@ def figure_recipe(
             f"unknown figure id {figure_id!r}; expected one of {', '.join(FIGURE_IDS)}"
         )
 
-    if fid == "2a4":
-        grid = GridSpec(-math.pi, math.pi, 321)  # pitch 0.0196 <= 0.02
-        series = _continuous_series(
-            [("V2=0", 0.0), ("V2=-pi/2", -math.pi / 2)],
-            couplings=[0.1],
-            potentials=["V1", "V2"],
-            t=15.0,
-            grid=grid,
-            master_seed=master_seed,
-        )
-        return FigureData(fid, "resonance", series)
-
-    if fid == "2b4":
-        grid = GridSpec(-math.pi, math.pi, 321)
-        series = _continuous_series(
-            [("V2=0", 0.0), ("V2=-pi/2", -math.pi / 2)],
-            couplings=[0.1, 0.1],
-            potentials=["V1", "V2", "V1"],
-            t=22.0,
-            grid=grid,
-            master_seed=master_seed,
-        )
-        return FigureData(fid, "resonance", series)
-
-    if fid == "2c4":
-        grid = GridSpec(-40.0, 40.0, 2001)
-        series = _continuous_series(
-            [("V2=10", 10.0), ("V2=20", 20.0)],
-            couplings=[1.0, 20.0, 1.0],
-            potentials=["V1", "V2", "-V2", "V1"],
-            t=3.0,
-            grid=grid,
-            master_seed=master_seed,
-        )
-        return FigureData(fid, "resonance", series)
-
-    if fid == "2d4":
-        grid = GridSpec(-45.0, 45.0, 4501)
-        series = _continuous_series(
-            [("V2=10", 10.0), ("V2=20", 20.0)],
-            couplings=[0.1, 20.0, 20.0, 0.1],
-            potentials=["V1", "V2", 0.0, "-V2", "V1"],
-            t=40.0,
-            grid=grid,
-            master_seed=master_seed,
-        )
-        return FigureData(fid, "resonance", series)
+    if fid in RESONANCE_PANELS:
+        grid, labelled_v2, couplings, potentials, t = RESONANCE_PANELS[fid]
+        series = []
+        for label, v2 in labelled_v2:
+            spec = SweepSpec(
+                kind=ExperimentKind.RESONANCE_CONTINUOUS,
+                swept="V1",
+                grid=grid,
+                fixed={
+                    "couplings": list(couplings),
+                    "potentials": list(potentials),
+                    "t": t,
+                    "V2": v2,
+                },
+                master_seed=master_seed,
+            )
+            series.append((label, run_sweep(spec)))
+        return FigureData(fid, "resonance", tuple(series))
 
     if fid == "3b":
         # No parameter values are pinned for this panel; these defaults show
@@ -164,47 +162,15 @@ def figure_recipe(
             series.append((label, run_sweep(spec, threads=threads, assumptions=assumptions)))
         return FigureData(fid, "resonance", tuple(series))
 
-    if fid in ("3c", "3d"):
-        # CRx localization; the panel does not state N, assumed 15.
-        assumptions = {"n_qubits_assumed": LOCALIZATION_N, "theta": "pi/2", "phi": "pi/2"}
-        spec = SweepSpec(
-            kind=ExperimentKind.LOCALIZATION,
-            swept="R",
-            grid=GridSpec(0.0, math.pi / 2, 5),
-            fixed={
-                "n_qubits": LOCALIZATION_N,
-                "n_steps": LOCALIZATION_STEPS,
-                "gate_family": "crx",
-                "bond_angle": math.pi / 2,
-                "base_phi": math.pi / 2,
-                "profile_eta": 10,
-            },
-            trials=1,
-            master_seed=master_seed,
-        )
-        result = run_sweep(spec, threads=threads, assumptions=assumptions)
-        return FigureData(fid, "localization", (("R-grid", result),))
-
-    # 4a-4d: XY localization panels.
-    assumptions = {
-        "bond_angle": "pi/4 (direct hop; quarter-normalized caption value pi/2)",
-        "base_phi": "pi/2",
-    }
-    grid = GridSpec(0.0, math.pi / 2, 2 if fid == "4a" else 5)
-    trials = 20 if fid == "4b" else 1
+    family, count, trials = LOCALIZATION_PANELS[fid]
+    family_fixed, assumptions = _LOCALIZATION_FAMILIES[family]
     spec = SweepSpec(
         kind=ExperimentKind.LOCALIZATION,
         swept="R",
-        grid=grid,
-        fixed={
-            "n_qubits": LOCALIZATION_N,
-            "n_steps": LOCALIZATION_STEPS,
-            "bond_angle": XY_LOCALIZATION_BOND,
-            "base_phi": math.pi / 2,
-            "profile_eta": 10,
-        },
+        grid=GridSpec(0.0, math.pi / 2, count),
+        fixed={**_LOCALIZATION_FIXED, **family_fixed},
         trials=trials,
         master_seed=master_seed,
     )
-    result = run_sweep(spec, threads=threads, assumptions=assumptions)
+    result = run_sweep(spec, threads=threads, assumptions=dict(assumptions))
     return FigureData(fid, "localization", (("R-grid", result),))

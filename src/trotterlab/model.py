@@ -78,22 +78,18 @@ class GateOp:
             raise ConfigurationError(f"site indices are 1-based, got {self.sites}")
 
 
-def _alternating_signs(n_qubits: int) -> tuple[int, ...]:
-    return tuple(1 if j % 2 == 0 else -1 for j in range(n_qubits))
-
-
 @dataclass(frozen=True)
 class ZLayerSpec:
-    """One layer of Rz angles: a base value, per-qubit signs, and disorder.
+    """One layer of Rz angles: a base value and disorder, with alternating signs.
 
-    The realized angle at site j is ``s_j * (base_phi + r_j)`` with ``r_j``
-    drawn once, uniformly from ``[-disorder_radius, +disorder_radius]``.
+    The realized angle at site j is ``s_j * (base_phi + r_j)``, with the
+    alternating signs ``s = (+1, -1, +1, ...)`` and ``r_j`` drawn once,
+    uniformly from ``[-disorder_radius, +disorder_radius]``.
     ``explicit_phis`` bypasses signs and sampling entirely; it is used for
     the small hand-set circuits where each site's angle is given directly.
     """
 
     base_phi: float = 0.0
-    sign_pattern: tuple[int, ...] | None = None  # None -> alternating (+,-,+,...)
     disorder_radius: float = 0.0
     explicit_phis: tuple[float, ...] | None = None
 
@@ -102,10 +98,6 @@ class ZLayerSpec:
             raise ConfigurationError(
                 f"disorder_radius must be >= 0, got {self.disorder_radius}"
             )
-        if self.sign_pattern is not None and any(
-            s not in (1, -1) for s in self.sign_pattern
-        ):
-            raise ConfigurationError("sign_pattern entries must be +1 or -1")
 
 
 def realize_z_layer(
@@ -125,11 +117,6 @@ def realize_z_layer(
             )
         return tuple(float(p) for p in spec.explicit_phis)
 
-    signs = spec.sign_pattern or _alternating_signs(n_qubits)
-    if len(signs) != n_qubits:
-        raise ConfigurationError(
-            f"sign_pattern has length {len(signs)}, expected {n_qubits}"
-        )
     if spec.disorder_radius == 0.0:
         offsets = np.zeros(n_qubits)
     else:
@@ -140,7 +127,8 @@ def realize_z_layer(
         rng = np.random.default_rng(seed)
         offsets = rng.uniform(-spec.disorder_radius, spec.disorder_radius, n_qubits)
     return tuple(
-        float(s * (spec.base_phi + r)) for s, r in zip(signs, offsets)
+        float((1 if j % 2 == 0 else -1) * (spec.base_phi + r))
+        for j, r in enumerate(offsets)
     )
 
 

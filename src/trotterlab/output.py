@@ -121,18 +121,18 @@ def write_localization_csv(
 
     For out path ``dir/name.csv`` the companions are ``dir/name_ipr_r{i}.csv``,
     ``dir/name_tail_r{i}.csv`` and ``dir/name_profile_r{i}.csv`` where ``i``
-    is the grid index of the R value (mapping recorded in the header).
+    is the grid index of the R value (mapping recorded in the header), so
+    every grid point gets its own files, repeated or descending R included.
     Companion series come from trial 0, one realization, like the reference
     panels.
     """
     out = Path(path)
     stem, suffix = out.stem, out.suffix or ".csv"
-    r_values = sorted({row.swept_value for row in result.rows})
-    r_map = {i: v for i, v in enumerate(r_values)}
+    firsts = [t for t in result.traces if t.trial == 0]  # grid order
     has_ipr = any(t.report.ipr_series is not None for t in result.traces)
     main_col = "ipr_ave" if has_ipr else "mean_tail"
 
-    header_extra = {"r_index": {str(i): v for i, v in r_map.items()}}
+    header_extra = {"r_index": {str(i): t.swept_value for i, t in enumerate(firsts)}}
     if extra:
         header_extra.update(extra)
     lines = _provenance_lines(result.provenance, header_extra)
@@ -143,12 +143,9 @@ def write_localization_csv(
         )
     out.write_text("\n".join(lines) + "\n")
 
-    by_key = {(t.swept_value, t.trial): t.report for t in result.traces}
-    for i, r in r_map.items():
-        rep = by_key.get((r, 0))
-        if rep is None:
-            continue
-        companion_extra = {"R": r, "trial": 0}
+    for i, trace in enumerate(firsts):
+        rep = trace.report
+        companion_extra = {"R": trace.swept_value, "trial": 0}
         if extra:
             companion_extra.update(extra)
         header = _provenance_lines(result.provenance, companion_extra)
@@ -179,7 +176,7 @@ def write_sweep(path: str, fmt: str, result: SweepResult) -> None:
         return
     if fmt != "csv":
         raise ConfigurationError(f"unknown output format {fmt!r}")
-    kind = ExperimentKind(result.provenance["kind"])
+    kind = result.spec.kind
     if kind is ExperimentKind.LOCALIZATION:
         write_localization_csv(path, result)
     elif kind is ExperimentKind.CONVERGENCE:

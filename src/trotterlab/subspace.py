@@ -83,39 +83,26 @@ def trotter_step(
     return state
 
 
-def run_discrete(
-    spec: TrotterCircuitSpec, tau_steps: int, seed: int | None = None
-) -> SubspaceState:
-    """State after ``tau_steps`` Trotter steps of an XY-family circuit.
-
-    The z layer of the final step is skipped when it would be dropped from
-    the emitted circuit (``drop_final_z`` and ``tau_steps == n_steps``).
-    """
-    last = None
-    for _, state in iterate_discrete(spec, seed, tau_steps):
-        last = state
-    if last is None:  # tau_steps == 0
-        last = basis_state(spec.n_qubits, spec.initial_excitation_site)
-    return last
+def run_discrete(spec: TrotterCircuitSpec, seed: int | None = None) -> SubspaceState:
+    """The state after the whole circuit for ``spec`` (an XY-family circuit)."""
+    for _, state in iterate_discrete(spec, seed):
+        pass
+    return state
 
 
-def iterate_discrete(
-    spec: TrotterCircuitSpec, seed: int | None = None, n_steps: int | None = None
-):
-    """Yield (eta, state) after each Trotter step, eta = 1..n_steps.
+def iterate_discrete(spec: TrotterCircuitSpec, seed: int | None = None):
+    """Yield (eta, state) after each Trotter step of ``spec``, eta = 1..n_steps.
 
     ``iterate_stack`` on a stack of one.  The yielded state is live (mutated
     by further iteration); copy it to keep a trajectory.
     """
     phis = np.asarray([realize_z_layer(spec.z_layer, spec.n_qubits, seed)])
-    for eta, amps in iterate_stack(spec, phis, n_steps):
+    for eta, amps in iterate_stack(spec, phis):
         yield eta, SubspaceState(spec.n_qubits, amps[0])
 
 
-def iterate_stack(
-    spec: TrotterCircuitSpec, phis: np.ndarray, n_steps: int | None = None
-):
-    """Yield (eta, amps) after each Trotter step of a stack of circuits.
+def iterate_stack(spec: TrotterCircuitSpec, phis: np.ndarray):
+    """Yield (eta, amps) after each Trotter step of a stack of circuits, eta = 1..n_steps.
 
     Every row shares ``spec``'s size, step count, bond angles, initial site
     and ``drop_final_z``; row b has its own realized z angles ``phis[b]``
@@ -136,15 +123,12 @@ def iterate_stack(
         raise ConfigurationError(
             f"z angles have shape {phis.shape}, expected (B, {n})"
         )
-    total = spec.n_steps if n_steps is None else n_steps
-    if total < 0:
-        raise ConfigurationError(f"step count must be >= 0, got {total}")
     bond_t = bond_layer_matrix(spec.bond_angles).T
     z_phases = np.exp(-1j * phis)
     amps = np.zeros(phis.shape, dtype=np.complex128)
     amps[:, spec.initial_excitation_site - 1] = 1.0
     bonded = np.empty_like(amps)
-    for eta in range(1, total + 1):
+    for eta in range(1, spec.n_steps + 1):
         np.matmul(amps, bond_t, out=bonded)
         if spec.drop_final_z and eta == spec.n_steps:
             amps[...] = bonded

@@ -288,16 +288,15 @@ def _walk_stack(circuit, phis, backend: str, verification_mode: bool, on_step=No
     """Walk one stack; return its (B, N) occupations after the last step.
 
     ``on_step(eta, probs)``, if given, sees the (B, N) occupations after
-    every step.  A dense walk's final norms are checked (``check_norms``).
-    In verification mode an XY stack is also walked on the other backend,
-    and the two final occupations must agree to 1e-10.
+    every step.  The final norms are checked (``check_norms``) on either
+    backend.  In verification mode an XY stack is also walked on the other
+    backend, and the two final occupations must agree to 1e-10.
     """
     walk, occupations = _walk(backend)
     for eta, amps in walk(circuit, phis):
         if on_step is not None:
             on_step(eta, occupations(amps))
-    if backend == "dense":
-        check_norms(circuit, amps)
+    check_norms(circuit, amps)
     final = occupations(amps)
     if verification_mode and circuit.gate_family is GateFamily.XY:
         other = "subspace" if backend == "dense" else "dense"

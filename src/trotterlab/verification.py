@@ -43,8 +43,8 @@ def _tally(name: str, errors, ok, detail: str) -> SuiteReport:
     return SuiteReport(name, passed, len(ok) - passed, worst, detail.format(worst=worst))
 
 
-def _closed_form_suite(name: str, n: int, closed_form, tol: float) -> SuiteReport:
-    """Dense N=n, N_T=2 last-qubit occupation versus its closed form.
+def _closed_form_suite(name: str, n: int, closed_form) -> SuiteReport:
+    """Dense N=n, N_T=2 last-qubit occupation versus its closed form, to 1e-12.
 
     The z angles are (phi, alpha) or (phi, alpha, phi) over a 21 x 21 grid of
     phi and alpha - phi; each theta section walks the grid as one stack.
@@ -60,17 +60,17 @@ def _closed_form_suite(name: str, n: int, closed_form, tol: float) -> SuiteRepor
         check_norms(spec, amps)
         got = occupation_stack(amps)[:, n - 1]
         errors += [abs(g - closed_form(theta, *pa)) for g, pa in zip(got, grid)]
-    return _tally(name, errors, [e <= tol for e in errors], "max |err|={worst:.3e}")
+    return _tally(name, errors, [e <= 1e-12 for e in errors], "max |err|={worst:.3e}")
 
 
-def closed_form_n2_suite(tol: float = 1e-12) -> SuiteReport:
-    """Dense N=2, N_T=2 versus the two-qubit closed form."""
-    return _closed_form_suite("closed-form-n2", 2, p01_closed_form, tol)
+def closed_form_n2_suite() -> SuiteReport:
+    """Dense N=2, N_T=2 versus the two-qubit closed form, to 1e-12."""
+    return _closed_form_suite("closed-form-n2", 2, p01_closed_form)
 
 
-def closed_form_n3_suite(tol: float = 1e-12) -> SuiteReport:
-    """Dense N=3, N_T=2 versus the three-qubit closed form."""
-    return _closed_form_suite("closed-form-n3", 3, p001_closed_form, tol)
+def closed_form_n3_suite() -> SuiteReport:
+    """Dense N=3, N_T=2 versus the three-qubit closed form, to 1e-12."""
+    return _closed_form_suite("closed-form-n3", 3, p001_closed_form)
 
 
 def random_circuit_spec(rng: np.random.Generator) -> tuple[TrotterCircuitSpec, int]:
@@ -97,22 +97,25 @@ def random_circuit_spec(rng: np.random.Generator) -> tuple[TrotterCircuitSpec, i
     return spec, int(rng.integers(0, 2**63))
 
 
-def backend_equivalence_suite(
-    n_circuits: int = 50, tol: float = 1e-10, norm_tol: float = 1e-12, seed: int = 2024
-) -> SuiteReport:
-    """Dense vs subspace occupation probabilities on random XY circuits."""
-    rng = np.random.default_rng(seed)
+def backend_equivalence_suite() -> SuiteReport:
+    """Dense vs subspace occupation probabilities on 50 random XY circuits.
+
+    The circuits come from ``random_circuit_spec`` with generator seed 2024.
+    A circuit passes when the backends' occupations agree to 1e-10 and both
+    final norms are within 1e-12 of 1.
+    """
+    rng = np.random.default_rng(2024)
     gaps, ok = [], []
-    for _ in range(n_circuits):
+    for _ in range(50):
         spec, z_seed = random_circuit_spec(rng)
         dense_state = run_circuit(spec, z_seed)
-        sub_state = run_discrete(spec, spec.n_steps, z_seed)
+        sub_state = run_discrete(spec, z_seed)
         gap = float(
             np.max(np.abs(occupation_probs(dense_state) - sub_state.probabilities()))
         )
         drift = max(dense_state.norm_error(), sub_state.norm_error())
         gaps.append(gap)
-        ok.append(gap <= tol and drift <= norm_tol)
+        ok.append(gap <= 1e-10 and drift <= 1e-12)
     return _tally("backend-equivalence", gaps, ok, "max prob gap={worst:.3e}")
 
 

@@ -62,7 +62,7 @@ def _per_radius(result, name):
 
 def test_criterion_01_closed_form_identity_n2():
     t0 = time.perf_counter()
-    suite = closed_form_n2_suite(tol=1e-12)
+    suite = closed_form_n2_suite()
     elapsed = time.perf_counter() - t0
     assert suite.failed == 0, suite.detail
     assert elapsed < 1.0, f"runtime {elapsed:.2f}s exceeds 1s"
@@ -71,7 +71,7 @@ def test_criterion_01_closed_form_identity_n2():
 
 def test_criterion_02_closed_form_identity_n3():
     t0 = time.perf_counter()
-    suite = closed_form_n3_suite(tol=1e-12)
+    suite = closed_form_n3_suite()
     elapsed = time.perf_counter() - t0
     assert suite.failed == 0, suite.detail
     assert elapsed < 1.0, f"runtime {elapsed:.2f}s exceeds 1s"
@@ -277,7 +277,7 @@ def test_criterion_10_crx_entanglement_and_localization():
 
 
 def test_criterion_11_backend_equivalence():
-    suite = backend_equivalence_suite(n_circuits=50, tol=1e-10, norm_tol=1e-12)
+    suite = backend_equivalence_suite()
     assert suite.failed == 0, suite.detail
     # norm drift after every single gate on a few of the same random circuits
     rng = np.random.default_rng(2024)

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import trotterlab
@@ -118,6 +119,30 @@ def test_localization_csv_schema_and_companions(tmp_path):
         # 8 steps -> 8 eta rows; 6 qubits -> 6 profile rows
         assert sum(1 for l in ipr_file.read_text().splitlines() if l[:1].isdigit()) == 8
         assert sum(1 for l in prof_file.read_text().splitlines() if l[:1].isdigit()) == 6
+
+
+@pytest.mark.parametrize("grid", [[0.3, 0.3, 3], [1.5, 0.0, 3]], ids=["constant", "descending"])
+def test_localization_companions_follow_the_grid_index(tmp_path, grid):
+    cfg = {
+        "experiment": {
+            "kind": "localization",
+            "grid": grid,
+            "fixed": {"n_qubits": 4, "n_steps": 12, "bond_angle": "pi/4", "base_phi": "pi/2"},
+            "trials": 2,
+        },
+    }
+    out = tmp_path / "loc.csv"
+    assert main(["localization", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
+
+    def provenance(path):
+        return json.loads(path.read_text().splitlines()[0].removeprefix("# provenance: "))
+
+    values = [float(v) for v in np.linspace(*grid)]
+    assert provenance(out)["r_index"] == {str(i): v for i, v in enumerate(values)}
+    for i, v in enumerate(values):
+        for kind in ("ipr", "tail", "profile"):
+            assert provenance(tmp_path / f"loc_{kind}_r{i}.csv")["R"] == v
+    assert not (tmp_path / "loc_tail_r3.csv").exists()
 
 
 def test_json_format_is_faithful(tmp_path):
@@ -254,6 +279,31 @@ def test_threads_env_fallback(tmp_path, monkeypatch):
     assert main(["resonance", "--config", cfg, "--out", str(out1)]) == 2
 
 
+@pytest.mark.parametrize(
+    "flag, env, message",
+    [
+        (["--threads", "-5"], None, "--threads must be >= 1, got -5"),
+        (["--threads", "0"], None, "--threads must be >= 1, got 0"),
+        ([], "-3", "TROTTERLAB_THREADS must be >= 1, got -3"),
+    ],
+)
+def test_thread_count_below_1_exits_2(tmp_path, capsys, monkeypatch, flag, env, message):
+    bare = {k: v for k, v in RESONANCE_CONFIG.items() if k != "engine"}
+    if env is not None:
+        monkeypatch.setenv("TROTTERLAB_THREADS", env)
+    out = tmp_path / "t.csv"
+    argv = ["resonance", "--config", write_config(tmp_path, bare), "--out", str(out), *flag]
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_figure_takes_no_grid_flag(tmp_path):
+    out = tmp_path / "f.csv"
+    assert main(["figure", "2a4", "--grid", "0:1:5", "--out", str(out)]) == 2
+    assert not out.exists()
+
+
 def test_unwritable_output_path(tmp_path):
     cfg = write_config(tmp_path, RESONANCE_CONFIG)
     code = main(["resonance", "--config", cfg, "--out", str(tmp_path / "no" / "dir" / "x.csv")])
@@ -365,6 +415,19 @@ def _with_fixed(**fields):
             "engine.verification_mode must be true or false, got 'false'",
         ),
         (_with_fixed(drop_final_z="false"), "drop_final_z must be true or false, got 'false'"),
+        (
+            {
+                "experiment": {
+                    "kind": "resonance_continuous",
+                    "grid": [0, 1, 3],
+                    "fixed": {"couplings": [1.0], "potentials": ["V1", 0.0], "t": 1.0},
+                },
+                "engine": {"backend": "gpu"},
+            },
+            "engine.backend must be one of auto, dense, subspace, got 'gpu'",
+        ),
+        (dict(RESONANCE_CONFIG, engine={"threads": -3}), "engine.threads must be >= 1, got -3"),
+        (_with_experiment(grid={"start": 0, "stop": 1, "count": 3}), "grid needs exactly"),
     ],
 )
 def test_malformed_config_shape_exits_2_naming_the_field(tmp_path, capsys, cfg, message):

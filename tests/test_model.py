@@ -75,11 +75,7 @@ def test_realize_requires_seed_when_disordered():
         realize_z_layer(ZLayerSpec(base_phi=0.1, disorder_radius=0.5), 4)
 
 
-def test_realize_sign_pattern_validation():
-    with pytest.raises(ConfigurationError):
-        ZLayerSpec(sign_pattern=(1, 2, 1))
-    with pytest.raises(ConfigurationError):
-        realize_z_layer(ZLayerSpec(sign_pattern=(1, -1)), 3)
+def test_zlayer_rejects_negative_disorder_radius():
     with pytest.raises(ConfigurationError):
         ZLayerSpec(disorder_radius=-0.1)
 

@@ -61,18 +61,6 @@ def test_trotter_step_length_validation():
         trotter_step(state, (0.1, 0.2), (0.0, 0.0))
 
 
-def test_run_discrete_zero_steps_is_initial_state():
-    spec = TrotterCircuitSpec(
-        n_qubits=4,
-        n_steps=3,
-        bond_angles=(0.3, 0.2, 0.1),
-        z_layer=ZLayerSpec(base_phi=0.2),
-        initial_excitation_site=2,
-    )
-    state = run_discrete(spec, 0)
-    assert np.array_equal(state.amplitudes, [0, 1, 0, 0])
-
-
 def test_run_discrete_rejects_crx():
     spec = TrotterCircuitSpec(
         n_qubits=2,
@@ -82,7 +70,7 @@ def test_run_discrete_rejects_crx():
         z_layer=ZLayerSpec(),
     )
     with pytest.raises(ConfigurationError):
-        run_discrete(spec, 1)
+        run_discrete(spec)
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -101,7 +89,7 @@ def test_run_discrete_matches_dense_probabilities(seed):
     )
     z_seed = int(rng.integers(0, 2**32))
     dense_probs = occupation_probs(run_circuit(spec, z_seed))
-    sub_probs = run_discrete(spec, spec.n_steps, z_seed).probabilities()
+    sub_probs = run_discrete(spec, z_seed).probabilities()
     assert np.max(np.abs(dense_probs - sub_probs)) < 1e-10
 
 
@@ -114,11 +102,11 @@ def test_run_discrete_partial_steps_keep_z_layer():
         z_layer=ZLayerSpec(explicit_phis=(0.3, -0.2, 0.1)),
         drop_final_z=True,
     )
-    partial = run_discrete(spec, 2)
+    partial = next(s.amplitudes.copy() for eta, s in iterate_discrete(spec) if eta == 2)
     state = basis_state(3, 1)
     for _ in range(2):
         trotter_step(state, (0.4, 0.4), (0.3, -0.2, 0.1), include_z=True)
-    assert np.max(np.abs(partial.amplitudes - state.amplitudes)) < 1e-15
+    assert np.max(np.abs(partial - state.amplitudes)) < 1e-15
 
 
 def test_iterate_discrete_trajectory_is_norm_preserving():

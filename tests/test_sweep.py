@@ -207,20 +207,29 @@ def drifting_walker(real):
 
 
 @pytest.mark.parametrize(
-    "spec, options",
+    "spec, options, walker",
     [
-        (replace(discrete_n2_spec(count=3), kind=ExperimentKind.CRX_RESONANCE), {}),
-        (discrete_n2_spec(count=3), {"backend": "dense"}),
-        (discrete_n2_spec(count=3), {"verification_mode": True}),
-        (localization_spec(trials=2, n=4, steps=6), {"backend": "dense"}),
+        (replace(discrete_n2_spec(count=3), kind=ExperimentKind.CRX_RESONANCE), {}, "dense_stack"),
+        (discrete_n2_spec(count=3), {"backend": "dense"}, "dense_stack"),
+        (discrete_n2_spec(count=3), {"verification_mode": True}, "dense_stack"),
+        (localization_spec(trials=2, n=4, steps=6), {"backend": "dense"}, "dense_stack"),
+        (discrete_n2_spec(count=3), {}, "subspace_stack"),
+        (localization_spec(trials=2, n=4, steps=6), {}, "subspace_stack"),
     ],
-    ids=["crx", "dense-resonance", "verification-mode", "dense-localization"],
+    ids=[
+        "crx",
+        "dense-resonance",
+        "verification-mode",
+        "dense-localization",
+        "subspace-resonance",
+        "subspace-localization",
+    ],
 )
-def test_dense_stack_norm_drift_raises(monkeypatch, spec, options):
+def test_dense_stack_norm_drift_raises(monkeypatch, spec, options, walker):
     import trotterlab.sweep as sweep
 
     run_sweep(spec, **options)
-    monkeypatch.setattr(sweep, "dense_stack", drifting_walker(sweep.dense_stack))
+    monkeypatch.setattr(sweep, walker, drifting_walker(getattr(sweep, walker)))
     with pytest.raises(InvalidStateError, match="norm drifted"):
         run_sweep(spec, **options)
 
@@ -420,6 +429,6 @@ def test_resonance_rows_match_items_run_alone(
         if crx:
             want = occupation_probs(run_circuit(circuit, item_seed))[target - 1]
         else:
-            want = run_discrete(circuit, steps, item_seed).probabilities()[target - 1]
+            want = run_discrete(circuit, item_seed).probabilities()[target - 1]
         assert row.trial == k
         assert abs(row.observables["probability"] - want) <= 1e-12
