@@ -8,9 +8,16 @@ Callers address qubits, never raw indices, so the convention stays internal.
 ``iterate_stack`` is the circuit walker: it steps a (B, 2^N) stack of
 circuits that differ only in their z angles, with fused layers;
 ``iterate_circuit`` and ``run_circuit`` are the same walker on a stack of
-one.  ``build_circuit`` + ``apply_gate`` is the inspectable gate-by-gate
-reference it is tested against.  Both work in place on reshape views of the
-amplitude array; no 2^N x 2^N matrix is ever materialized.
+one.  A controlled-Rx walk steps only its reachable block: every CRx bond's
+control is its lower qubit and Rz is diagonal, so from initial site s,
+qubits 1..s-1 stay |0> and qubit s stays |1>, and only indices
+[2^(N-s), 2^(N-s+1)) can hold a non-zero amplitude.  The rest of the stack
+stays zero without being touched, and each amplitude of the block meets the
+same multiplies in the same order as in a walk of the whole state, so the
+block, and every occupation read from the stack, is bit-identical to it.
+``build_circuit`` + ``apply_gate`` is the inspectable gate-by-gate
+reference the walker is tested against.  Both work in place on reshape
+views of the amplitude array; no 2^N x 2^N matrix is ever materialized.
 """
 
 from __future__ import annotations
@@ -119,10 +126,17 @@ def iterate_stack(spec: TrotterCircuitSpec, phis: np.ndarray):
 
     Applies the gates ``build_circuit`` lists, fused per layer: each bond's
     cos and sin are computed once per walk, each bond gate mixes its two
-    coupled blocks through one half-stack scratch buffer, and each Rz layer
-    is two in-place multiplies by the Kronecker factors of its diagonals
-    (over the first floor(N/2) and the last ceil(N/2) qubits), made for the
-    whole stack at once.
+    coupled blocks through one scratch buffer, and each Rz layer is two
+    in-place multiplies by the Kronecker factors of its diagonals (over the
+    first floor(N/2) and the last ceil(N/2) qubits), made for the whole
+    stack at once.
+
+    A CRx walk touches only the reachable block ``amps[:, 2^(N-s) :
+    2^(N-s+1)]`` (see the module docstring; s is the initial site): bonds
+    below s are skipped, bond s acts on the whole block as an Rx on qubit
+    s+1, the other bonds and the Rz tables are sliced to the block, and the
+    scratch buffer holds the largest sliced pair.  The yielded stack is
+    still (B, 2^N), zero outside the block.
     """
     n = spec.n_qubits
     _check_n(n)
@@ -132,22 +146,38 @@ def iterate_stack(spec: TrotterCircuitSpec, phis: np.ndarray):
             f"z angles have shape {phis.shape}, expected (B, {n})"
         )
     b = len(phis)
+    xy = spec.gate_family is GateFamily.XY
+    # [start, stop): the indices that can hold a non-zero amplitude, all of
+    # them for XY, the reachable block for CRx
+    site = spec.initial_excitation_site
+    start, stop = (0, 2**n) if xy else (1 << (n - site), 2 << (n - site))
+    amps = np.zeros((b, 2**n), dtype=np.complex128)
+    amps[:, 1 << (n - site)] = 1.0  # the X gate on |0...0>
+
     hi = _rz_tables(phis[:, : n // 2])[:, :, None]
     lo = _rz_tables(phis[:, n // 2 :])[:, None, :]
-    amps = np.zeros((b, 2**n), dtype=np.complex128)
-    amps[:, 1 << (n - spec.initial_excitation_site)] = 1.0  # the X gate on |0...0>
-    z_view = amps.reshape(b, hi.shape[1], lo.shape[2])
+    width = lo.shape[2]
+    rows = slice(start // width, -(-stop // width))
+    cols = slice(start % width, start % width + min(stop - start, width))
+    z_view = amps.reshape(b, hi.shape[1], width)[:, rows, cols]
+    hi, lo = hi[:, rows], lo[:, :, cols]
 
     # A bond gate mixes the |01>,|10> (XY) or |10>,|11> (CRx) blocks of its
     # pair as [[c, -is], [-is, c]]; ``pair[:, :, ::-1]`` holds the partners.
-    xy = spec.gate_family is GateFamily.XY
+    # Bond j only touches the values of qubits 1..j-1 inside [start, stop):
+    # a CRx bond below the initial site has none, since its control is 0.
     angles = np.asarray(spec.bond_angles, dtype=float) * (1.0 if xy else 0.5)
-    scratch = np.empty(b * 2 ** (n - 1), dtype=np.complex128)
-    bonds = []
+    pairs = []
     for j, c, ms in zip(range(1, n), np.cos(angles), -1j * np.sin(angles)):
-        quads = amps.reshape(b, 2 ** (j - 1), 4, -1)
-        pair = quads[:, :, 1:3] if xy else quads[:, :, 2:4]
-        bonds.append((pair, pair[:, :, ::-1], scratch.reshape(pair.shape), c, ms))
+        shift = n - j + 1  # each value of qubits 1..j-1 spans 2^shift indices
+        if stop >> shift > start >> shift:
+            quads = amps.reshape(b, 2 ** (j - 1), 4, -1)[:, start >> shift : stop >> shift]
+            pairs.append((quads[:, :, 1:3] if xy else quads[:, :, 2:4], c, ms))
+    scratch = np.empty(max((p.size for p, _, _ in pairs), default=0), dtype=np.complex128)
+    bonds = [
+        (pair, pair[:, :, ::-1], scratch[: pair.size].reshape(pair.shape), c, ms)
+        for pair, c, ms in pairs
+    ]
 
     for eta in range(1, spec.n_steps + 1):
         for pair, partners, mixed, c, ms in bonds:

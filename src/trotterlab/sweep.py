@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from .analytics import LocalizationReport, ipr_ave, tail_prob
-from .dense import check_norms, iterate_stack as dense_stack, occupation_stack
+from .dense import MAX_QUBITS, check_norms, iterate_stack as dense_stack, occupation_stack
 from .errors import ConfigurationError, NumericalError
 from .model import (
     ChainSpec,
@@ -33,6 +33,7 @@ from .model import (
     require_type,
 )
 from .subspace import (
+    MAX_CHAIN_SITES,
     basis_state,
     chain_hamiltonians,
     continuous_evolve,
@@ -43,12 +44,18 @@ from .subspace import (
 
 _MASK64 = (1 << 64) - 1
 # Amplitudes per stack walk.  Stacking pays where items are small (an N = 4
-# CRx scan walks its 315 circuits as one stack); an N = 15 dense state (2^15
-# amplitudes) walks alone, because stacking states that size is slower (panel
-# 3c as one stack of 5: 1256 ms, item by item: 1103 ms, at one thread on a
-# 2-core Xeon VM, median of 5) and leaves the thread pool one task, where
-# item by item it runs the 5 items in 733 ms on 2 threads.
-MAX_STACK_AMPLITUDES = 2**15
+# CRx scan walks its 315 circuits as one stack); N = 15 dense states (2^15
+# amplitudes) walk two to a stack.  Panel 3c on a 2-core Xeon VM, median of
+# 21 interleaved runs: two to a stack 573 ms at one thread and 375 ms at
+# two, one to a stack 580 and 470 ms.  As one stack of 5 it took 570-610 ms
+# at one thread and 510-550 ms at two (the pool gets a single task).  Dense
+# XY localization at N = 15 gains the same way at two threads (one to a
+# stack 713 ms, two to a stack 651 ms) and is level at one.
+MAX_STACK_AMPLITUDES = 2**16
+# Work items per sweep (grid points x trials), checked when the spec is made
+# and so before any per-item list or array exists.  Desk scale: the largest
+# bundled panel, 2d4, has 4501 items.
+MAX_SWEEP_ITEMS = 2**20
 
 
 def _splitmix64(x: int) -> int:
@@ -80,8 +87,10 @@ class GridSpec:
     count: int
 
     def __post_init__(self) -> None:
-        if self.count < 2:
-            raise ConfigurationError(f"grid count must be >= 2, got {self.count}")
+        if not 2 <= self.count <= MAX_SWEEP_ITEMS:
+            raise ConfigurationError(
+                f"grid count must be in [2, {MAX_SWEEP_ITEMS}], got {self.count}"
+            )
 
     def values(self) -> np.ndarray:
         return np.linspace(self.start, self.stop, self.count)
@@ -114,8 +123,12 @@ class SweepSpec:
         if self.trials is None:
             n = 20 if self.kind is ExperimentKind.LOCALIZATION else 1
             object.__setattr__(self, "trials", n)
-        if self.trials < 1:
-            raise ConfigurationError(f"trials must be >= 1, got {self.trials}")
+        top = MAX_SWEEP_ITEMS // self.grid.count
+        if not 1 <= self.trials <= top:
+            raise ConfigurationError(
+                f"trials must be in [1, {top}] for {self.grid.count} grid points"
+                f" (at most {MAX_SWEEP_ITEMS} work items), got {self.trials}"
+            )
 
 
 @dataclass(frozen=True)
@@ -187,8 +200,8 @@ def _pick_backend(family: GateFamily, backend: str) -> str:
     return backend
 
 
-def _index_field(fixed: dict, name: str, default: int, top: int) -> int:
-    """A 1-based index field (a qubit, a site or a step) in [1, top]."""
+def _index_field(fixed: dict, name: str, default: int | None, top: int) -> int:
+    """An integer field in [1, top]: a size, or a 1-based qubit, site or step."""
     index = parse_int(fixed.get(name, default), name)
     if not 1 <= index <= top:
         raise ConfigurationError(f"{name} must be in [1, {top}], got {index}")
@@ -254,13 +267,16 @@ def _point_circuits(spec: SweepSpec, values: list[float]) -> list[TrotterCircuit
     localization = spec.kind is ExperimentKind.LOCALIZATION
     layers = ["bond_angle", "base_phi"] if localization else ["bond_angles", "z_template"]
     _require(fixed, ["n_qubits", "n_steps", *layers], spec.kind)
-    n = parse_int(fixed["n_qubits"], "n_qubits")
-    n_steps = parse_int(fixed["n_steps"], "n_steps")
     family = (
         GateFamily.CRX
         if spec.kind is ExperimentKind.CRX_RESONANCE
         else _gate_family(fixed.get("gate_family", "xy"))
     )
+    # capped before a per-qubit tuple is built: CRx runs only on the dense backend
+    n = _index_field(
+        fixed, "n_qubits", None, MAX_CHAIN_SITES if family is GateFamily.XY else MAX_QUBITS
+    )
+    n_steps = parse_int(fixed["n_steps"], "n_steps")
     drop_final_z = parse_bool(fixed.get("drop_final_z", True), "drop_final_z")
     if localization:
         bonds = [(parse_angle(fixed["bond_angle"]),) * (n - 1)] * len(values)

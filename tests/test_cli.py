@@ -437,6 +437,57 @@ def test_malformed_config_shape_exits_2_naming_the_field(tmp_path, capsys, cfg, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "cfg, message",
+    [
+        (_with_experiment(grid=[0, 1, 10**13]), "grid count must be in [2, 1048576], got 10000000000000"),
+        (_with_experiment(trials=10**13), "trials must be in [1, 25575] for 41 grid points"),
+    ],
+)
+def test_sweep_size_is_capped_before_the_sweep_runs(tmp_path, capsys, monkeypatch, cfg, message):
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("run_sweep was called")
+
+    monkeypatch.setattr(cli, "run_sweep", no_sweep)
+    assert main(["resonance", "--config", write_config(tmp_path, cfg)]) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "family, n, message",
+    [("xy", 1001, "n_qubits must be in [1, 1000], got 1001"), ("crx", 25, "n_qubits must be in [1, 24], got 25")],
+)
+def test_localization_n_qubits_is_capped_before_the_chain_is_built(
+    tmp_path, capsys, monkeypatch, family, n, message
+):
+    import trotterlab.sweep as sweep
+
+    def no_layer(*args, **kwargs):
+        raise AssertionError("z layer realized for an oversized chain")
+
+    monkeypatch.setattr(sweep, "realize_z_layer", no_layer)
+    cfg = {
+        "experiment": {
+            "kind": "localization",
+            "swept": "R",
+            "grid": [0, "pi/2", 2],
+            "fixed": {
+                "n_qubits": n,
+                "n_steps": 2,
+                "gate_family": family,
+                "bond_angle": "pi/4",
+                "base_phi": "pi/2",
+                "profile_eta": 1,
+            },
+            "trials": 1,
+        },
+        "output": {"path": str(tmp_path / "x.csv")},
+    }
+    assert main(["localization", "--config", write_config(tmp_path, cfg)]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_output_format_is_checked_before_the_sweep_runs(tmp_path, capsys, monkeypatch):
     def no_sweep(*args, **kwargs):
         raise AssertionError("run_sweep was called")

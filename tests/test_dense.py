@@ -305,6 +305,45 @@ def test_walker_matches_gate_by_gate_reference(case):
         assert np.max(np.abs(amps - ref)) <= 1e-12
 
 
+@given(circuit_specs())
+def test_crx_reference_stays_in_the_reachable_block(case):
+    # A CRx bond's control is its lower qubit and Rz is diagonal, so from
+    # |e_s> qubits 1..s-1 stay |0> and qubit s stays |1>: every non-zero
+    # amplitude lies in the block [2^(N-s), 2^(N-s+1)) the walker steps.
+    spec, seed = case
+    spec = replace(spec, gate_family=GateFamily.CRX)
+    n, s = spec.n_qubits, spec.initial_excitation_site
+    outside = np.ones(2**n, dtype=bool)
+    outside[2 ** (n - s) : 2 ** (n - s + 1)] = False
+    for amps in reference_trajectory(spec, seed):
+        assert np.all(amps[outside] == 0.0)
+
+
+@pytest.mark.parametrize("drop_final_z", [False, True])
+def test_crx_from_the_last_site_only_gains_z_phases(drop_final_z):
+    # s = N: the reachable block is the one amplitude at index 1 and no
+    # bond's control ever fires, so each z layer multiplies it by a phase
+    n = 5
+    phis = np.array([[0.3, -1.1, 0.7, 2.0, -0.4]])
+    spec = TrotterCircuitSpec(
+        n_qubits=n,
+        n_steps=3,
+        gate_family=GateFamily.CRX,
+        bond_angles=(0.9, -0.5, 1.3, 2.2),
+        z_layer=ZLayerSpec(explicit_phis=tuple(phis[0])),
+        drop_final_z=drop_final_z,
+        initial_excitation_site=n,
+    )
+    phase = np.exp(0.5j * (phis[0, -1] - phis[0, :-1].sum()))
+    reference = reference_trajectory(spec, 0)
+    for (eta, amps), ref in zip(iterate_stack(spec, phis), reference):
+        layers = eta - 1 if drop_final_z and eta == spec.n_steps else eta
+        expected = np.zeros(2**n, dtype=complex)
+        expected[1] = phase**layers
+        assert np.max(np.abs(amps[0] - expected)) <= 1e-15
+        assert np.max(np.abs(ref - expected)) <= 1e-15
+
+
 @given(st.integers(1, 12), st.integers(0, 2**32 - 1))
 def test_folded_occupation_probs_match_per_qubit_sums(n, seed):
     state = random_state(n, np.random.default_rng(seed))

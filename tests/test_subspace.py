@@ -292,6 +292,23 @@ def test_stacked_oracle_rows_match_single_chain_and_expm(case):
         assert np.max(np.abs(row - expected)) <= 1e-11
 
 
+@given(chain_stacks(), st.floats(-3, 6))
+def test_stacked_oracle_runs_back_to_the_initial_state(case, log_scale):
+    # exp(+iHt) exp(-iHt) = 1: each step rounds the phases exp(-i lambda t)
+    # at about eps * ||H|| t and the eigenvectors at about eps * N, so the
+    # tolerance scales with both (3000 random draws peaked at 2.2 of the
+    # unscaled bound)
+    couplings, potentials, t, init = case
+    scale = 10.0**log_scale
+    hams = chain_hamiltonians(couplings * scale, potentials * scale)
+    n = hams.shape[1]
+    start = basis_state(n, init).amplitudes
+    back = evolve_chains(hams, -t, evolve_chains(hams, t, start))
+    norm = np.max(np.abs(np.linalg.eigvalsh(hams)), axis=1)
+    tol = 16 * np.finfo(float).eps * n * (1 + norm * t)
+    assert np.all(np.max(np.abs(back - start), axis=1) <= tol)
+
+
 @st.composite
 def circuit_stacks(draw):
     n, b = draw(st.integers(2, 20)), draw(st.integers(1, 8))
