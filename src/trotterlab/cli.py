@@ -11,14 +11,17 @@ Config file layout (JSON)::
       "experiment": {"kind": ..., "swept": ..., "grid": [start, stop, count],
                      "fixed": {...}, "trials": ..., "master_seed": ...},
       "output":     {"path": "out.csv", "format": "csv"},
-      "engine":     {"backend": "auto", "threads": 1,
-                     "verification_mode": false}
+      "engine":     {"threads": 1, "verification_mode": false}
     }
 
 Angle-valued entries accept plain numbers or "pi" literals such as
 ``"pi/2"`` or ``"-pi/1.5"``.  ``--threads`` falls back to
 ``engine.threads``, then the ``TROTTERLAB_THREADS`` environment variable,
 then 1; a thread count below 1 from any of them is a configuration error.
+The gate family picks the walker (single-excitation for XY, dense for
+controlled-Rx); ``engine.verification_mode`` also walks every XY stack on
+the dense walker as a cross-check.  Keys the reader does not know are
+ignored.
 """
 
 from __future__ import annotations
@@ -38,7 +41,6 @@ from .output import write_figure, write_sweep
 from .sweep import ExperimentKind, GridSpec, SweepSpec, run_sweep
 from .verification import run_all_suites
 
-_BACKENDS = ("auto", "dense", "subspace")
 _SUBCOMMAND_KINDS = {
     "resonance": (ExperimentKind.RESONANCE_DISCRETE, ExperimentKind.RESONANCE_CONTINUOUS),
     "localization": (ExperimentKind.LOCALIZATION,),
@@ -54,7 +56,6 @@ class RunConfig:
     spec: SweepSpec
     out_path: str = "sweep.csv"
     out_format: str = "csv"
-    backend: str = "auto"
     threads: int | None = None  # None -> --threads, TROTTERLAB_THREADS, then 1
     verification_mode: bool = False
 
@@ -102,17 +103,11 @@ def load_config(path: str, default_kind: ExperimentKind) -> RunConfig:
     if out_format not in ("csv", "json"):
         raise ConfigurationError(f"output.format must be 'csv' or 'json', got {out_format!r}")
     engine = require_type(data.get("engine", {}), "JSON object", "engine")
-    backend = engine.get("backend", "auto")
-    if backend not in _BACKENDS:
-        raise ConfigurationError(
-            f"engine.backend must be one of {', '.join(_BACKENDS)}, got {backend!r}"
-        )
     threads = engine.get("threads")
     return RunConfig(
         spec=spec,
         out_path=require_type(out.get("path", "sweep.csv"), "string", "output.path"),
         out_format=out_format,
-        backend=backend,
         threads=None if threads is None else _thread_count(threads, "engine.threads"),
         verification_mode=parse_bool(
             engine.get("verification_mode", False), "engine.verification_mode"
@@ -180,12 +175,7 @@ def _run_sweep_command(command: str, args) -> int:
     if args.grid is not None:
         spec = replace(spec, grid=_parse_grid_triplet(args.grid))
     threads = _resolve_threads(args.threads, config.threads)
-    result = run_sweep(
-        spec,
-        threads=threads,
-        backend=config.backend,
-        verification_mode=config.verification_mode,
-    )
+    result = run_sweep(spec, threads=threads, verification_mode=config.verification_mode)
     out_path = args.out or config.out_path
     out_format = args.format or config.out_format
     write_sweep(out_path, out_format, result)

@@ -1,9 +1,11 @@
 """Dense 2^N state-vector backend.
 
-This is the only backend valid for controlled-Rx circuits, which do not
-conserve the excitation number.  Basis index convention: qubit 1 is the most
-significant bit, so ``|b_1 b_2 ... b_N>`` lives at index ``int(b, 2)``.
-Callers address qubits, never raw indices, so the convention stays internal.
+Sweeps walk controlled-Rx circuits here, since they do not conserve the
+excitation number; an XY stack comes here only as verification mode's
+cross-check of the single-excitation walker.  Basis index convention: qubit
+1 is the most significant bit, so ``|b_1 b_2 ... b_N>`` lives at index
+``int(b, 2)``.  Callers address qubits, never raw indices, so the convention
+stays internal.
 
 ``iterate_stack`` is the circuit walker: it steps a (B, 2^N) stack of
 circuits that differ only in their z angles, with fused layers;
@@ -118,18 +120,18 @@ def _rz_tables(phis: np.ndarray) -> np.ndarray:
 def iterate_stack(spec: TrotterCircuitSpec, phis: np.ndarray):
     """Yield (eta, amps) after each Trotter step of a stack of circuits, eta = 1..n_steps.
 
-    Every row shares ``spec``'s size, step count, gate family, bond angles,
-    initial site and ``drop_final_z``; row b has its own realized z angles
+    Every row shares ``spec``'s size, step count, gate family, bond angles
+    and initial site; row b has its own realized z angles
     ``phis[b]`` (``spec.z_layer`` is not used).  ``amps`` is the live
     (B, 2^N) amplitude stack, mutated by further iteration; copy it to keep
     a trajectory.
 
     Applies the gates ``build_circuit`` lists, fused per layer: each bond's
     cos and sin are computed once per walk, each bond gate mixes its two
-    coupled blocks through one scratch buffer, and each Rz layer is two
-    in-place multiplies by the Kronecker factors of its diagonals (over the
-    first floor(N/2) and the last ceil(N/2) qubits), made for the whole
-    stack at once.
+    coupled blocks through one scratch buffer, and each Rz layer (every
+    step's but the last) is two in-place multiplies by the Kronecker
+    factors of its diagonals (over the first floor(N/2) and the last
+    ceil(N/2) qubits), made for the whole stack at once.
 
     A CRx walk touches only the reachable block ``amps[:, 2^(N-s) :
     2^(N-s+1)]`` (see the module docstring; s is the initial site): bonds
@@ -184,7 +186,7 @@ def iterate_stack(spec: TrotterCircuitSpec, phis: np.ndarray):
             np.multiply(partners, ms, out=mixed)
             pair *= c
             pair += mixed
-        if not (spec.drop_final_z and eta == spec.n_steps):
+        if eta < spec.n_steps:
             z_view *= hi
             z_view *= lo
         yield eta, amps
@@ -218,8 +220,7 @@ def check_norms(spec: TrotterCircuitSpec, amps: np.ndarray) -> None:
     allocates no 2^N temporary.
     """
     n, steps = spec.n_qubits, spec.n_steps
-    z_layers = steps - 1 if spec.drop_final_z else steps
-    gates = 1 + steps * (n - 1) + z_layers * n
+    gates = 1 + steps * (n - 1) + (steps - 1) * n
     bound = max(1e-12, NORM_DRIFT_C * np.finfo(float).eps * gates)
     err = max(abs(float(np.vdot(row, row).real) - 1.0) for row in amps)
     if err > bound:

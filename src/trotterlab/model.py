@@ -12,8 +12,8 @@ Conventions, fixed here and relied on everywhere else:
   when the control (first site) is 1.
 * A Trotter step is one two-qubit layer over bonds (1,2),(2,3),...,(N-1,N)
   in that order, followed by one Rz layer on qubits 1..N.  The Rz layer of
-  the last step is dropped by default (it cannot change any occupation
-  probability).
+  the last step is always dropped: it is diagonal, so it cannot change any
+  occupation probability.
 * The z-layer angles are quenched: one realization is drawn per circuit and
   reused for every step.
 """
@@ -141,7 +141,6 @@ class TrotterCircuitSpec:
     gate_family: GateFamily = GateFamily.XY
     bond_angles: tuple[float, ...] = ()
     z_layer: ZLayerSpec = field(default_factory=ZLayerSpec)
-    drop_final_z: bool = True
     initial_excitation_site: int = 1
 
     def __post_init__(self) -> None:
@@ -165,21 +164,19 @@ def build_circuit(spec: TrotterCircuitSpec, seed: int | None = None) -> list[Gat
     """Emit the ordered gate list for ``spec``.
 
     Layout: an X gate on the initial excitation site, then per step the
-    two-qubit layer over ascending bonds followed by the Rz layer; the Rz
-    layer of the final step is omitted when ``drop_final_z``.  Every Rz
-    layer carries the same realized angles (quenched disorder).
+    two-qubit layer over ascending bonds followed by the Rz layer, except
+    after the final step.  Every Rz layer carries the same realized angles
+    (quenched disorder).
     """
     phis = realize_z_layer(spec.z_layer, spec.n_qubits, seed)
     bond_kind = GateKind.XY if spec.gate_family is GateFamily.XY else GateKind.CRX
-    gates = [GateOp(GateKind.X, (spec.initial_excitation_site,))]
-    for step in range(spec.n_steps):
-        for j in range(1, spec.n_qubits):
-            gates.append(GateOp(bond_kind, (j, j + 1), float(spec.bond_angles[j - 1])))
-        if spec.drop_final_z and step == spec.n_steps - 1:
-            continue
-        for j in range(1, spec.n_qubits + 1):
-            gates.append(GateOp(GateKind.RZ, (j,), phis[j - 1]))
-    return gates
+    bonds = [
+        GateOp(bond_kind, (j, j + 1), float(theta))
+        for j, theta in enumerate(spec.bond_angles, start=1)
+    ]
+    z_layer = [GateOp(GateKind.RZ, (j,), phi) for j, phi in enumerate(phis, start=1)]
+    x = GateOp(GateKind.X, (spec.initial_excitation_site,))
+    return [x] + (bonds + z_layer) * (spec.n_steps - 1) + bonds
 
 
 @dataclass(frozen=True)
@@ -234,7 +231,6 @@ def circuit_from_chain(
     tau: float,
     n_steps: int,
     gate_family: GateFamily = GateFamily.XY,
-    drop_final_z: bool = True,
 ) -> TrotterCircuitSpec:
     """Discretize a chain into a circuit spec with step size ``tau``."""
     if gate_family is not GateFamily.XY:
@@ -245,7 +241,6 @@ def circuit_from_chain(
         gate_family=gate_family,
         bond_angles=tuple(j * tau for j in chain.couplings),
         z_layer=ZLayerSpec(explicit_phis=tuple(v * tau for v in chain.potentials)),
-        drop_final_z=drop_final_z,
     )
 
 

@@ -5,6 +5,8 @@ XY-family circuits conserve the excitation number, so a circuit started from
 ``|e_j>``.  This backend tracks those N amplitudes directly: amplitude j is
 ``<e_j|psi>``.  A realized Rz layer contributes the relative phase
 ``exp(-i phi_j)`` to site j, matching a chain with +V_j on-site potentials.
+It gives the same occupations as the dense walker at N instead of 2^N
+amplitudes a state, so every XY sweep walks here.
 
 ``iterate_stack`` is the circuit walker: it steps a (B, N) stack of circuits
 that differ only in their z angles, one matrix product per Trotter step.
@@ -104,12 +106,11 @@ def iterate_discrete(spec: TrotterCircuitSpec, seed: int | None = None):
 def iterate_stack(spec: TrotterCircuitSpec, phis: np.ndarray):
     """Yield (eta, amps) after each Trotter step of a stack of circuits, eta = 1..n_steps.
 
-    Every row shares ``spec``'s size, step count, bond angles, initial site
-    and ``drop_final_z``; row b has its own realized z angles ``phis[b]``
-    (``spec.z_layer`` is not used).  ``amps`` is the live (B, N) amplitude
-    stack.  A step is one product with the transposed bond-layer matrix and
-    one multiply by the z phases; the z layer is skipped at
-    ``eta == spec.n_steps`` when ``spec.drop_final_z``.
+    Every row shares ``spec``'s size, step count, bond angles and initial
+    site; row b has its own realized z angles ``phis[b]`` (``spec.z_layer``
+    is not used).  ``amps`` is the live (B, N) amplitude stack.  A step is
+    one product with the transposed bond-layer matrix and one multiply by
+    the z phases; the last step has no z layer, as in ``build_circuit``.
     """
     if spec.gate_family is not GateFamily.XY:
         raise ConfigurationError(
@@ -130,10 +131,10 @@ def iterate_stack(spec: TrotterCircuitSpec, phis: np.ndarray):
     bonded = np.empty_like(amps)
     for eta in range(1, spec.n_steps + 1):
         np.matmul(amps, bond_t, out=bonded)
-        if spec.drop_final_z and eta == spec.n_steps:
-            amps[...] = bonded
-        else:
+        if eta < spec.n_steps:
             np.multiply(bonded, z_phases, out=amps)
+        else:
+            amps[...] = bonded
         yield eta, amps
 
 

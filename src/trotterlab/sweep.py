@@ -27,7 +27,6 @@ from .model import (
     TrotterCircuitSpec,
     ZLayerSpec,
     parse_angle,
-    parse_bool,
     parse_int,
     realize_z_layer,
     require_type,
@@ -48,14 +47,19 @@ _MASK64 = (1 << 64) - 1
 # amplitudes) walk two to a stack.  Panel 3c on a 2-core Xeon VM, median of
 # 21 interleaved runs: two to a stack 573 ms at one thread and 375 ms at
 # two, one to a stack 580 and 470 ms.  As one stack of 5 it took 570-610 ms
-# at one thread and 510-550 ms at two (the pool gets a single task).  Dense
-# XY localization at N = 15 gains the same way at two threads (one to a
-# stack 713 ms, two to a stack 651 ms) and is level at one.
+# at one thread and 510-550 ms at two (the pool gets a single task).
 MAX_STACK_AMPLITUDES = 2**16
 # Work items per sweep (grid points x trials), checked when the spec is made
 # and so before any per-item list or array exists.  Desk scale: the largest
 # bundled panel, 2d4, has 4501 items.
 MAX_SWEEP_ITEMS = 2**20
+# Per-step series values of a localization sweep (n_steps x grid points x
+# trials), checked before any per-step array exists.  Each value is a tail
+# and an IPR, first in a walk's (steps, B) float64 arrays, then as Python
+# floats in the trace tuples and the companion files.  Through a CLI run at
+# the cap (N = 3), peak RSS grew by 230-280 MiB, 115-140 bytes a value.
+# Panel 4b holds 8000 values.
+MAX_SERIES_VALUES = 2**21
 
 
 def _splitmix64(x: int) -> int:
@@ -190,16 +194,6 @@ def _gate_family(name) -> GateFamily:
         raise ConfigurationError(f"unknown gate family {name!r}") from None
 
 
-def _pick_backend(family: GateFamily, backend: str) -> str:
-    if backend == "auto":
-        return "subspace" if family is GateFamily.XY else "dense"
-    if backend == "subspace" and family is not GateFamily.XY:
-        raise ConfigurationError("the subspace backend cannot run CRx circuits")
-    if backend not in ("dense", "subspace"):
-        raise ConfigurationError(f"unknown backend {backend!r}")
-    return backend
-
-
 def _index_field(fixed: dict, name: str, default: int | None, top: int) -> int:
     """An integer field in [1, top]: a size, or a 1-based qubit, site or step."""
     index = parse_int(fixed.get(name, default), name)
@@ -260,8 +254,9 @@ def _eval_convergence_ladder(spec: SweepSpec, values: list[float]) -> list[dict]
 def _point_circuits(spec: SweepSpec, values: list[float]) -> list[TrotterCircuitSpec]:
     """Every grid point's circuit (z layer unrealized), from fields read once.
 
-    A localization point's disorder radius is its grid value; a resonance
-    point resolves its ``bond_angles`` and ``z_template`` templates.
+    A localization point's disorder radius is its grid value, and its
+    ``n_steps`` is capped by MAX_SERIES_VALUES; a resonance point resolves
+    its ``bond_angles`` and ``z_template`` templates.
     """
     fixed = spec.fixed
     localization = spec.kind is ExperimentKind.LOCALIZATION
@@ -272,51 +267,58 @@ def _point_circuits(spec: SweepSpec, values: list[float]) -> list[TrotterCircuit
         if spec.kind is ExperimentKind.CRX_RESONANCE
         else _gate_family(fixed.get("gate_family", "xy"))
     )
-    # capped before a per-qubit tuple is built: CRx runs only on the dense backend
+    # capped before a per-qubit tuple is built: CRx runs only on the dense walker
     n = _index_field(
         fixed, "n_qubits", None, MAX_CHAIN_SITES if family is GateFamily.XY else MAX_QUBITS
     )
-    n_steps = parse_int(fixed["n_steps"], "n_steps")
-    drop_final_z = parse_bool(fixed.get("drop_final_z", True), "drop_final_z")
     if localization:
+        n_steps = _index_field(
+            fixed, "n_steps", None, MAX_SERIES_VALUES // (len(values) * spec.trials)
+        )
         bonds = [(parse_angle(fixed["bond_angle"]),) * (n - 1)] * len(values)
         base_phi = parse_angle(fixed["base_phi"])
         z_layers = [ZLayerSpec(base_phi=base_phi, disorder_radius=r) for r in values]
     else:
+        n_steps = parse_int(fixed["n_steps"], "n_steps")
         params = {**fixed, spec.swept: np.asarray(values, dtype=float)}
         bonds = _template_grid(fixed, "bond_angles", params, len(values)).tolist()
         phis = _template_grid(fixed, "z_template", params, len(values)).tolist()
         z_layers = [ZLayerSpec(explicit_phis=tuple(row)) for row in phis]
     return [
-        TrotterCircuitSpec(n, n_steps, family, tuple(b), z, drop_final_z)
-        for b, z in zip(bonds, z_layers)
+        TrotterCircuitSpec(n, n_steps, family, tuple(b), z) for b, z in zip(bonds, z_layers)
     ]
 
 
-def _walk(backend: str):
-    """A backend's stack walker and its (B, amplitudes) -> (B, N) occupation readout."""
-    if backend == "dense":
-        return dense_stack, occupation_stack
-    return subspace_stack, lambda amps: np.abs(amps) ** 2
+def _final_occupations(walk, occupations, circuit, phis, on_step=None) -> np.ndarray:
+    """Walk one stack with ``walk``; return its norm-checked (B, N) final occupations.
 
-
-def _walk_stack(circuit, phis, backend: str, verification_mode: bool, on_step=None) -> np.ndarray:
-    """Walk one stack; return its (B, N) occupations after the last step.
-
-    ``on_step(eta, probs)``, if given, sees the (B, N) occupations after
-    every step.  The final norms are checked (``check_norms``) on either
-    backend.  In verification mode an XY stack is also walked on the other
-    backend, and the two final occupations must agree to 1e-10.
+    ``occupations`` reads (B, N) occupations from the walker's amplitude
+    stack, and ``on_step(eta, probs)``, if given, sees them after every step.
     """
-    walk, occupations = _walk(backend)
     for eta, amps in walk(circuit, phis):
         if on_step is not None:
             on_step(eta, occupations(amps))
     check_norms(circuit, amps)
-    final = occupations(amps)
-    if verification_mode and circuit.gate_family is GateFamily.XY:
-        other = "subspace" if backend == "dense" else "dense"
-        gap = float(np.max(np.abs(final - _walk_stack(circuit, phis, other, False))))
+    return occupations(amps)
+
+
+def _walk_stack(circuit, phis, verification_mode: bool, on_step=None) -> np.ndarray:
+    """Walk one stack; return its (B, N) occupations after the last step.
+
+    The gate family picks the walker.  XY circuits conserve the excitation
+    number, so they walk on the single-excitation walker; CRx circuits walk
+    on the dense one.  In verification mode an XY stack is also walked on
+    the dense walker as a cross-check, and the two final occupations must
+    agree to 1e-10.
+    """
+    if circuit.gate_family is not GateFamily.XY:
+        return _final_occupations(dense_stack, occupation_stack, circuit, phis, on_step)
+    final = _final_occupations(
+        subspace_stack, lambda amps: np.abs(amps) ** 2, circuit, phis, on_step
+    )
+    if verification_mode:
+        dense = _final_occupations(dense_stack, occupation_stack, circuit, phis)
+        gap = float(np.max(np.abs(final - dense)))
         if gap > 1e-10:
             raise NumericalError(f"verification mode: backends disagree by {gap:.3e}")
     return final
@@ -354,7 +356,7 @@ def _localization_rows(walk, circuit, phis, profile_eta: int):
 
 
 def _evaluate_items(
-    spec: SweepSpec, values: list[float], threads: int, backend: str, verification_mode: bool
+    spec: SweepSpec, values: list[float], threads: int, verification_mode: bool
 ) -> list[tuple[dict, LocalizationReport | None]]:
     """Every (point, trial) item of a seeded kind, walked as stacks.
 
@@ -369,8 +371,8 @@ def _evaluate_items(
         rows, readout = _localization_rows, _index_field(spec.fixed, "profile_eta", 10, steps)
     else:
         rows, readout = _resonance_rows, _index_field(spec.fixed, "target_qubit", n, n)
-    backend = _pick_backend(circuits[0].gate_family, backend)
-    width = 2**n if backend == "dense" or verification_mode else n
+    dense = circuits[0].gate_family is GateFamily.CRX or verification_mode
+    width = 2**n if dense else n
 
     stacks = []  # [circuit without its z layer, realized z angles of each row]
     for i, circuit in enumerate(circuits):
@@ -383,7 +385,7 @@ def _evaluate_items(
             else:
                 stacks.append((shared, [phis]))
 
-    walk = partial(_walk_stack, backend=backend, verification_mode=verification_mode)
+    walk = partial(_walk_stack, verification_mode=verification_mode)
 
     def work(stack):
         return rows(walk, stack[0], np.array(stack[1]), readout)
@@ -409,7 +411,6 @@ def _welford(values: list[float]) -> tuple[float, float]:
 def run_sweep(
     spec: SweepSpec,
     threads: int = 1,
-    backend: str = "auto",
     verification_mode: bool = False,
     assumptions: dict | None = None,
 ) -> SweepResult:
@@ -438,7 +439,7 @@ def run_sweep(
         point_obs = evaluate(spec, values)
         outputs = [(dict(point_obs[i]), None) for i, _, _ in items]
     else:
-        outputs = _evaluate_items(spec, values, threads, backend, verification_mode)
+        outputs = _evaluate_items(spec, values, threads, verification_mode)
 
     rows, traces = [], []
     for (i, v, k), (obs, report) in zip(items, outputs):
@@ -468,7 +469,6 @@ def run_sweep(
         "master_seed": spec.master_seed,
         "generator": "numpy-pcg64",
         "child_seed_mixer": "splitmix64-chain",
-        "backend": backend,
         "verification_mode": verification_mode,
     }
     if assumptions:

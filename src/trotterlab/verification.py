@@ -91,7 +91,6 @@ def random_circuit_spec(rng: np.random.Generator) -> tuple[TrotterCircuitSpec, i
         gate_family=GateFamily.XY,
         bond_angles=bond_angles,
         z_layer=z,
-        drop_final_z=bool(rng.random() < 0.5),
         initial_excitation_site=int(rng.integers(1, n + 1)),
     )
     return spec, int(rng.integers(0, 2**63))

@@ -414,18 +414,8 @@ def _with_fixed(**fields):
             dict(RESONANCE_CONFIG, engine={"verification_mode": "false"}),
             "engine.verification_mode must be true or false, got 'false'",
         ),
-        (_with_fixed(drop_final_z="false"), "drop_final_z must be true or false, got 'false'"),
-        (
-            {
-                "experiment": {
-                    "kind": "resonance_continuous",
-                    "grid": [0, 1, 3],
-                    "fixed": {"couplings": [1.0], "potentials": ["V1", 0.0], "t": 1.0},
-                },
-                "engine": {"backend": "gpu"},
-            },
-            "engine.backend must be one of auto, dense, subspace, got 'gpu'",
-        ),
+        (_with_fixed(n_steps=0), "n_steps must be >= 1, got 0"),
+        (_with_fixed(bond_angles=["pi/4", 0.1]), "bond_angles has length 2, expected 1"),
         (dict(RESONANCE_CONFIG, engine={"threads": -3}), "engine.threads must be >= 1, got -3"),
         (_with_experiment(grid={"start": 0, "stop": 1, "count": 3}), "grid needs exactly"),
     ],
@@ -486,6 +476,72 @@ def test_localization_n_qubits_is_capped_before_the_chain_is_built(
     assert main(["localization", "--config", write_config(tmp_path, cfg)]) == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "x.csv").exists()
+
+
+def test_localization_n_steps_is_capped_before_the_series_are_allocated(
+    tmp_path, capsys, monkeypatch
+):
+    import trotterlab.sweep as sweep
+
+    def no_rows(*args, **kwargs):
+        raise AssertionError("a localization stack was walked")
+
+    monkeypatch.setattr(sweep, "_localization_rows", no_rows)
+    cfg = {
+        "experiment": {
+            "kind": "localization",
+            "swept": "R",
+            "grid": [0, "pi/2", 5],
+            "fixed": {
+                "n_qubits": 15,
+                "n_steps": 10**13,
+                "bond_angle": "pi/4",
+                "base_phi": "pi/2",
+                "profile_eta": 10,
+            },
+            "trials": 20,
+        },
+        "output": {"path": str(tmp_path / "x.csv")},
+    }
+    assert main(["localization", "--config", write_config(tmp_path, cfg)]) == 2
+    assert "n_steps must be in [1, 20971], got 10000000000000" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_removed_walker_settings_are_ignored(tmp_path):
+    # engine.backend and fixed.drop_final_z are unread keys: the gate family
+    # picks the walker and the final Rz layer is always dropped
+    def run(name, engine, fixed):
+        cfg = {
+            "experiment": {
+                "kind": "localization",
+                "swept": "R",
+                "grid": [0, "pi/2", 2],
+                "fixed": {
+                    "n_qubits": 6,
+                    "n_steps": 8,
+                    "bond_angle": "pi/4",
+                    "base_phi": "pi/2",
+                    "profile_eta": 4,
+                    **fixed,
+                },
+                "trials": 2,
+            },
+            "output": {"path": str(tmp_path / name / "loc.csv")},
+            "engine": engine,
+        }
+        (tmp_path / name).mkdir()
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["localization", "--config", str(path)]) == 0
+        return {
+            f.name: [line for line in f.read_text().splitlines() if not line.startswith("#")]
+            for f in sorted((tmp_path / name).iterdir())
+        }
+
+    plain = run("plain", {}, {})
+    assert len(plain) == 7  # the main CSV and three companions per grid point
+    assert run("old", {"backend": "dense"}, {"drop_final_z": False}) == plain
 
 
 def test_output_format_is_checked_before_the_sweep_runs(tmp_path, capsys, monkeypatch):

@@ -267,7 +267,7 @@ def reference_trajectory(spec: TrotterCircuitSpec, seed: int) -> list[np.ndarray
     state = apply_gate(init_basis(n, "0" * n), next(gates))  # the X gate
     series = []
     for eta in range(1, spec.n_steps + 1):
-        z_gates = 0 if spec.drop_final_z and eta == spec.n_steps else n
+        z_gates = n if eta < spec.n_steps else 0
         for _ in range(n - 1 + z_gates):
             apply_gate(state, next(gates))
         series.append(state.amplitudes.copy())
@@ -289,7 +289,6 @@ def circuit_specs(draw):
         gate_family=draw(st.sampled_from(GateFamily)),
         bond_angles=tuple(draw(st.lists(angle, min_size=n - 1, max_size=n - 1))),
         z_layer=z,
-        drop_final_z=draw(st.booleans()),
         initial_excitation_site=draw(st.integers(1, n)),
     )
     return spec, draw(st.integers(0, 2**63 - 1))
@@ -319,8 +318,7 @@ def test_crx_reference_stays_in_the_reachable_block(case):
         assert np.all(amps[outside] == 0.0)
 
 
-@pytest.mark.parametrize("drop_final_z", [False, True])
-def test_crx_from_the_last_site_only_gains_z_phases(drop_final_z):
+def test_crx_from_the_last_site_only_gains_z_phases():
     # s = N: the reachable block is the one amplitude at index 1 and no
     # bond's control ever fires, so each z layer multiplies it by a phase
     n = 5
@@ -331,13 +329,12 @@ def test_crx_from_the_last_site_only_gains_z_phases(drop_final_z):
         gate_family=GateFamily.CRX,
         bond_angles=(0.9, -0.5, 1.3, 2.2),
         z_layer=ZLayerSpec(explicit_phis=tuple(phis[0])),
-        drop_final_z=drop_final_z,
         initial_excitation_site=n,
     )
     phase = np.exp(0.5j * (phis[0, -1] - phis[0, :-1].sum()))
     reference = reference_trajectory(spec, 0)
     for (eta, amps), ref in zip(iterate_stack(spec, phis), reference):
-        layers = eta - 1 if drop_final_z and eta == spec.n_steps else eta
+        layers = min(eta, spec.n_steps - 1)
         expected = np.zeros(2**n, dtype=complex)
         expected[1] = phase**layers
         assert np.max(np.abs(amps[0] - expected)) <= 1e-15
@@ -363,7 +360,6 @@ def stack_cases(draw):
         n_steps=draw(st.integers(1, 12)),
         gate_family=draw(st.sampled_from(GateFamily)),
         bond_angles=tuple(draw(st.lists(angle, min_size=n - 1, max_size=n - 1))),
-        drop_final_z=draw(st.booleans()),
         initial_excitation_site=draw(st.integers(1, n)),
     )
     rows = draw(st.lists(st.lists(angle, min_size=n, max_size=n), min_size=1, max_size=6))

@@ -118,7 +118,6 @@ def test_build_circuit_quenched_disorder():
         n_steps=6,
         bond_angles=(0.1, 0.2, 0.3),
         z_layer=ZLayerSpec(base_phi=0.5, disorder_radius=1.0),
-        drop_final_z=False,
     )
     gates = build_circuit(spec, seed=77)
     rz_layers = {}

@@ -6,7 +6,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from trotterlab.dense import occupation_probs, run_circuit
+from trotterlab.dense import iterate_stack as dense_stack
+from trotterlab.dense import occupation_probs, occupation_stack, run_circuit
 from trotterlab.errors import ConfigurationError, NumericalError
 from trotterlab.model import (
     ChainSpec,
@@ -85,7 +86,6 @@ def test_run_discrete_matches_dense_probabilities(seed):
             base_phi=float(rng.uniform(-np.pi, np.pi)),
             disorder_radius=float(rng.uniform(0, np.pi)),
         ),
-        drop_final_z=bool(rng.random() < 0.5),
     )
     z_seed = int(rng.integers(0, 2**32))
     dense_probs = occupation_probs(run_circuit(spec, z_seed))
@@ -100,7 +100,6 @@ def test_run_discrete_partial_steps_keep_z_layer():
         n_steps=5,
         bond_angles=(0.4, 0.4),
         z_layer=ZLayerSpec(explicit_phis=(0.3, -0.2, 0.1)),
-        drop_final_z=True,
     )
     partial = next(s.amplitudes.copy() for eta, s in iterate_discrete(spec) if eta == 2)
     state = basis_state(3, 1)
@@ -310,14 +309,13 @@ def test_stacked_oracle_runs_back_to_the_initial_state(case, log_scale):
 
 
 @st.composite
-def circuit_stacks(draw):
-    n, b = draw(st.integers(2, 20)), draw(st.integers(1, 8))
+def circuit_stacks(draw, max_sites=20, max_rows=8, max_steps=30):
+    n, b = draw(st.integers(2, max_sites)), draw(st.integers(1, max_rows))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     spec = TrotterCircuitSpec(
         n_qubits=n,
-        n_steps=draw(st.integers(1, 30)),
+        n_steps=draw(st.integers(1, max_steps)),
         bond_angles=tuple(rng.uniform(-np.pi, np.pi, n - 1)),
-        drop_final_z=draw(st.booleans()),
         initial_excitation_site=draw(st.integers(1, n)),
     )
     return spec, rng.uniform(-np.pi, np.pi, (b, n))
@@ -328,10 +326,19 @@ def test_stacked_walker_rows_match_per_bond_steps(case):
     spec, phis = case
     refs = [basis_state(spec.n_qubits, spec.initial_excitation_site) for _ in phis]
     for eta, amps in iterate_stack(spec, phis):
-        include_z = not (spec.drop_final_z and eta == spec.n_steps)
         for row, ref, z in zip(amps, refs, phis):
-            trotter_step(ref, spec.bond_angles, z, include_z=include_z)
+            trotter_step(ref, spec.bond_angles, z, include_z=eta < spec.n_steps)
             assert np.max(np.abs(row - ref.amplitudes)) <= 1e-12
+    assert eta == spec.n_steps
+
+
+@given(circuit_stacks(max_sites=10, max_rows=6, max_steps=20))
+def test_dense_and_subspace_walkers_agree_after_every_step(case):
+    # the dense walker's occupations of an XY stack equal |a|^2 of the
+    # single-excitation walker's amplitudes, row by row, after every step
+    spec, phis = case
+    for (eta, dense_amps), (_, amps) in zip(dense_stack(spec, phis), iterate_stack(spec, phis)):
+        assert np.max(np.abs(occupation_stack(dense_amps) - np.abs(amps) ** 2)) <= 1e-12
     assert eta == spec.n_steps
 
 

@@ -20,6 +20,7 @@ from trotterlab.model import (
     realize_z_layer,
 )
 from trotterlab.subspace import chain_hamiltonian, iterate_discrete, run_discrete
+from trotterlab.subspace import iterate_stack as subspace_stack
 from trotterlab.sweep import (
     ExperimentKind,
     GridSpec,
@@ -160,6 +161,8 @@ def test_missing_fixed_parameter_is_named():
 
 
 def test_subspace_backend_rejected_for_crx():
+    # the single-excitation walker rejects CRx circuits, so the gate family
+    # sends a CRx sweep to the dense walker
     spec = SweepSpec(
         kind=ExperimentKind.CRX_RESONANCE,
         swept="phi",
@@ -171,10 +174,10 @@ def test_subspace_backend_rejected_for_crx():
             "z_template": ["phi", "0"],
         },
     )
-    with pytest.raises(ConfigurationError):
-        run_sweep(spec, backend="subspace")
-    result = run_sweep(spec, backend="auto")  # auto falls back to dense
-    assert len(result.rows) == 3
+    circuit = TrotterCircuitSpec(2, 2, GateFamily.CRX, (0.5,))
+    with pytest.raises(ConfigurationError, match="only supports XY"):
+        next(subspace_stack(circuit, np.zeros((1, 2))))
+    assert len(run_sweep(spec).rows) == 3
 
 
 def test_verification_mode_cross_checks_backends():
@@ -210,20 +213,11 @@ def drifting_walker(real):
     "spec, options, walker",
     [
         (replace(discrete_n2_spec(count=3), kind=ExperimentKind.CRX_RESONANCE), {}, "dense_stack"),
-        (discrete_n2_spec(count=3), {"backend": "dense"}, "dense_stack"),
         (discrete_n2_spec(count=3), {"verification_mode": True}, "dense_stack"),
-        (localization_spec(trials=2, n=4, steps=6), {"backend": "dense"}, "dense_stack"),
         (discrete_n2_spec(count=3), {}, "subspace_stack"),
         (localization_spec(trials=2, n=4, steps=6), {}, "subspace_stack"),
     ],
-    ids=[
-        "crx",
-        "dense-resonance",
-        "verification-mode",
-        "dense-localization",
-        "subspace-resonance",
-        "subspace-localization",
-    ],
+    ids=["crx", "verification-mode", "subspace-resonance", "subspace-localization"],
 )
 def test_dense_stack_norm_drift_raises(monkeypatch, spec, options, walker):
     import trotterlab.sweep as sweep
@@ -321,9 +315,8 @@ def test_resonance_peaks_sit_on_barrier_spectrum():
     trials=st.integers(1, 4),
     n=st.integers(3, 10),
     steps=st.integers(1, 12),
-    drop_final_z=st.booleans(),
 )
-def test_batched_localization_rows_match_items_run_alone(seed, trials, n, steps, drop_final_z):
+def test_batched_localization_rows_match_items_run_alone(seed, trials, n, steps):
     # every (i, k) row and trace of the one-walk ensemble equals
     # iterate_discrete on that item alone with child_seed(master, i, k)
     spec = SweepSpec(
@@ -336,7 +329,6 @@ def test_batched_localization_rows_match_items_run_alone(seed, trials, n, steps,
             "bond_angle": 0.7,
             "base_phi": 1.1,
             "profile_eta": steps,
-            "drop_final_z": drop_final_z,
         },
         trials=trials,
         master_seed=seed,
@@ -352,7 +344,6 @@ def test_batched_localization_rows_match_items_run_alone(seed, trials, n, steps,
             n_steps=steps,
             bond_angles=(0.7,) * (n - 1),
             z_layer=ZLayerSpec(base_phi=1.1, disorder_radius=row.swept_value),
-            drop_final_z=drop_final_z,
         )
         probs = [
             state.probabilities()
@@ -366,16 +357,6 @@ def test_batched_localization_rows_match_items_run_alone(seed, trials, n, steps,
         assert abs(row.observables["mean_tail"] - np.mean(rep.tail_series)) <= 1e-15
 
 
-def test_localization_sweep_is_the_same_on_both_backends():
-    spec = localization_spec(seed=5, trials=2, n=6, steps=9)
-    sub, dense = run_sweep(spec, backend="subspace"), run_sweep(spec, backend="dense")
-    for a, b in zip(sub.rows, dense.rows):
-        assert a.observables.keys() == b.observables.keys()
-        for name in a.observables:
-            assert abs(a.observables[name] - b.observables[name]) <= 1e-12
-    assert run_sweep(spec, threads=2, backend="dense") == dense
-
-
 @given(
     seed=st.integers(0, 2**64 - 1),
     crx=st.booleans(),
@@ -383,12 +364,11 @@ def test_localization_sweep_is_the_same_on_both_backends():
     steps=st.integers(1, 6),
     trials=st.integers(1, 3),
     swept_bond=st.booleans(),
-    drop_final_z=st.booleans(),
     verification_mode=st.booleans(),
     threads=st.sampled_from([1, 2]),
 )
 def test_resonance_rows_match_items_run_alone(
-    seed, crx, n, steps, trials, swept_bond, drop_final_z, verification_mode, threads
+    seed, crx, n, steps, trials, swept_bond, verification_mode, threads
 ):
     # each (i, k) row of a stacked resonance sweep equals that item's circuit
     # run alone with child_seed(master, i, k); a bond template naming the
@@ -406,7 +386,6 @@ def test_resonance_rows_match_items_run_alone(
             "z_template": ["phi", "-alpha"] + [0.3] * (n - 2),
             "alpha": 0.4,
             "target_qubit": n - 1 if n > 2 else n,
-            "drop_final_z": drop_final_z,
         },
         trials=trials,
         master_seed=seed,
@@ -423,7 +402,6 @@ def test_resonance_rows_match_items_run_alone(
             gate_family=GateFamily.CRX if crx else GateFamily.XY,
             bond_angles=tuple([phi] + [0.9] * (n - 2) if swept_bond else [0.9] * (n - 1)),
             z_layer=ZLayerSpec(explicit_phis=(phi, -0.4) + (0.3,) * (n - 2)),
-            drop_final_z=drop_final_z,
         )
         item_seed = child_seed(seed, i, k)
         if crx:
