@@ -1,4 +1,8 @@
-"""Closed-form probabilities, localization metrics, and peak detection."""
+"""Closed-form probabilities, localization metrics, and peak detection.
+
+The localization metrics read occupation probabilities: one (N,)
+distribution or a stack of them along the last axis.
+"""
 
 from __future__ import annotations
 
@@ -7,7 +11,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, InvalidStateError
-from .subspace import SubspaceState
 
 DEFAULT_PEAK_PROMINENCE = 0.02  # absolute probability
 
@@ -34,21 +37,20 @@ def p001_closed_form(theta: float, phi: float, alpha: float) -> float:
     )
 
 
-def ipr(state: SubspaceState) -> float:
-    """Inverse participation ratio, sum_i |amplitude_i|^4.
+def ipr(probs) -> "float | np.ndarray":
+    """Inverse participation ratio, sum_i p_i^2, of occupation probabilities.
 
-    1/N for a uniform superposition, 1 for a basis state.  The state must be
-    normalized (checked to 1e-9).
+    1/N for a uniform distribution, 1 for a basis state.  ``probs`` is one
+    distribution (returns a float) or a stack of them along the last axis
+    (returns an array), as in ``tail_prob``.  Each distribution must sum to
+    1 (checked to 1e-9).
     """
-    err = state.norm_error()
+    probs = np.asarray(probs, dtype=float)
+    err = float(np.max(np.abs(np.sum(probs, axis=-1) - 1.0)))
     if err > 1e-9:
         raise InvalidStateError(f"state norm deviates by {err:.3e} (tol 1.0e-09)")
-    return float(np.sum(np.abs(state.amplitudes) ** 4))
-
-
-def ipr_series(trajectory) -> list[float]:
-    """IPR at each state of a trajectory iterable."""
-    return [ipr(state) for state in trajectory]
+    out = np.sum(probs**2, axis=-1)
+    return float(out) if probs.ndim == 1 else out
 
 
 def ipr_ave(series) -> float:

@@ -9,17 +9,18 @@ stays internal.
 
 ``iterate_stack`` is the circuit walker: it steps a (B, 2^N) stack of
 circuits that differ only in their z angles, with fused layers;
-``iterate_circuit`` and ``run_circuit`` are the same walker on a stack of
-one.  A controlled-Rx walk steps only its reachable block: every CRx bond's
-control is its lower qubit and Rz is diagonal, so from initial site s,
-qubits 1..s-1 stay |0> and qubit s stays |1>, and only indices
+``run_circuit`` walks it on one row and returns a ``StateVector``.  A
+controlled-Rx walk steps only its reachable block: every CRx bond's control
+is its lower qubit and Rz is diagonal, so from initial site s, qubits
+1..s-1 stay |0> and qubit s stays |1>, and only indices
 [2^(N-s), 2^(N-s+1)) can hold a non-zero amplitude.  The rest of the stack
 stays zero without being touched, and each amplitude of the block meets the
 same multiplies in the same order as in a walk of the whole state, so the
 block, and every occupation read from the stack, is bit-identical to it.
-``build_circuit`` + ``apply_gate`` is the inspectable gate-by-gate
-reference the walker is tested against.  Both work in place on reshape
-views of the amplitude array; no 2^N x 2^N matrix is ever materialized.
+``build_circuit`` + ``apply_gate`` on a ``StateVector`` is the inspectable
+gate-by-gate reference the walker is tested against.  Both work in place on
+reshape views of the amplitude array; no 2^N x 2^N matrix is ever
+materialized.
 """
 
 from __future__ import annotations
@@ -192,23 +193,13 @@ def iterate_stack(spec: TrotterCircuitSpec, phis: np.ndarray):
         yield eta, amps
 
 
-def iterate_circuit(spec: TrotterCircuitSpec, seed: int | None = None):
-    """Yield (eta, state) after each Trotter step of ``spec``, eta = 1..n_steps.
-
-    ``iterate_stack`` on a stack of one.  The yielded state is live (mutated
-    by further iteration); copy it to keep a trajectory.
-    """
-    phis = np.asarray([realize_z_layer(spec.z_layer, spec.n_qubits, seed)])
-    for eta, amps in iterate_stack(spec, phis):
-        yield eta, StateVector(spec.n_qubits, amps[0])
-
-
 def run_circuit(spec: TrotterCircuitSpec, seed: int | None = None) -> StateVector:
     """The state after the whole circuit for ``spec``, with its norm checked."""
-    for _, state in iterate_circuit(spec, seed):
+    phis = np.asarray([realize_z_layer(spec.z_layer, spec.n_qubits, seed)])
+    for _, amps in iterate_stack(spec, phis):
         pass
-    check_norms(spec, state.amplitudes[None])
-    return state
+    check_norms(spec, amps)
+    return StateVector(spec.n_qubits, amps[0])
 
 
 def check_norms(spec: TrotterCircuitSpec, amps: np.ndarray) -> None:

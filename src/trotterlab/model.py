@@ -226,19 +226,11 @@ def chain_from_circuit(
     )
 
 
-def circuit_from_chain(
-    chain: ChainSpec,
-    tau: float,
-    n_steps: int,
-    gate_family: GateFamily = GateFamily.XY,
-) -> TrotterCircuitSpec:
-    """Discretize a chain into a circuit spec with step size ``tau``."""
-    if gate_family is not GateFamily.XY:
-        raise UnsupportedMappingError("chains discretize to XY-family circuits only")
+def circuit_from_chain(chain: ChainSpec, tau: float, n_steps: int) -> TrotterCircuitSpec:
+    """Discretize a chain into an XY-family circuit spec with step size ``tau``."""
     return TrotterCircuitSpec(
         n_qubits=chain.n_sites,
         n_steps=n_steps,
-        gate_family=gate_family,
         bond_angles=tuple(j * tau for j in chain.couplings),
         z_layer=ZLayerSpec(explicit_phis=tuple(v * tau for v in chain.potentials)),
     )

@@ -6,22 +6,21 @@ XY-family circuits conserve the excitation number, so a circuit started from
 ``<e_j|psi>``.  A realized Rz layer contributes the relative phase
 ``exp(-i phi_j)`` to site j, matching a chain with +V_j on-site potentials.
 It gives the same occupations as the dense walker at N instead of 2^N
-amplitudes a state, so every XY sweep walks here.
+amplitudes a state, so every XY sweep walks here.  States are plain
+complex arrays: (N,) for one, (B, N) for a stack.
 
 ``iterate_stack`` is the circuit walker: it steps a (B, N) stack of circuits
-that differ only in their z angles, one matrix product per Trotter step.
-``trotter_step`` applies one step bond by bond and is kept as the reference
-the walker is tested against.
+that differ only in their z angles, one matrix product per Trotter step;
+``run_discrete`` walks it on one row.  ``trotter_step`` applies one step
+bond by bond and is kept as the reference the walker is tested against.
 
 ``evolve_chains`` is the exact oracle: it applies ``exp(-iHt)`` to a stack
 of tight-binding chains via one eigendecomposition call instead of
 approximating continuous time with a large step count.
-``continuous_evolve`` is the same oracle for one chain.
+``continuous_evolve`` is the same oracle for one chain and one start vector.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,71 +35,47 @@ MAX_CHAIN_SITES = 1000  # also caps N of the walker: its bond-layer matrix is N 
 EIGH_RESIDUAL_C = 10.0
 
 
-@dataclass
-class SubspaceState:
-    """N complex amplitudes over the single-excitation basis."""
-
-    n_sites: int
-    amplitudes: np.ndarray
-
-    def probabilities(self) -> np.ndarray:
-        return np.abs(self.amplitudes) ** 2
-
-    def norm_error(self) -> float:
-        return abs(float(np.sum(np.abs(self.amplitudes) ** 2)) - 1.0)
-
-
-def basis_state(n_sites: int, site: int = 1) -> SubspaceState:
+def basis_state(n_sites: int, site: int = 1) -> np.ndarray:
+    """The (N,) amplitudes of ``|e_site>``."""
     if not 1 <= site <= n_sites:
         raise ConfigurationError(f"site {site} outside [1, {n_sites}]")
     amps = np.zeros(n_sites, dtype=np.complex128)
     amps[site - 1] = 1.0
-    return SubspaceState(n_sites, amps)
+    return amps
 
 
 def trotter_step(
-    state: SubspaceState,
+    amps: np.ndarray,
     bond_angles: "np.ndarray | tuple[float, ...]",
     z_angles: "np.ndarray | tuple[float, ...]",
     include_z: bool = True,
-) -> SubspaceState:
-    """One Trotter step in place: ascending bond rotations, then z phases.
+) -> np.ndarray:
+    """One Trotter step on (N,) amplitudes, in place: ascending bond rotations, then z phases.
 
     The bond-by-bond reference for ``iterate_stack``, which does not call it.
     """
-    n = state.n_sites
+    n = len(amps)
     if len(bond_angles) != n - 1 or len(z_angles) != n:
         raise ConfigurationError(
             f"expected {n - 1} bond angles and {n} z angles, got "
             f"{len(bond_angles)} and {len(z_angles)}"
         )
-    a = state.amplitudes
     for j, th in enumerate(bond_angles):
         c, s = np.cos(th), np.sin(th)
-        aj, aj1 = a[j], a[j + 1]
-        a[j] = c * aj - 1j * s * aj1
-        a[j + 1] = -1j * s * aj + c * aj1
+        aj, aj1 = amps[j], amps[j + 1]
+        amps[j] = c * aj - 1j * s * aj1
+        amps[j + 1] = -1j * s * aj + c * aj1
     if include_z:
-        a *= np.exp(-1j * np.asarray(z_angles))
-    return state
+        amps *= np.exp(-1j * np.asarray(z_angles))
+    return amps
 
 
-def run_discrete(spec: TrotterCircuitSpec, seed: int | None = None) -> SubspaceState:
-    """The state after the whole circuit for ``spec`` (an XY-family circuit)."""
-    for _, state in iterate_discrete(spec, seed):
-        pass
-    return state
-
-
-def iterate_discrete(spec: TrotterCircuitSpec, seed: int | None = None):
-    """Yield (eta, state) after each Trotter step of ``spec``, eta = 1..n_steps.
-
-    ``iterate_stack`` on a stack of one.  The yielded state is live (mutated
-    by further iteration); copy it to keep a trajectory.
-    """
+def run_discrete(spec: TrotterCircuitSpec, seed: int | None = None) -> np.ndarray:
+    """The (N,) amplitudes after the whole circuit for ``spec`` (an XY-family circuit)."""
     phis = np.asarray([realize_z_layer(spec.z_layer, spec.n_qubits, seed)])
-    for eta, amps in iterate_stack(spec, phis):
-        yield eta, SubspaceState(spec.n_qubits, amps[0])
+    for _, amps in iterate_stack(spec, phis):
+        pass
+    return amps[0]
 
 
 def iterate_stack(spec: TrotterCircuitSpec, phis: np.ndarray):
@@ -214,21 +189,15 @@ def evolve_chains(hams: np.ndarray, t: float, init: np.ndarray) -> np.ndarray:
 
 
 def continuous_evolve(
-    chain: ChainSpec,
-    t: float,
-    init_site: int = 1,
-    init_amplitudes: np.ndarray | None = None,
-) -> SubspaceState:
-    """Exact ``exp(-iHt)|psi0>`` for one chain: ``evolve_chains`` on a stack of one.
+    chain: ChainSpec, t: float, init: np.ndarray | None = None
+) -> np.ndarray:
+    """Exact ``exp(-iHt) @ init`` for one chain: ``evolve_chains`` on a stack of one.
 
-    ``psi0`` is ``|e_init_site>``, or ``init_amplitudes`` when given.
+    ``init`` is an (N,) start vector, ``|e_1>`` by default; returns (N,).
     """
     n = chain.n_sites
-    if init_amplitudes is None:
-        init_amplitudes = basis_state(n, init_site).amplitudes
-    elif np.shape(init_amplitudes) != (n,):
-        raise ConfigurationError(
-            f"init_amplitudes has shape {np.shape(init_amplitudes)}, expected ({n},)"
-        )
-    amps = evolve_chains(chain_hamiltonian(chain)[None], t, init_amplitudes)
-    return SubspaceState(n, amps[0])
+    if init is None:
+        init = basis_state(n)
+    elif np.shape(init) != (n,):
+        raise ConfigurationError(f"init has shape {np.shape(init)}, expected ({n},)")
+    return evolve_chains(chain_hamiltonian(chain)[None], t, init)[0]

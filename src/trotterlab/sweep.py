@@ -18,7 +18,7 @@ from functools import partial
 import numpy as np
 
 from . import __version__
-from .analytics import LocalizationReport, ipr_ave, tail_prob
+from .analytics import LocalizationReport, ipr, ipr_ave, tail_prob
 from .dense import MAX_QUBITS, check_norms, iterate_stack as dense_stack, occupation_stack
 from .errors import ConfigurationError, NumericalError
 from .model import (
@@ -232,7 +232,7 @@ def _eval_resonance_continuous(spec: SweepSpec, values: list[float]) -> list[dic
     potentials = _template_grid(fixed, "potentials", params, len(values))
     n = ChainSpec(tuple(couplings[0]), tuple(potentials[0])).n_sites  # shape check
     target = _index_field(fixed, "target_site", n, n)
-    init = basis_state(n, parse_int(fixed.get("init_site", 1), "init_site")).amplitudes
+    init = basis_state(n, _index_field(fixed, "init_site", 1, n))
     amps = evolve_chains(
         chain_hamiltonians(couplings, potentials), parse_angle(fixed["t"]), init
     )
@@ -254,7 +254,8 @@ def _eval_convergence_ladder(spec: SweepSpec, values: list[float]) -> list[dict]
 def _point_circuits(spec: SweepSpec, values: list[float]) -> list[TrotterCircuitSpec]:
     """Every grid point's circuit (z layer unrealized), from fields read once.
 
-    A localization point's disorder radius is its grid value, and its
+    A localization point's disorder radius is its grid value, its
+    ``n_qubits`` is at least 3 (the tail window is the last third) and its
     ``n_steps`` is capped by MAX_SERIES_VALUES; a resonance point resolves
     its ``bond_angles`` and ``z_template`` templates.
     """
@@ -272,6 +273,8 @@ def _point_circuits(spec: SweepSpec, values: list[float]) -> list[TrotterCircuit
         fixed, "n_qubits", None, MAX_CHAIN_SITES if family is GateFamily.XY else MAX_QUBITS
     )
     if localization:
+        if n < 3:
+            raise ConfigurationError(f"n_qubits must be >= 3 for localization, got {n}")
         n_steps = _index_field(
             fixed, "n_steps", None, MAX_SERIES_VALUES // (len(values) * spec.trials)
         )
@@ -293,13 +296,17 @@ def _final_occupations(walk, occupations, circuit, phis, on_step=None) -> np.nda
     """Walk one stack with ``walk``; return its norm-checked (B, N) final occupations.
 
     ``occupations`` reads (B, N) occupations from the walker's amplitude
-    stack, and ``on_step(eta, probs)``, if given, sees them after every step.
+    stack, and ``on_step(eta, probs)``, if given, sees them after every step;
+    the last step's are read once, after the norm check.
     """
     for eta, amps in walk(circuit, phis):
-        if on_step is not None:
+        if on_step is not None and eta < circuit.n_steps:
             on_step(eta, occupations(amps))
     check_norms(circuit, amps)
-    return occupations(amps)
+    final = occupations(amps)
+    if on_step is not None:
+        on_step(eta, final)
+    return final
 
 
 def _walk_stack(circuit, phis, verification_mode: bool, on_step=None) -> np.ndarray:
@@ -331,23 +338,24 @@ def _resonance_rows(walk, circuit, phis, target: int):
 
 def _localization_rows(walk, circuit, phis, profile_eta: int):
     """Localization observables and reports of one stack, reduced step by step."""
+    xy = circuit.gate_family is GateFamily.XY
     tails = np.empty((circuit.n_steps, len(phis)))
     iprs = np.empty_like(tails)
     profile = np.empty((len(phis), circuit.n_qubits))
 
     def on_step(eta, probs):
         tails[eta - 1] = tail_prob(probs)
-        iprs[eta - 1] = np.sum(probs**2, axis=1)
+        if xy:  # a CRx state holds several excitations and has no IPR
+            iprs[eta - 1] = ipr(probs)
         if eta == profile_eta:
             profile[:] = probs
 
     walk(circuit, phis, on_step=on_step)
-    xy = circuit.gate_family is GateFamily.XY
     outputs = []
-    for tail, ipr, prof in zip(tails.T.tolist(), iprs.T.tolist(), profile.tolist()):
-        ipr = tuple(ipr) if xy else None
+    for tail, series, prof in zip(tails.T.tolist(), iprs.T.tolist(), profile.tolist()):
+        series = tuple(series) if xy else None
         report = LocalizationReport(
-            ipr, ipr_ave(ipr) if xy else None, tuple(tail), tuple(prof), profile_eta
+            series, ipr_ave(series) if xy else None, tuple(tail), tuple(prof), profile_eta
         )
         obs = {"ipr_ave": report.ipr_ave} if xy else {}
         obs.update(mean_tail=float(np.mean(tail)), tail_at_profile_eta=tail[profile_eta - 1])
@@ -368,7 +376,8 @@ def _evaluate_items(
     circuits = _point_circuits(spec, values)
     n, steps = circuits[0].n_qubits, circuits[0].n_steps
     if spec.kind is ExperimentKind.LOCALIZATION:
-        rows, readout = _localization_rows, _index_field(spec.fixed, "profile_eta", 10, steps)
+        rows = _localization_rows
+        readout = _index_field(spec.fixed, "profile_eta", min(10, steps), steps)
     else:
         rows, readout = _resonance_rows, _index_field(spec.fixed, "target_qubit", n, n)
     dense = circuits[0].gate_family is GateFamily.CRX or verification_mode
@@ -497,8 +506,8 @@ def convergence_study(
         raise ConfigurationError(f"n_t_list must be increasing, got {n_t_list}")
     if any(n < 1 for n in n_t_list):
         raise ConfigurationError("step counts must be >= 1")
-    exact = continuous_evolve(chain, t).amplitudes
-    init = basis_state(chain.n_sites).amplitudes
+    exact = continuous_evolve(chain, t)
+    init = basis_state(chain.n_sites)
     out = []
     for n_t in n_t_list:
         tau = t / n_t

@@ -13,7 +13,6 @@ from trotterlab.analytics import (
     find_peaks,
     ipr,
     ipr_ave,
-    ipr_series,
     p001_closed_form,
     p01_closed_form,
     tail_prob,
@@ -22,7 +21,7 @@ from trotterlab.analytics import (
 from trotterlab.dense import iterate_stack, occupation_stack
 from trotterlab.errors import ConfigurationError, InvalidStateError
 from trotterlab.model import TrotterCircuitSpec
-from trotterlab.subspace import SubspaceState, basis_state
+from trotterlab.subspace import basis_state
 
 
 def test_p01_fixed_points():
@@ -71,13 +70,13 @@ def test_closed_forms_match_the_dense_walker(n, theta, phi, alpha):
 
 
 def test_ipr_reference_values():
-    assert ipr(basis_state(8, 3)) == pytest.approx(1.0, abs=1e-15)
+    assert ipr(np.abs(basis_state(8, 3)) ** 2) == pytest.approx(1.0, abs=1e-15)
     n = 10
-    uniform = SubspaceState(n, np.full(n, 1 / math.sqrt(n), dtype=complex))
-    assert ipr(uniform) == pytest.approx(1 / n, abs=1e-15)
+    uniform = np.full(n, 1 / math.sqrt(n), dtype=complex)
+    assert ipr(np.abs(uniform) ** 2) == pytest.approx(1 / n, abs=1e-15)
     two = np.zeros(6, dtype=complex)
     two[1] = two[4] = 1 / math.sqrt(2)
-    assert ipr(SubspaceState(6, two)) == pytest.approx(0.5, abs=1e-15)
+    assert ipr(np.abs(two) ** 2) == pytest.approx(0.5, abs=1e-15)
 
 
 def test_ipr_bounds_and_phase_invariance():
@@ -86,21 +85,27 @@ def test_ipr_bounds_and_phase_invariance():
         n = int(rng.integers(2, 20))
         amps = rng.normal(size=n) + 1j * rng.normal(size=n)
         amps /= np.linalg.norm(amps)
-        state = SubspaceState(n, amps)
-        value = ipr(state)
+        value = ipr(np.abs(amps) ** 2)
         assert 1 / n - 1e-12 <= value <= 1 + 1e-12
         phases = np.exp(1j * rng.uniform(0, 2 * math.pi, n))
-        assert ipr(SubspaceState(n, amps * phases)) == pytest.approx(value, abs=1e-13)
+        assert ipr(np.abs(amps * phases) ** 2) == pytest.approx(value, abs=1e-13)
 
 
 def test_ipr_rejects_unnormalized_state():
     with pytest.raises(InvalidStateError):
-        ipr(SubspaceState(3, np.array([1.0, 1.0, 0.0], dtype=complex)))
+        ipr(np.array([1.0, 1.0, 0.0]))
+    # any row of a stack
+    with pytest.raises(InvalidStateError):
+        ipr(np.array([[1.0, 0.0, 0.0], [0.5, 0.5, 1e-8]]))
+    ipr(np.array([[1.0, 0.0, 0.0], [0.5, 0.5, 1e-10]]))
 
 
 def test_ipr_series_and_average():
-    states = [basis_state(4, 1), SubspaceState(4, np.full(4, 0.5, dtype=complex))]
-    series = ipr_series(states)
+    # a trajectory's occupations as one stack: one IPR per row
+    trajectory = np.array([np.abs(basis_state(4, 1)) ** 2, np.full(4, 0.25)])
+    series = ipr(trajectory)
+    assert series.shape == (2,)
+    assert series.tolist() == [ipr(row) for row in trajectory]
     assert series == pytest.approx([1.0, 0.25])
     assert ipr_ave(series) == pytest.approx(0.625)
     assert ipr_ave([0.3, 0.3, 0.3]) == pytest.approx(0.3)

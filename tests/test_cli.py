@@ -145,6 +145,23 @@ def test_localization_companions_follow_the_grid_index(tmp_path, grid):
     assert not (tmp_path / "loc_tail_r3.csv").exists()
 
 
+@pytest.mark.parametrize("n_steps, eta", [(5, 5), (12, 10)])
+def test_profile_eta_defaults_to_step_ten_or_the_last_step(tmp_path, capsys, n_steps, eta):
+    fixed = {"n_qubits": 4, "n_steps": n_steps, "bond_angle": "pi/4", "base_phi": "pi/2"}
+    cfg = {"experiment": {"kind": "localization", "grid": [0, 1, 2], "fixed": fixed, "trials": 2}}
+    out = tmp_path / "loc.json"
+    path = write_config(tmp_path, cfg)
+    assert main(["localization", "--config", path, "--out", str(out), "--format", "json"]) == 0
+    payload = json.loads(out.read_text())
+    assert [t["profile_eta"] for t in payload["traces"]] == [eta] * 4
+    for row, trace in zip(payload["rows"], payload["traces"]):
+        assert row["observables"]["tail_at_profile_eta"] == trace["tail_series"][eta - 1]
+    # an explicit value outside [1, n_steps] still exits 2
+    fixed["profile_eta"] = n_steps + 1
+    assert main(["localization", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 2
+    assert f"profile_eta must be in [1, {n_steps}], got {n_steps + 1}" in capsys.readouterr().err
+
+
 def test_json_format_is_faithful(tmp_path):
     cfg = dict(RESONANCE_CONFIG)
     out = tmp_path / "r.json"
@@ -418,6 +435,21 @@ def _with_fixed(**fields):
         (_with_fixed(bond_angles=["pi/4", 0.1]), "bond_angles has length 2, expected 1"),
         (dict(RESONANCE_CONFIG, engine={"threads": -3}), "engine.threads must be >= 1, got -3"),
         (_with_experiment(grid={"start": 0, "stop": 1, "count": 3}), "grid needs exactly"),
+        (
+            {
+                "experiment": {
+                    "kind": "resonance_continuous",
+                    "grid": [0, 1, 3],
+                    "fixed": {
+                        "couplings": [1.0],
+                        "potentials": ["V1", 0.0],
+                        "t": 1.0,
+                        "init_site": 5,
+                    },
+                }
+            },
+            "init_site must be in [1, 2], got 5",
+        ),
     ],
 )
 def test_malformed_config_shape_exits_2_naming_the_field(tmp_path, capsys, cfg, message):
@@ -445,7 +477,11 @@ def test_sweep_size_is_capped_before_the_sweep_runs(tmp_path, capsys, monkeypatc
 
 @pytest.mark.parametrize(
     "family, n, message",
-    [("xy", 1001, "n_qubits must be in [1, 1000], got 1001"), ("crx", 25, "n_qubits must be in [1, 24], got 25")],
+    [
+        ("xy", 1001, "n_qubits must be in [1, 1000], got 1001"),
+        ("crx", 25, "n_qubits must be in [1, 24], got 25"),
+        ("xy", 2, "n_qubits must be >= 3 for localization, got 2"),
+    ],
 )
 def test_localization_n_qubits_is_capped_before_the_chain_is_built(
     tmp_path, capsys, monkeypatch, family, n, message

@@ -18,7 +18,6 @@ from trotterlab.dense import (
     apply_gate,
     check_norms,
     init_basis,
-    iterate_circuit,
     iterate_stack,
     occupation_probs,
     occupation_stack,
@@ -32,6 +31,7 @@ from trotterlab.model import (
     TrotterCircuitSpec,
     ZLayerSpec,
     build_circuit,
+    realize_z_layer,
 )
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -298,7 +298,8 @@ def circuit_specs(draw):
 def test_walker_matches_gate_by_gate_reference(case):
     spec, seed = case
     expected = reference_trajectory(spec, seed)
-    got = [state.amplitudes.copy() for _, state in iterate_circuit(spec, seed)]
+    phis = np.asarray([realize_z_layer(spec.z_layer, spec.n_qubits, seed)])
+    got = [amps[0].copy() for _, amps in iterate_stack(spec, phis)]
     assert len(got) == len(expected) == spec.n_steps
     for amps, ref in zip(got, expected):
         assert np.max(np.abs(amps - ref)) <= 1e-12

@@ -14,15 +14,14 @@ from trotterlab.model import (
     GateFamily,
     TrotterCircuitSpec,
     ZLayerSpec,
+    realize_z_layer,
 )
 from trotterlab.subspace import (
-    SubspaceState,
     basis_state,
     chain_hamiltonian,
     chain_hamiltonians,
     continuous_evolve,
     evolve_chains,
-    iterate_discrete,
     iterate_stack,
     run_discrete,
     step_matrix,
@@ -31,16 +30,16 @@ from trotterlab.subspace import (
 
 
 def test_trotter_step_zero_bond_angles_is_phase_only():
-    state = SubspaceState(3, np.array([0.6, 0.8j, 0.0]))
-    trotter_step(state, (0.0, 0.0), (0.5, -0.2, 0.0))
-    assert abs(abs(state.amplitudes[0]) - 0.6) < 1e-15
-    assert abs(abs(state.amplitudes[1]) - 0.8) < 1e-15
+    state = np.array([0.6, 0.8j, 0.0])
+    assert trotter_step(state, (0.0, 0.0), (0.5, -0.2, 0.0)) is state  # in place
+    assert abs(abs(state[0]) - 0.6) < 1e-15
+    assert abs(abs(state[1]) - 0.8) < 1e-15
 
 
 def test_trotter_step_full_swap_angle():
     state = basis_state(2, 1)
     trotter_step(state, (np.pi / 2,), (0.0, 0.0))
-    assert np.max(np.abs(state.amplitudes - np.array([0.0, -1j]))) < 1e-15
+    assert np.max(np.abs(state - np.array([0.0, -1j]))) < 1e-15
 
 
 def test_trotter_step_two_steps_give_p001():
@@ -51,7 +50,7 @@ def test_trotter_step_two_steps_give_p001():
     trotter_step(state, (theta, theta), (phi, alpha, phi), include_z=False)
     from trotterlab.analytics import p001_closed_form
 
-    assert abs(state.probabilities()[2] - p001_closed_form(theta, phi, alpha)) < 1e-12
+    assert abs(abs(state[2]) ** 2 - p001_closed_form(theta, phi, alpha)) < 1e-12
 
 
 def test_trotter_step_length_validation():
@@ -89,7 +88,7 @@ def test_run_discrete_matches_dense_probabilities(seed):
     )
     z_seed = int(rng.integers(0, 2**32))
     dense_probs = occupation_probs(run_circuit(spec, z_seed))
-    sub_probs = run_discrete(spec, z_seed).probabilities()
+    sub_probs = np.abs(run_discrete(spec, z_seed)) ** 2
     assert np.max(np.abs(dense_probs - sub_probs)) < 1e-10
 
 
@@ -101,22 +100,24 @@ def test_run_discrete_partial_steps_keep_z_layer():
         bond_angles=(0.4, 0.4),
         z_layer=ZLayerSpec(explicit_phis=(0.3, -0.2, 0.1)),
     )
-    partial = next(s.amplitudes.copy() for eta, s in iterate_discrete(spec) if eta == 2)
+    phis = np.array([(0.3, -0.2, 0.1)])
+    partial = next(amps[0].copy() for eta, amps in iterate_stack(spec, phis) if eta == 2)
     state = basis_state(3, 1)
     for _ in range(2):
         trotter_step(state, (0.4, 0.4), (0.3, -0.2, 0.1), include_z=True)
-    assert np.max(np.abs(partial - state.amplitudes)) < 1e-15
+    assert np.max(np.abs(partial - state)) < 1e-15
 
 
-def test_iterate_discrete_trajectory_is_norm_preserving():
+def test_discrete_trajectory_is_norm_preserving():
     spec = TrotterCircuitSpec(
         n_qubits=8,
         n_steps=30,
         bond_angles=(np.pi / 4,) * 7,
         z_layer=ZLayerSpec(base_phi=np.pi / 2, disorder_radius=np.pi / 2),
     )
-    for _, state in iterate_discrete(spec, seed=4):
-        assert state.norm_error() <= 1e-12
+    phis = np.asarray([realize_z_layer(spec.z_layer, 8, 4)])
+    for _, amps in iterate_stack(spec, phis):
+        assert abs(np.sum(np.abs(amps[0]) ** 2) - 1.0) <= 1e-12
 
 
 def test_step_matrix_equals_sequential_step():
@@ -128,7 +129,7 @@ def test_step_matrix_equals_sequential_step():
     for site in range(1, n + 1):
         state = basis_state(n, site)
         trotter_step(state, thetas, phis)
-        assert np.max(np.abs(u[:, site - 1] - state.amplitudes)) < 1e-14
+        assert np.max(np.abs(u[:, site - 1] - state)) < 1e-14
 
 
 def test_continuous_evolve_matches_expm_oracle():
@@ -140,7 +141,7 @@ def test_continuous_evolve_matches_expm_oracle():
         )
         t = float(rng.uniform(0, 25))
         init = int(rng.integers(1, n + 1))
-        got = continuous_evolve(chain, t, init).amplitudes
+        got = continuous_evolve(chain, t, basis_state(n, init))
         e = np.zeros(n)
         e[init - 1] = 1.0
         expected = expm(-1j * chain_hamiltonian(chain) * t) @ e
@@ -150,28 +151,29 @@ def test_continuous_evolve_matches_expm_oracle():
 def test_continuous_evolve_two_level_formula():
     chain = ChainSpec((0.1,), (0.7, 0.7))
     for t in (0.3, 5.0, 15.0):
-        p2 = continuous_evolve(chain, t).probabilities()[1]
+        p2 = abs(continuous_evolve(chain, t)[1]) ** 2
         assert abs(p2 - np.sin(0.1 * t) ** 2) < 1e-12
 
 
 def test_continuous_evolve_t0_exact():
     chain = ChainSpec((1.0, 2.0, 0.5), (0.1, 0.2, 0.3, 0.4))
-    state = continuous_evolve(chain, 0.0, init_site=3)
-    assert np.array_equal(state.amplitudes, [0, 0, 1, 0])
+    state = continuous_evolve(chain, 0.0, basis_state(4, 3))
+    assert np.array_equal(state, [0, 0, 1, 0])
 
 
 def test_continuous_evolve_time_reversal():
     chain = ChainSpec((1.0, -0.4, 0.9), (2.0, -1.0, 0.0, 0.5))
     fwd = continuous_evolve(chain, 13.0)
     evals, evecs = np.linalg.eigh(chain_hamiltonian(chain))
-    back = evecs @ (np.exp(1j * evals * 13.0) * (evecs.T @ fwd.amplitudes))
-    assert np.linalg.norm(back - basis_state(4).amplitudes) < 1e-9
+    back = evecs @ (np.exp(1j * evals * 13.0) * (evecs.T @ fwd))
+    assert np.linalg.norm(back - basis_state(4)) < 1e-9
 
 
 def test_continuous_evolve_norm_and_size_limits():
     chain = ChainSpec((1.0,) * 999, (0.0,) * 1000)
     state = continuous_evolve(chain, 1.0)
-    assert state.norm_error() < 1e-12
+    assert state.shape == (1000,)
+    assert abs(np.sum(np.abs(state) ** 2) - 1.0) < 1e-12
     big = ChainSpec((1.0,) * 1000, (0.0,) * 1001)
     with pytest.raises(ConfigurationError):
         continuous_evolve(big, 1.0)
@@ -181,11 +183,8 @@ def test_n4_resonance_peak_positions_near_dimer_levels():
     # P4(V1) sweep peaks near +-sqrt(J2^2 + V2^2) for the 4-site chain
     target = np.sqrt(20.0**2 + 10.0**2)
     v1s = np.linspace(-30, 30, 601)
-    probs = [
-        continuous_evolve(ChainSpec((1.0, 20.0, 1.0), (v, 10.0, -10.0, v)), 3.0)
-        .probabilities()[3]
-        for v in v1s
-    ]
+    chains = [ChainSpec((1.0, 20.0, 1.0), (v, 10.0, -10.0, v)) for v in v1s]
+    probs = [abs(continuous_evolve(chain, 3.0)[3]) ** 2 for chain in chains]
     top = v1s[np.argsort(probs)[-2:]]
     assert {round(abs(x) / target, 1) for x in top} == {1.0}
 
@@ -200,23 +199,25 @@ def test_half_pi_hop_angle_is_deterministic_shuttle():
         bond_angles=(np.pi / 2,) * 14,
         z_layer=ZLayerSpec(base_phi=np.pi / 2, disorder_radius=np.pi / 2),
     )
-    positions = []
-    for _, state in iterate_discrete(spec, seed=123):
-        probs = state.probabilities()
-        assert abs(np.sum(probs**2) - 1.0) < 1e-12  # IPR stays exactly 1
-        positions.append(int(np.argmax(probs)) + 1)
-    assert positions[:6] == [15, 14, 13, 12, 11, 10]
-    other = [
-        int(np.argmax(st.probabilities())) + 1
-        for _, st in iterate_discrete(spec, seed=456)
-    ]
-    assert other == positions  # disorder realization is irrelevant here
+
+    def positions(seed):
+        phis = np.asarray([realize_z_layer(spec.z_layer, 15, seed)])
+        out = []
+        for _, amps in iterate_stack(spec, phis):
+            probs = np.abs(amps[0]) ** 2
+            assert abs(np.sum(probs**2) - 1.0) < 1e-12  # IPR stays exactly 1
+            out.append(int(np.argmax(probs)) + 1)
+        return out
+
+    first = positions(123)
+    assert first[:6] == [15, 14, 13, 12, 11, 10]
+    assert positions(456) == first  # disorder realization is irrelevant here
 
 
 def test_trotter_error_shrinks_with_step_count():
     chain = ChainSpec((0.5, 0.5, 0.5, 0.5), (1.0, 0.5, 0.0, -0.5, 1.0))
     t = 3.0
-    exact = continuous_evolve(chain, t).amplitudes
+    exact = continuous_evolve(chain, t)
     dists = []
     for n_t in (10, 20, 40, 80):
         tau = t / n_t
@@ -227,7 +228,7 @@ def test_trotter_error_shrinks_with_step_count():
                 tuple(j * tau for j in chain.couplings),
                 tuple(v * tau for v in chain.potentials),
             )
-        dists.append(np.linalg.norm(state.amplitudes - exact))
+        dists.append(np.linalg.norm(state - exact))
     ratios = [a / b for a, b in zip(dists, dists[1:])]
     assert all(1.5 <= r <= 2.5 for r in ratios)
 
@@ -238,7 +239,7 @@ def test_residual_bound_scales_with_hamiltonian_norm():
     state = continuous_evolve(chain, 0.3)
     expected = expm(-1j * chain_hamiltonian(chain) * 0.3)[:, 0]
     # both routes round at about eps * ||H|| t = 7e-11
-    assert np.max(np.abs(state.amplitudes - expected)) < 1e-9
+    assert np.max(np.abs(state - expected)) < 1e-9
 
 
 def test_each_chain_of_a_stack_has_its_own_residual_check(monkeypatch):
@@ -255,16 +256,16 @@ def test_each_chain_of_a_stack_has_its_own_residual_check(monkeypatch):
     potentials = np.array([[0.1, 0.2, 0.3], [0.1, 0.2, 0.3], [1e6, -1e6, 1e6]])
     monkeypatch.setattr(np.linalg, "eigh", eigh_with_one_bad_pair)
     with pytest.raises(NumericalError, match="chain 1 of 3"):
-        evolve_chains(chain_hamiltonians(couplings, potentials), 1.0, basis_state(3).amplitudes)
+        evolve_chains(chain_hamiltonians(couplings, potentials), 1.0, basis_state(3))
 
 
 def test_continuous_evolve_from_amplitudes_runs_backwards():
     chain = ChainSpec((1.0, -0.4, 0.9), (2.0, -1.0, 0.0, 0.5))
-    fwd = continuous_evolve(chain, 13.0, init_site=2)
-    back = continuous_evolve(chain, -13.0, init_amplitudes=fwd.amplitudes)
-    assert np.linalg.norm(back.amplitudes - basis_state(4, 2).amplitudes) < 1e-9
-    with pytest.raises(ConfigurationError):
-        continuous_evolve(chain, 1.0, init_amplitudes=np.ones(3))
+    fwd = continuous_evolve(chain, 13.0, basis_state(4, 2))
+    back = continuous_evolve(chain, -13.0, fwd)
+    assert np.linalg.norm(back - basis_state(4, 2)) < 1e-9
+    with pytest.raises(ConfigurationError, match=r"init has shape \(3,\), expected \(4,\)"):
+        continuous_evolve(chain, 1.0, np.ones(3))
 
 
 @st.composite
@@ -282,11 +283,11 @@ def test_stacked_oracle_rows_match_single_chain_and_expm(case):
     couplings, potentials, t, init = case
     n = potentials.shape[1]
     amps = evolve_chains(
-        chain_hamiltonians(couplings, potentials), t, basis_state(n, init).amplitudes
+        chain_hamiltonians(couplings, potentials), t, basis_state(n, init)
     )
     for row, c, v in zip(amps, couplings, potentials):
         chain = ChainSpec(tuple(c), tuple(v))
-        assert np.array_equal(row, continuous_evolve(chain, t, init).amplitudes)
+        assert np.array_equal(row, continuous_evolve(chain, t, basis_state(n, init)))
         expected = expm(-1j * chain_hamiltonian(chain) * t)[:, init - 1]
         assert np.max(np.abs(row - expected)) <= 1e-11
 
@@ -301,7 +302,7 @@ def test_stacked_oracle_runs_back_to_the_initial_state(case, log_scale):
     scale = 10.0**log_scale
     hams = chain_hamiltonians(couplings * scale, potentials * scale)
     n = hams.shape[1]
-    start = basis_state(n, init).amplitudes
+    start = basis_state(n, init)
     back = evolve_chains(hams, -t, evolve_chains(hams, t, start))
     norm = np.max(np.abs(np.linalg.eigvalsh(hams)), axis=1)
     tol = 16 * np.finfo(float).eps * n * (1 + norm * t)
@@ -328,7 +329,7 @@ def test_stacked_walker_rows_match_per_bond_steps(case):
     for eta, amps in iterate_stack(spec, phis):
         for row, ref, z in zip(amps, refs, phis):
             trotter_step(ref, spec.bond_angles, z, include_z=eta < spec.n_steps)
-            assert np.max(np.abs(row - ref.amplitudes)) <= 1e-12
+            assert np.max(np.abs(row - ref)) <= 1e-12
     assert eta == spec.n_steps
 
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from trotterlab.analytics import Curve, find_peaks
 from trotterlab.errors import ConfigurationError, InvalidStateError, NumericalError
-from trotterlab.analytics import tail_prob
+from trotterlab.analytics import ipr, tail_prob
 from trotterlab.dense import occupation_probs, run_circuit
 from trotterlab.model import (
     ChainSpec,
@@ -19,7 +19,7 @@ from trotterlab.model import (
     ZLayerSpec,
     realize_z_layer,
 )
-from trotterlab.subspace import chain_hamiltonian, iterate_discrete, run_discrete
+from trotterlab.subspace import chain_hamiltonian, run_discrete
 from trotterlab.subspace import iterate_stack as subspace_stack
 from trotterlab.sweep import (
     ExperimentKind,
@@ -142,9 +142,7 @@ def test_child_seed_contract_reproduces_work_item():
         bond_angles=(math.pi / 4,) * 7,
         z_layer=ZLayerSpec(explicit_phis=phis),
     )
-    iprs = [
-        float(np.sum(st.probabilities() ** 2)) for _, st in iterate_discrete(circuit)
-    ]
+    iprs = [ipr(np.abs(amps[0]) ** 2) for _, amps in subspace_stack(circuit, np.array([phis]))]
     trace = next(t for t in result.traces if t.trial == k and t.swept_value == r_values[i])
     assert np.max(np.abs(np.array(trace.report.ipr_series) - iprs)) < 1e-15
 
@@ -318,7 +316,7 @@ def test_resonance_peaks_sit_on_barrier_spectrum():
 )
 def test_batched_localization_rows_match_items_run_alone(seed, trials, n, steps):
     # every (i, k) row and trace of the one-walk ensemble equals
-    # iterate_discrete on that item alone with child_seed(master, i, k)
+    # a one-row subspace walk of that item with child_seed(master, i, k)
     spec = SweepSpec(
         kind=ExperimentKind.LOCALIZATION,
         swept="R",
@@ -345,10 +343,8 @@ def test_batched_localization_rows_match_items_run_alone(seed, trials, n, steps)
             bond_angles=(0.7,) * (n - 1),
             z_layer=ZLayerSpec(base_phi=1.1, disorder_radius=row.swept_value),
         )
-        probs = [
-            state.probabilities()
-            for _, state in iterate_discrete(circuit, child_seed(seed, i, k))
-        ]
+        phis = np.array([realize_z_layer(circuit.z_layer, n, child_seed(seed, i, k))])
+        probs = [np.abs(amps[0]) ** 2 for _, amps in subspace_stack(circuit, phis)]
         rep = trace.report
         assert np.max(np.abs(np.array(rep.ipr_series) - [np.sum(p**2) for p in probs])) <= 1e-12
         assert np.max(np.abs(np.array(rep.tail_series) - [tail_prob(p) for p in probs])) <= 1e-12
@@ -407,6 +403,6 @@ def test_resonance_rows_match_items_run_alone(
         if crx:
             want = occupation_probs(run_circuit(circuit, item_seed))[target - 1]
         else:
-            want = run_discrete(circuit, item_seed).probabilities()[target - 1]
+            want = abs(run_discrete(circuit, item_seed)[target - 1]) ** 2
         assert row.trial == k
         assert abs(row.observables["probability"] - want) <= 1e-12
