@@ -19,9 +19,9 @@ Angle-valued entries accept plain numbers or "pi" literals such as
 ``engine.threads``, then the ``TROTTERLAB_THREADS`` environment variable,
 then 1; a thread count below 1 from any of them is a configuration error.
 The gate family picks the walker (single-excitation for XY, dense for
-controlled-Rx); ``engine.verification_mode`` also walks every XY stack on
-the dense walker as a cross-check.  Keys the reader does not know are
-ignored.
+controlled-Rx); ``engine.verification_mode`` also re-walks every XY item
+on both walkers as a cross-check, without changing the outputs.  Keys the
+reader does not know are ignored.
 """
 
 from __future__ import annotations

@@ -13,7 +13,6 @@ from __future__ import annotations
 import enum
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from functools import partial
 
 import numpy as np
 
@@ -53,13 +52,14 @@ MAX_STACK_AMPLITUDES = 2**16
 # and so before any per-item list or array exists.  Desk scale: the largest
 # bundled panel, 2d4, has 4501 items.
 MAX_SWEEP_ITEMS = 2**20
-# Per-step series values of a localization sweep (n_steps x grid points x
-# trials), checked before any per-step array exists.  Each value is a tail
-# and an IPR, first in a walk's (steps, B) float64 arrays, then as Python
-# floats in the trace tuples and the companion files.  Through a CLI run at
-# the cap (N = 3), peak RSS grew by 230-280 MiB, 115-140 bytes a value.
-# Panel 4b holds 8000 values.
-MAX_SERIES_VALUES = 2**21
+# Trotter steps summed over the work items of a walked sweep (n_steps x grid
+# points x trials), checked before any z layer is realized.  For resonance
+# and CRx scans it bounds the walk length.  For localization each step of
+# each item is a per-step series value: a tail and an IPR, first in a walk's
+# (steps, B) float64 arrays, then as Python floats in the trace tuples and
+# the companion files.  Through a CLI run at the cap (N = 3), peak RSS grew
+# by 230-280 MiB, 115-140 bytes a value.  Panel 4b holds 8000 values.
+MAX_ITEM_STEPS = 2**21
 
 
 def _splitmix64(x: int) -> int:
@@ -167,9 +167,6 @@ class SweepResult:
     aggregates: tuple[AggregateRow, ...]
     traces: tuple[Trace, ...] = ()
 
-    def observable_names(self) -> list[str]:
-        return sorted(self.rows[0].observables) if self.rows else []
-
     def mean_curve(self, observable: str) -> tuple[np.ndarray, np.ndarray]:
         """(grid values, per-point trial means) for one observable."""
         pts = [a for a in self.aggregates if a.observable == observable]
@@ -254,9 +251,9 @@ def _eval_convergence_ladder(spec: SweepSpec, values: list[float]) -> list[dict]
 def _point_circuits(spec: SweepSpec, values: list[float]) -> list[TrotterCircuitSpec]:
     """Every grid point's circuit (z layer unrealized), from fields read once.
 
-    A localization point's disorder radius is its grid value, its
-    ``n_qubits`` is at least 3 (the tail window is the last third) and its
-    ``n_steps`` is capped by MAX_SERIES_VALUES; a resonance point resolves
+    ``n_steps`` is capped by MAX_ITEM_STEPS for every kind.  A localization
+    point's disorder radius is its grid value and its ``n_qubits`` is at
+    least 3 (the tail window is the last third); a resonance point resolves
     its ``bond_angles`` and ``z_template`` templates.
     """
     fixed = spec.fixed
@@ -272,17 +269,14 @@ def _point_circuits(spec: SweepSpec, values: list[float]) -> list[TrotterCircuit
     n = _index_field(
         fixed, "n_qubits", None, MAX_CHAIN_SITES if family is GateFamily.XY else MAX_QUBITS
     )
+    n_steps = _index_field(fixed, "n_steps", None, MAX_ITEM_STEPS // (len(values) * spec.trials))
     if localization:
         if n < 3:
             raise ConfigurationError(f"n_qubits must be >= 3 for localization, got {n}")
-        n_steps = _index_field(
-            fixed, "n_steps", None, MAX_SERIES_VALUES // (len(values) * spec.trials)
-        )
         bonds = [(parse_angle(fixed["bond_angle"]),) * (n - 1)] * len(values)
         base_phi = parse_angle(fixed["base_phi"])
         z_layers = [ZLayerSpec(base_phi=base_phi, disorder_radius=r) for r in values]
     else:
-        n_steps = parse_int(fixed["n_steps"], "n_steps")
         params = {**fixed, spec.swept: np.asarray(values, dtype=float)}
         bonds = _template_grid(fixed, "bond_angles", params, len(values)).tolist()
         phis = _template_grid(fixed, "z_template", params, len(values)).tolist()
@@ -309,34 +303,34 @@ def _final_occupations(walk, occupations, circuit, phis, on_step=None) -> np.nda
     return final
 
 
-def _walk_stack(circuit, phis, verification_mode: bool, on_step=None) -> np.ndarray:
+def _walk_stack(circuit, phis, on_step=None) -> np.ndarray:
     """Walk one stack; return its (B, N) occupations after the last step.
 
     The gate family picks the walker.  XY circuits conserve the excitation
     number, so they walk on the single-excitation walker; CRx circuits walk
-    on the dense one.  In verification mode an XY stack is also walked on
-    the dense walker as a cross-check, and the two final occupations must
-    agree to 1e-10.
+    on the dense one.
     """
     if circuit.gate_family is not GateFamily.XY:
         return _final_occupations(dense_stack, occupation_stack, circuit, phis, on_step)
-    final = _final_occupations(
+    return _final_occupations(
         subspace_stack, lambda amps: np.abs(amps) ** 2, circuit, phis, on_step
     )
-    if verification_mode:
-        dense = _final_occupations(dense_stack, occupation_stack, circuit, phis)
-        gap = float(np.max(np.abs(final - dense)))
-        if gap > 1e-10:
-            raise NumericalError(f"verification mode: backends disagree by {gap:.3e}")
-    return final
 
 
-def _resonance_rows(walk, circuit, phis, target: int):
+def _cross_check(circuit, phis) -> None:
+    """Walk one XY stack on both walkers; their final occupations must agree to 1e-10."""
+    dense = _final_occupations(dense_stack, occupation_stack, circuit, phis)
+    gap = float(np.max(np.abs(_walk_stack(circuit, phis) - dense)))
+    if gap > 1e-10:
+        raise NumericalError(f"verification mode: backends disagree by {gap:.3e}")
+
+
+def _resonance_rows(circuit, phis, target: int):
     """Resonance observables of one stack: the target qubit's final occupation."""
-    return [({"probability": float(p)}, None) for p in walk(circuit, phis)[:, target - 1]]
+    return [({"probability": float(p)}, None) for p in _walk_stack(circuit, phis)[:, target - 1]]
 
 
-def _localization_rows(walk, circuit, phis, profile_eta: int):
+def _localization_rows(circuit, phis, profile_eta: int):
     """Localization observables and reports of one stack, reduced step by step."""
     xy = circuit.gate_family is GateFamily.XY
     tails = np.empty((circuit.n_steps, len(phis)))
@@ -350,7 +344,7 @@ def _localization_rows(walk, circuit, phis, profile_eta: int):
         if eta == profile_eta:
             profile[:] = probs
 
-    walk(circuit, phis, on_step=on_step)
+    _walk_stack(circuit, phis, on_step=on_step)
     outputs = []
     for tail, series, prof in zip(tails.T.tolist(), iprs.T.tolist(), profile.tolist()):
         series = tuple(series) if xy else None
@@ -363,6 +357,22 @@ def _localization_rows(walk, circuit, phis, profile_eta: int):
     return outputs
 
 
+def _stacks(items, width: int) -> list[tuple]:
+    """Consecutive items that share a circuit, as (circuit, (B, N) z angles) stacks.
+
+    A stack holds at most MAX_STACK_AMPLITUDES amplitudes at ``width`` a row
+    (an item too large for that walks alone).
+    """
+    stacks = []
+    for circuit, phis in items:
+        last = stacks[-1] if stacks else None
+        if last and last[0] == circuit and (len(last[1]) + 1) * width <= MAX_STACK_AMPLITUDES:
+            last[1].append(phis)
+        else:
+            stacks.append((circuit, [phis]))
+    return [(circuit, np.array(rows)) for circuit, rows in stacks]
+
+
 def _evaluate_items(
     spec: SweepSpec, values: list[float], threads: int, verification_mode: bool
 ) -> list[tuple[dict, LocalizationReport | None]]:
@@ -370,8 +380,11 @@ def _evaluate_items(
 
     Item (i, k) realizes point i's z layer with ``child_seed(master, i, k)``.
     Consecutive items whose circuits differ only in their z layer share a
-    stack of at most MAX_STACK_AMPLITUDES amplitudes (an item too large for
-    that walks alone).  Outputs come back in (point, trial) order.
+    stack; the gate family sets its row width (N amplitudes for XY, 2^N for
+    CRx).  Verification mode adds a second pass over the same XY items,
+    grouped at 2^N a row and walked on both walkers on the same pool; it
+    only checks, so the outputs do not depend on it.  Outputs come back in
+    (point, trial) order.
     """
     circuits = _point_circuits(spec, values)
     n, steps = circuits[0].n_qubits, circuits[0].n_steps
@@ -380,31 +393,28 @@ def _evaluate_items(
         readout = _index_field(spec.fixed, "profile_eta", min(10, steps), steps)
     else:
         rows, readout = _resonance_rows, _index_field(spec.fixed, "target_qubit", n, n)
-    dense = circuits[0].gate_family is GateFamily.CRX or verification_mode
-    width = 2**n if dense else n
+    xy = circuits[0].gate_family is GateFamily.XY
 
-    stacks = []  # [circuit without its z layer, realized z angles of each row]
+    items = []  # (circuit without its z layer, realized z angles)
     for i, circuit in enumerate(circuits):
         shared = replace(circuit, z_layer=ZLayerSpec())
         for k in range(spec.trials):
-            phis = realize_z_layer(circuit.z_layer, n, child_seed(spec.master_seed, i, k))
-            last = stacks[-1] if stacks else None
-            if last and last[0] == shared and (len(last[1]) + 1) * width <= MAX_STACK_AMPLITUDES:
-                last[1].append(phis)
-            else:
-                stacks.append((shared, [phis]))
+            seed = child_seed(spec.master_seed, i, k)
+            items.append((shared, realize_z_layer(circuit.z_layer, n, seed)))
+    tasks = [(rows, circuit, phis, readout) for circuit, phis in _stacks(items, n if xy else 2**n)]
+    n_walks = len(tasks)
+    if verification_mode and xy:
+        tasks += [(_cross_check, circuit, phis) for circuit, phis in _stacks(items, 2**n)]
 
-    walk = partial(_walk_stack, verification_mode=verification_mode)
+    def work(task):
+        return task[0](*task[1:])
 
-    def work(stack):
-        return rows(walk, stack[0], np.array(stack[1]), readout)
-
-    if threads > 1 and len(stacks) > 1:
+    if threads > 1 and len(tasks) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(work, stacks))
+            parts = list(pool.map(work, tasks))
     else:
-        parts = [work(stack) for stack in stacks]
-    return [out for part in parts for out in part]
+        parts = [work(task) for task in tasks]
+    return [out for part in parts[:n_walks] for out in part]
 
 
 def _welford(values: list[float]) -> tuple[float, float]:
@@ -428,7 +438,9 @@ def run_sweep(
     Seeded kinds walk their items as stacks, on a pool of ``threads`` when
     there is more than one stack.  The result is independent of ``threads``:
     items are pure functions of (spec, point, trial) and rows are merged in
-    (point, trial) order.
+    (point, trial) order.  ``verification_mode`` re-walks every XY item on
+    both walkers as a check (NumericalError beyond 1e-10); only the
+    provenance records it.
     """
     if spec.kind is ExperimentKind.CONVERGENCE:
         values = [float(v) for v in spec.grid.geometric_int_values()]

@@ -431,7 +431,7 @@ def _with_fixed(**fields):
             dict(RESONANCE_CONFIG, engine={"verification_mode": "false"}),
             "engine.verification_mode must be true or false, got 'false'",
         ),
-        (_with_fixed(n_steps=0), "n_steps must be >= 1, got 0"),
+        (_with_fixed(n_steps=0), "n_steps must be in [1, 51150], got 0"),
         (_with_fixed(bond_angles=["pi/4", 0.1]), "bond_angles has length 2, expected 1"),
         (dict(RESONANCE_CONFIG, engine={"threads": -3}), "engine.threads must be >= 1, got -3"),
         (_with_experiment(grid={"start": 0, "stop": 1, "count": 3}), "grid needs exactly"),
@@ -542,6 +542,27 @@ def test_localization_n_steps_is_capped_before_the_series_are_allocated(
     assert main(["localization", "--config", write_config(tmp_path, cfg)]) == 2
     assert "n_steps must be in [1, 20971], got 10000000000000" in capsys.readouterr().err
     assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "command, kind", [("resonance", "resonance_discrete"), ("crx", "crx_resonance")]
+)
+def test_walked_resonance_n_steps_is_capped_before_any_walk(
+    tmp_path, capsys, monkeypatch, command, kind
+):
+    import trotterlab.sweep as sweep
+
+    def no_z_layer(*args, **kwargs):
+        raise AssertionError("a z layer was realized")
+
+    monkeypatch.setattr(sweep, "realize_z_layer", no_z_layer)
+    cfg = _with_experiment(kind=kind)
+    cfg["experiment"]["grid"] = ["-pi", "pi", 3]
+    cfg["experiment"]["fixed"] = dict(cfg["experiment"]["fixed"], n_steps=10**13)
+    out = tmp_path / "x.csv"
+    assert main([command, "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 2
+    assert "n_steps must be in [1, 699050], got 10000000000000" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_removed_walker_settings_are_ignored(tmp_path):

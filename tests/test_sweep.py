@@ -84,7 +84,7 @@ def test_row_count_and_aggregate_shape():
     spec = localization_spec(trials=4)
     result = run_sweep(spec)
     assert len(result.rows) == 3 * 4
-    names = result.observable_names()
+    names = sorted(result.rows[0].observables)
     assert names == ["ipr_ave", "mean_tail", "tail_at_profile_eta"]
     assert len(result.aggregates) == 3 * len(names)
     assert len(result.traces) == 3 * 4
@@ -193,6 +193,18 @@ def test_verification_mode_cross_checks_localization_stacks(monkeypatch):
     monkeypatch.setattr(sweep, "occupation_stack", lambda amps: real(amps) + 1e-6)
     with pytest.raises(NumericalError, match="backends disagree"):
         run_sweep(spec, verification_mode=True)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_verification_mode_leaves_the_outputs_unchanged(threads):
+    # an N = 17 dense item walks alone, while its single-excitation rows
+    # share one stack: the cross-check must not regroup the rows it checks
+    spec = localization_spec(seed=1, trials=2, n=17, steps=20)
+    on = run_sweep(spec, threads=threads, verification_mode=True)
+    off = run_sweep(spec, threads=threads)
+    assert on.rows == off.rows
+    assert on.traces == off.traces
+    assert on.aggregates == off.aggregates
 
 
 def drifting_walker(real):
