@@ -213,8 +213,9 @@ def check_norms(spec: TrotterCircuitSpec, amps: np.ndarray) -> None:
     n, steps = spec.n_qubits, spec.n_steps
     gates = 1 + steps * (n - 1) + (steps - 1) * n
     bound = max(1e-12, NORM_DRIFT_C * np.finfo(float).eps * gates)
-    err = max(abs(float(np.vdot(row, row).real) - 1.0) for row in amps)
-    if err > bound:
+    # np.max propagates a NaN row, and a NaN error fails ``err <= bound``
+    err = float(np.max([abs(np.vdot(row, row).real - 1.0) for row in amps]))
+    if not err <= bound:
         raise InvalidStateError(
             f"norm drifted by {err:.3e} after {gates} gates (bound {bound:.1e})"
         )

@@ -98,6 +98,12 @@ class ZLayerSpec:
             raise ConfigurationError(
                 f"disorder_radius must be >= 0, got {self.disorder_radius}"
             )
+        # the draw spans 2 * disorder_radius, and an angle reaches base_phi + r
+        if not math.isfinite(abs(self.base_phi) + 2 * self.disorder_radius):
+            raise ConfigurationError(
+                f"base_phi {self.base_phi} and disorder_radius {self.disorder_radius}"
+                " overflow: |base_phi| + 2 * disorder_radius must be finite"
+            )
 
 
 def realize_z_layer(

@@ -1,18 +1,19 @@
 """Deterministic experiment harness: grids, disorder ensembles, aggregation.
 
-Child seeding: the z-layer realization for grid point ``i``, trial ``k`` uses
-``child_seed(master_seed, i, k) = sm64(sm64(sm64(master) ^ i) ^ k)`` where
-``sm64`` is the splitmix64 finalizer.  Any subset of work items therefore
-reruns identically, and results cannot depend on scheduling: work items are
-pure and rows are merged in (point, trial) order regardless of the worker
-count.
+Trials count disorder realizations, so only localization sweeps take more
+than one.  Child seeding: localization trial ``k`` at grid point ``i``
+realizes its z layer with ``child_seed(master_seed, i, k) =
+sm64(sm64(sm64(master) ^ i) ^ k)`` where ``sm64`` is the splitmix64
+finalizer.  Any subset of work items therefore reruns identically, and
+results cannot depend on scheduling: work items are pure and rows are merged
+in (point, trial) order regardless of the worker count.
 """
 
 from __future__ import annotations
 
 import enum
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -120,13 +121,20 @@ class SweepSpec:
     swept: str
     grid: GridSpec
     fixed: dict = field(default_factory=dict)
-    trials: int | None = None  # None -> 20 for localization, else 1
+    # disorder realizations per grid point: localization only (default 20);
+    # every other kind has one fixed z layer per point and takes 1
+    trials: int | None = None
     master_seed: int = 0
 
     def __post_init__(self) -> None:
+        localization = self.kind is ExperimentKind.LOCALIZATION
         if self.trials is None:
-            n = 20 if self.kind is ExperimentKind.LOCALIZATION else 1
-            object.__setattr__(self, "trials", n)
+            object.__setattr__(self, "trials", 20 if localization else 1)
+        if not localization and self.trials != 1:
+            raise ConfigurationError(
+                f"trials counts disorder realizations: a {self.kind.value} sweep"
+                f" takes trials = 1, got {self.trials}"
+            )
         top = MAX_SWEEP_ITEMS // self.grid.count
         if not 1 <= self.trials <= top:
             raise ConfigurationError(
@@ -248,13 +256,14 @@ def _eval_convergence_ladder(spec: SweepSpec, values: list[float]) -> list[dict]
     return [{"distance": distance} for _, distance in table]
 
 
-def _point_circuits(spec: SweepSpec, values: list[float]) -> list[TrotterCircuitSpec]:
-    """Every grid point's circuit (z layer unrealized), from fields read once.
+def _items(spec: SweepSpec, values: list[float]) -> list[tuple[TrotterCircuitSpec, tuple]]:
+    """Every (point, trial) work item: (circuit without a z layer, its z angles).
 
-    ``n_steps`` is capped by MAX_ITEM_STEPS for every kind.  A localization
-    point's disorder radius is its grid value and its ``n_qubits`` is at
-    least 3 (the tail window is the last third); a resonance point resolves
-    its ``bond_angles`` and ``z_template`` templates.
+    ``n_steps`` is capped by MAX_ITEM_STEPS for every kind.  A resonance
+    point resolves its ``bond_angles`` and ``z_template`` templates.  A
+    localization point's disorder radius is its grid value and its
+    ``n_qubits`` is at least 3 (the tail window is the last third); trial k
+    at point i draws its z angles with ``child_seed(master, i, k)``.
     """
     fixed = spec.fixed
     localization = spec.kind is ExperimentKind.LOCALIZATION
@@ -270,19 +279,23 @@ def _point_circuits(spec: SweepSpec, values: list[float]) -> list[TrotterCircuit
         fixed, "n_qubits", None, MAX_CHAIN_SITES if family is GateFamily.XY else MAX_QUBITS
     )
     n_steps = _index_field(fixed, "n_steps", None, MAX_ITEM_STEPS // (len(values) * spec.trials))
-    if localization:
-        if n < 3:
-            raise ConfigurationError(f"n_qubits must be >= 3 for localization, got {n}")
-        bonds = [(parse_angle(fixed["bond_angle"]),) * (n - 1)] * len(values)
-        base_phi = parse_angle(fixed["base_phi"])
-        z_layers = [ZLayerSpec(base_phi=base_phi, disorder_radius=r) for r in values]
-    else:
+    if not localization:
         params = {**fixed, spec.swept: np.asarray(values, dtype=float)}
         bonds = _template_grid(fixed, "bond_angles", params, len(values)).tolist()
-        phis = _template_grid(fixed, "z_template", params, len(values)).tolist()
-        z_layers = [ZLayerSpec(explicit_phis=tuple(row)) for row in phis]
+        phis = _template_grid(fixed, "z_template", params, len(values))
+        circuits = [TrotterCircuitSpec(n, n_steps, family, tuple(b)) for b in bonds]
+        if phis.shape[1] != n:
+            raise ConfigurationError(f"z_template has length {phis.shape[1]}, expected {n}")
+        return list(zip(circuits, map(tuple, phis.tolist())))
+    if n < 3:
+        raise ConfigurationError(f"n_qubits must be >= 3 for localization, got {n}")
+    circuit = TrotterCircuitSpec(n, n_steps, family, (parse_angle(fixed["bond_angle"]),) * (n - 1))
+    base_phi = parse_angle(fixed["base_phi"])
+    z_layers = [ZLayerSpec(base_phi=base_phi, disorder_radius=r) for r in values]
     return [
-        TrotterCircuitSpec(n, n_steps, family, tuple(b), z) for b, z in zip(bonds, z_layers)
+        (circuit, realize_z_layer(z_layer, n, child_seed(spec.master_seed, i, k)))
+        for i, z_layer in enumerate(z_layers)
+        for k in range(spec.trials)
     ]
 
 
@@ -376,31 +389,22 @@ def _stacks(items, width: int) -> list[tuple]:
 def _evaluate_items(
     spec: SweepSpec, values: list[float], threads: int, verification_mode: bool
 ) -> list[tuple[dict, LocalizationReport | None]]:
-    """Every (point, trial) item of a seeded kind, walked as stacks.
+    """Every (point, trial) item of a walked kind, walked as stacks.
 
-    Item (i, k) realizes point i's z layer with ``child_seed(master, i, k)``.
-    Consecutive items whose circuits differ only in their z layer share a
-    stack; the gate family sets its row width (N amplitudes for XY, 2^N for
-    CRx).  Verification mode adds a second pass over the same XY items,
-    grouped at 2^N a row and walked on both walkers on the same pool; it
-    only checks, so the outputs do not depend on it.  Outputs come back in
-    (point, trial) order.
+    Consecutive items with equal circuits share a stack; the gate family
+    sets its row width (N amplitudes for XY, 2^N for CRx).  Verification
+    mode adds a second pass over the same XY items, grouped at 2^N a row
+    and walked on both walkers on the same pool; it only checks, so the
+    outputs do not depend on it.  Outputs come back in (point, trial) order.
     """
-    circuits = _point_circuits(spec, values)
-    n, steps = circuits[0].n_qubits, circuits[0].n_steps
+    items = _items(spec, values)
+    n, steps = items[0][0].n_qubits, items[0][0].n_steps
     if spec.kind is ExperimentKind.LOCALIZATION:
         rows = _localization_rows
         readout = _index_field(spec.fixed, "profile_eta", min(10, steps), steps)
     else:
         rows, readout = _resonance_rows, _index_field(spec.fixed, "target_qubit", n, n)
-    xy = circuits[0].gate_family is GateFamily.XY
-
-    items = []  # (circuit without its z layer, realized z angles)
-    for i, circuit in enumerate(circuits):
-        shared = replace(circuit, z_layer=ZLayerSpec())
-        for k in range(spec.trials):
-            seed = child_seed(spec.master_seed, i, k)
-            items.append((shared, realize_z_layer(circuit.z_layer, n, seed)))
+    xy = items[0][0].gate_family is GateFamily.XY
     tasks = [(rows, circuit, phis, readout) for circuit, phis in _stacks(items, n if xy else 2**n)]
     n_walks = len(tasks)
     if verification_mode and xy:
@@ -444,21 +448,17 @@ def run_sweep(
     """
     if spec.kind is ExperimentKind.CONVERGENCE:
         values = [float(v) for v in spec.grid.geometric_int_values()]
-        if spec.trials != 1:
-            raise ConfigurationError("convergence sweeps are deterministic; trials=1")
     else:
         values = [float(v) for v in spec.grid.values()]
     items = [(i, v, k) for i, v in enumerate(values) for k in range(spec.trials)]
     if spec.kind in (ExperimentKind.RESONANCE_CONTINUOUS, ExperimentKind.CONVERGENCE):
-        # seed-free: one call for the whole grid, every trial of a point
-        # repeats its value
+        # seed-free: one call for the whole grid, one row per point
         evaluate = (
             _eval_resonance_continuous
             if spec.kind is ExperimentKind.RESONANCE_CONTINUOUS
             else _eval_convergence_ladder
         )
-        point_obs = evaluate(spec, values)
-        outputs = [(dict(point_obs[i]), None) for i, _, _ in items]
+        outputs = [(obs, None) for obs in evaluate(spec, values)]
     else:
         outputs = _evaluate_items(spec, values, threads, verification_mode)
 

@@ -12,6 +12,7 @@ import pytest
 import trotterlab
 from trotterlab import cli
 from trotterlab.cli import main
+from trotterlab.sweep import ExperimentKind
 
 RESONANCE_CONFIG = {
     "experiment": {
@@ -29,6 +30,28 @@ RESONANCE_CONFIG = {
     },
     "output": {"path": "out.csv", "format": "csv"},
     "engine": {"backend": "auto", "threads": 1},
+}
+LOCALIZATION_CONFIG = {
+    "experiment": {
+        "kind": "localization",
+        "swept": "R",
+        "grid": [0, "pi/2", 2],
+        "fixed": {"n_qubits": 4, "n_steps": 2, "bond_angle": "pi/4", "base_phi": "pi/2"},
+    },
+}
+CONTINUOUS_CONFIG = {
+    "experiment": {
+        "kind": "resonance_continuous",
+        "grid": [0, 1, 3],
+        "fixed": {"couplings": [1.0], "potentials": ["V1", 0.0], "t": 1.0},
+    }
+}
+CONVERGENCE_CONFIG = {
+    "experiment": {
+        "kind": "convergence",
+        "grid": [10, 40, 3],
+        "fixed": {"couplings": [0.5], "potentials": [1.0, -1.0], "t": 2.0},
+    }
 }
 
 
@@ -373,14 +396,23 @@ def test_verification_mode_backend_disagreement_exits_1(tmp_path, monkeypatch, c
     assert not out.exists()
 
 
-def _with_experiment(**fields):
-    return dict(RESONANCE_CONFIG, experiment=dict(RESONANCE_CONFIG["experiment"], **fields))
+def _with_experiment(base=RESONANCE_CONFIG, /, **fields):
+    return dict(base, experiment=dict(base["experiment"], **fields))
 
 
-def _with_fixed(**fields):
-    experiment = dict(RESONANCE_CONFIG["experiment"])
+def _with_fixed(base=RESONANCE_CONFIG, /, **fields):
+    experiment = dict(base["experiment"])
     experiment["fixed"] = dict(experiment["fixed"], **fields)
-    return dict(RESONANCE_CONFIG, experiment=experiment)
+    return dict(base, experiment=experiment)
+
+
+def _subcommand(cfg) -> str:
+    """The subcommand that runs ``cfg``'s experiment kind ("resonance" if it names none)."""
+    try:
+        kind = ExperimentKind(cfg["experiment"]["kind"])
+    except (KeyError, TypeError, ValueError):
+        return "resonance"
+    return next(name for name, kinds in cli._SUBCOMMAND_KINDS.items() if kind in kinds)
 
 
 @pytest.mark.parametrize(
@@ -400,21 +432,7 @@ def _with_fixed(**fields):
         (dict(RESONANCE_CONFIG, output={"path": 3}), "output.path must be a string"),
         (_with_fixed(target_qubit=0), "target_qubit must be in [1, 2], got 0"),
         (_with_fixed(target_qubit=9), "target_qubit must be in [1, 2], got 9"),
-        (
-            {
-                "experiment": {
-                    "kind": "resonance_continuous",
-                    "grid": [0, 1, 3],
-                    "fixed": {
-                        "couplings": [1.0],
-                        "potentials": ["V1", 0.0],
-                        "t": 1.0,
-                        "target_site": 3,
-                    },
-                }
-            },
-            "target_site must be in [1, 2], got 3",
-        ),
+        (_with_fixed(CONTINUOUS_CONFIG, target_site=3), "target_site must be in [1, 2], got 3"),
         (_with_fixed(n_qubits=2.5), "n_qubits must be an integer, got 2.5"),
         (_with_fixed(n_qubits=True), "n_qubits must be an integer, got True"),
         (_with_fixed(n_steps=float("inf")), "n_steps must be an integer, got inf"),
@@ -433,28 +451,41 @@ def _with_fixed(**fields):
         ),
         (_with_fixed(n_steps=0), "n_steps must be in [1, 51150], got 0"),
         (_with_fixed(bond_angles=["pi/4", 0.1]), "bond_angles has length 2, expected 1"),
+        (_with_fixed(z_template=["phi"]), "z_template has length 1, expected 2"),
         (dict(RESONANCE_CONFIG, engine={"threads": -3}), "engine.threads must be >= 1, got -3"),
         (_with_experiment(grid={"start": 0, "stop": 1, "count": 3}), "grid needs exactly"),
+        (_with_fixed(CONTINUOUS_CONFIG, init_site=5), "init_site must be in [1, 2], got 5"),
+        (_with_experiment(trials=2), "a resonance_discrete sweep takes trials = 1, got 2"),
         (
-            {
-                "experiment": {
-                    "kind": "resonance_continuous",
-                    "grid": [0, 1, 3],
-                    "fixed": {
-                        "couplings": [1.0],
-                        "potentials": ["V1", 0.0],
-                        "t": 1.0,
-                        "init_site": 5,
-                    },
-                }
-            },
-            "init_site must be in [1, 2], got 5",
+            _with_experiment(kind="crx_resonance", trials=2),
+            "a crx_resonance sweep takes trials = 1, got 2",
+        ),
+        (
+            _with_experiment(CONTINUOUS_CONFIG, trials=2),
+            "a resonance_continuous sweep takes trials = 1, got 2",
+        ),
+        (
+            _with_experiment(CONVERGENCE_CONFIG, trials=2),
+            "a convergence sweep takes trials = 1, got 2",
+        ),
+        (
+            _with_experiment(LOCALIZATION_CONFIG, grid=[0, 1e308, 2]),
+            "disorder_radius 1e+308 overflow: |base_phi| + 2 * disorder_radius must be finite",
+        ),
+        (
+            _with_fixed(
+                _with_experiment(LOCALIZATION_CONFIG, grid=[0, 8e307, 2]),
+                gate_family="crx",
+                base_phi=1.7e308,
+            ),
+            "disorder_radius 8e+307 overflow: |base_phi| + 2 * disorder_radius must be finite",
         ),
     ],
 )
 def test_malformed_config_shape_exits_2_naming_the_field(tmp_path, capsys, cfg, message):
     out = tmp_path / "m.csv"
-    assert main(["resonance", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 2
+    argv = [_subcommand(cfg), "--config", write_config(tmp_path, cfg), "--out", str(out)]
+    assert main(argv) == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
 
@@ -463,7 +494,10 @@ def test_malformed_config_shape_exits_2_naming_the_field(tmp_path, capsys, cfg, 
     "cfg, message",
     [
         (_with_experiment(grid=[0, 1, 10**13]), "grid count must be in [2, 1048576], got 10000000000000"),
-        (_with_experiment(trials=10**13), "trials must be in [1, 25575] for 41 grid points"),
+        (
+            _with_experiment(LOCALIZATION_CONFIG, grid=[0, 1, 41], trials=10**13),
+            "trials must be in [1, 25575] for 41 grid points",
+        ),
     ],
 )
 def test_sweep_size_is_capped_before_the_sweep_runs(tmp_path, capsys, monkeypatch, cfg, message):
@@ -471,7 +505,7 @@ def test_sweep_size_is_capped_before_the_sweep_runs(tmp_path, capsys, monkeypatc
         raise AssertionError("run_sweep was called")
 
     monkeypatch.setattr(cli, "run_sweep", no_sweep)
-    assert main(["resonance", "--config", write_config(tmp_path, cfg)]) == 2
+    assert main([_subcommand(cfg), "--config", write_config(tmp_path, cfg)]) == 2
     assert message in capsys.readouterr().err
 
 

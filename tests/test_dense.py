@@ -255,9 +255,12 @@ def test_check_norms_flags_any_drifted_row_of_a_stack():
     for _, amps in iterate_stack(spec, np.zeros((4, 3))):
         pass
     check_norms(spec, amps)
+    nan_row = amps.copy()
+    nan_row[1] = np.nan  # a NaN error compares False with the bound
     amps[-1] *= 1 + 1e-9
-    with pytest.raises(InvalidStateError, match="norm drifted by 2.000e-09"):
-        check_norms(spec, amps)
+    for bad, err in ((amps, "2.000e-09"), (nan_row, "nan"), (np.full((1, 8), np.nan), "nan")):
+        with pytest.raises(InvalidStateError, match=f"norm drifted by {err}"):
+            check_norms(spec, bad)
 
 
 def reference_trajectory(spec: TrotterCircuitSpec, seed: int) -> list[np.ndarray]:

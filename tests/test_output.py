@@ -40,7 +40,7 @@ RESONANCE_SPEC = SweepSpec(
         "z_template": ["phi", "alpha", 0.2],
         "alpha": 0.3,
     },
-    trials=2,
+    trials=1,
     master_seed=1,
 )
 

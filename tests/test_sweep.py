@@ -287,6 +287,31 @@ def test_convergence_sweep_uses_geometric_grid():
     ]
 
 
+def test_omitted_trials_give_20_rows_per_point_to_localization_only():
+    def rows_per_point(spec):
+        result = run_sweep(replace(spec, trials=None))
+        assert result.provenance["trials"] * spec.grid.count == len(result.rows)
+        return len(result.rows) / spec.grid.count
+
+    continuous = SweepSpec(
+        kind=ExperimentKind.RESONANCE_CONTINUOUS,
+        swept="V1",
+        grid=GridSpec(-1, 1, 3),
+        fixed={"couplings": [0.5], "potentials": ["V1", 0.0], "t": 1.0},
+    )
+    convergence = replace(
+        continuous,
+        kind=ExperimentKind.CONVERGENCE,
+        grid=GridSpec(1, 4, 3),
+        fixed={"couplings": [0.5], "potentials": [1.0, -1.0], "t": 1.0},
+    )
+    discrete = discrete_n2_spec(count=3)
+    crx = replace(discrete, kind=ExperimentKind.CRX_RESONANCE)
+    assert rows_per_point(localization_spec(n=3, steps=5)) == 20
+    for spec in (discrete, crx, continuous, convergence):
+        assert rows_per_point(spec) == 1
+
+
 def test_grid_validation():
     with pytest.raises(ConfigurationError):
         GridSpec(0, 1, 1)
@@ -370,17 +395,16 @@ def test_batched_localization_rows_match_items_run_alone(seed, trials, n, steps)
     crx=st.booleans(),
     n=st.integers(2, 6),
     steps=st.integers(1, 6),
-    trials=st.integers(1, 3),
     swept_bond=st.booleans(),
     verification_mode=st.booleans(),
     threads=st.sampled_from([1, 2]),
 )
 def test_resonance_rows_match_items_run_alone(
-    seed, crx, n, steps, trials, swept_bond, verification_mode, threads
+    seed, crx, n, steps, swept_bond, verification_mode, threads
 ):
-    # each (i, k) row of a stacked resonance sweep equals that item's circuit
-    # run alone with child_seed(master, i, k); a bond template naming the
-    # swept parameter gives every point its own stack
+    # each row of a stacked resonance sweep equals its point's circuit run
+    # alone, whatever the master seed; a bond template naming the swept
+    # parameter gives every point its own stack
     kind = ExperimentKind.CRX_RESONANCE if crx else ExperimentKind.RESONANCE_DISCRETE
     bonds = ["phi"] + [0.9] * (n - 2) if swept_bond else [0.9] * (n - 1)
     spec = SweepSpec(
@@ -395,14 +419,12 @@ def test_resonance_rows_match_items_run_alone(
             "alpha": 0.4,
             "target_qubit": n - 1 if n > 2 else n,
         },
-        trials=trials,
         master_seed=seed,
     )
     result = run_sweep(spec, threads=threads, verification_mode=verification_mode and not crx)
-    assert len(result.rows) == 4 * trials
+    assert len(result.rows) == 4
     target = spec.fixed["target_qubit"]
-    for idx, row in enumerate(result.rows):
-        i, k = divmod(idx, trials)
+    for row in result.rows:
         phi = row.swept_value
         circuit = TrotterCircuitSpec(
             n_qubits=n,
@@ -411,10 +433,9 @@ def test_resonance_rows_match_items_run_alone(
             bond_angles=tuple([phi] + [0.9] * (n - 2) if swept_bond else [0.9] * (n - 1)),
             z_layer=ZLayerSpec(explicit_phis=(phi, -0.4) + (0.3,) * (n - 2)),
         )
-        item_seed = child_seed(seed, i, k)
         if crx:
-            want = occupation_probs(run_circuit(circuit, item_seed))[target - 1]
+            want = occupation_probs(run_circuit(circuit))[target - 1]
         else:
-            want = abs(run_discrete(circuit, item_seed)[target - 1]) ** 2
-        assert row.trial == k
+            want = abs(run_discrete(circuit)[target - 1]) ** 2
+        assert row.trial == 0
         assert abs(row.observables["probability"] - want) <= 1e-12
