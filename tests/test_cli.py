@@ -451,7 +451,6 @@ def _subcommand(cfg) -> str:
         ),
         (_with_fixed(n_steps=0), "n_steps must be in [1, 51150], got 0"),
         (_with_fixed(bond_angles=["pi/4", 0.1]), "bond_angles has length 2, expected 1"),
-        (_with_fixed(z_template=["phi"]), "z_template has length 1, expected 2"),
         (dict(RESONANCE_CONFIG, engine={"threads": -3}), "engine.threads must be >= 1, got -3"),
         (_with_experiment(grid={"start": 0, "stop": 1, "count": 3}), "grid needs exactly"),
         (_with_fixed(CONTINUOUS_CONFIG, init_site=5), "init_site must be in [1, 2], got 5"),
@@ -480,6 +479,7 @@ def _subcommand(cfg) -> str:
             ),
             "disorder_radius 8e+307 overflow: |base_phi| + 2 * disorder_radius must be finite",
         ),
+        (_with_fixed(z_template=["phi"]), "z_template has length 1, expected 2"),
     ],
 )
 def test_malformed_config_shape_exits_2_naming_the_field(tmp_path, capsys, cfg, message):
