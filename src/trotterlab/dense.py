@@ -4,23 +4,21 @@ Sweeps walk controlled-Rx circuits here, since they do not conserve the
 excitation number; an XY stack comes here only as verification mode's
 cross-check of the single-excitation walker.  Basis index convention: qubit
 1 is the most significant bit, so ``|b_1 b_2 ... b_N>`` lives at index
-``int(b, 2)``.  Callers address qubits, never raw indices, so the convention
-stays internal.
+``int(b, 2)``.  Callers address qubits, never raw indices.
 
 ``iterate_stack`` is the circuit walker: it steps a (B, 2^N) stack of
-circuits that differ only in their z angles, with fused layers;
-``run_circuit`` walks it on one row and returns a ``StateVector``.  A
-controlled-Rx walk steps only its reachable block: every CRx bond's control
-is its lower qubit and Rz is diagonal, so from initial site s, qubits
-1..s-1 stay |0> and qubit s stays |1>, and only indices
-[2^(N-s), 2^(N-s+1)) can hold a non-zero amplitude.  The rest of the stack
-stays zero without being touched, and each amplitude of the block meets the
-same multiplies in the same order as in a walk of the whole state, so the
-block, and every occupation read from the stack, is bit-identical to it.
-``build_circuit`` + ``apply_gate`` on a ``StateVector`` is the inspectable
-gate-by-gate reference the walker is tested against.  Both work in place on
-reshape views of the amplitude array; no 2^N x 2^N matrix is ever
-materialized.
+circuits that differ only in their z angles; ``run_circuit`` walks one row.
+All rows and steps share one bond layer, so the walker fuses it, once per
+walk, into a few 2^k x 2^k unitaries on groups of k <= FUSED_QUBITS qubits
+and applies each as one matrix product: the gate clustering of large
+state-vector simulators (Haener and Steiger, SC17, arXiv:1704.01127).  A
+CRx walk from site s walks the smaller circuit on qubits s+1..N: a CRx
+bond's control is its lower qubit and Rz is diagonal, so qubits 1..s-1 stay
+|0>, qubit s stays |1> (bond s fires with its control fixed), the Rz phase
+of qubits 1..s is a constant per row, and only indices [2^(N-s), 2^(N-s+1))
+can be non-zero.  ``apply_gate`` on ``build_circuit``'s gate list is the
+gate-by-gate reference the walker is tested against, and the only code that
+spells out a gate; the walker builds its group unitaries with it.
 """
 
 from __future__ import annotations
@@ -38,6 +36,12 @@ MAX_QUBITS = 24  # desk-scale cap: 2^24 complex amplitudes = 256 MiB
 # long circuit grows at most linearly in the gate count (in practice like
 # its square root); the 1e-12 floor covers every circuit below ~4.5k gates.
 NORM_DRIFT_C = 1.0
+# Qubits per fused bond group of ``iterate_stack``; a group costs 2^k
+# multiply-adds per amplitude, so wider, fewer groups trade passes for
+# flops.  k = 3/4/5/6 on a 2-core Xeon VM, BLAS at one thread, median walk
+# times: a 2-row N = 15, 80-step CRx stack 91/62/61/71 ms, the 4-step N = 20
+# CRx circuit 100/75/80/95 ms (the per-bond walker: 108 and 130 ms).
+FUSED_QUBITS = 4
 
 
 @dataclass
@@ -54,26 +58,17 @@ class StateVector:
 
 def _check_n(n_qubits: int) -> None:
     if not 1 <= n_qubits <= MAX_QUBITS:
-        raise ConfigurationError(
-            f"n_qubits must be in [1, {MAX_QUBITS}], got {n_qubits}"
-        )
+        raise ConfigurationError(f"n_qubits must be in [1, {MAX_QUBITS}], got {n_qubits}")
 
 
 def init_basis(n_qubits: int, bitstring: str) -> StateVector:
     """State with amplitude 1 on the given computational basis string."""
     _check_n(n_qubits)
     if len(bitstring) != n_qubits or set(bitstring) - {"0", "1"}:
-        raise ConfigurationError(
-            f"bitstring {bitstring!r} is not a {n_qubits}-bit 0/1 string"
-        )
+        raise ConfigurationError(f"bitstring {bitstring!r} is not a {n_qubits}-bit 0/1 string")
     amps = np.zeros(2**n_qubits, dtype=np.complex128)
     amps[int(bitstring, 2)] = 1.0
     return StateVector(n_qubits, amps)
-
-
-def _pair_view(amps: np.ndarray, j: int) -> np.ndarray:
-    """View with qubits j, j+1 exposed as axes 1 and 2 (j is 1-based)."""
-    return amps.reshape(2 ** (j - 1), 2, 2, -1)
 
 
 def apply_gate(state: StateVector, gate: GateOp) -> StateVector:
@@ -89,20 +84,14 @@ def apply_gate(state: StateVector, gate: GateOp) -> StateVector:
         v = a.reshape(2 ** (gate.sites[0] - 1), 2, -1)
         v[:, 0, :] *= np.exp(-0.5j * gate.angle)
         v[:, 1, :] *= np.exp(+0.5j * gate.angle)
-    elif gate.kind is GateKind.XY:
-        v = _pair_view(a, gate.sites[0])
-        c, s = np.cos(gate.angle), np.sin(gate.angle)
-        a01 = v[:, 0, 1, :].copy()
-        a10 = v[:, 1, 0, :]
-        v[:, 0, 1, :] = c * a01 - 1j * s * a10
-        v[:, 1, 0, :] = -1j * s * a01 + c * a10
-    elif gate.kind is GateKind.CRX:
-        v = _pair_view(a, gate.sites[0])
-        c, s = np.cos(gate.angle / 2), np.sin(gate.angle / 2)
-        a10 = v[:, 1, 0, :].copy()
-        a11 = v[:, 1, 1, :]
-        v[:, 1, 0, :] = c * a10 - 1j * s * a11
-        v[:, 1, 1, :] = -1j * s * a10 + c * a11
+    elif gate.kind in (GateKind.XY, GateKind.CRX):
+        # the pair's |01>,|10> (XY) or |10>,|11> (CRx) parts mix as [[c, -is], [-is, c]]
+        v = a.reshape(2 ** (gate.sites[0] - 1), 4, -1)
+        i, k, t = (1, 2, gate.angle) if gate.kind is GateKind.XY else (2, 3, gate.angle / 2)
+        c, s = np.cos(t), np.sin(t)
+        x, y = v[:, i, :].copy(), v[:, k, :]
+        v[:, i, :] = c * x - 1j * s * y
+        v[:, k, :] = -1j * s * x + c * y
     else:  # pragma: no cover - enum is closed
         raise ConfigurationError(f"unknown gate kind {gate.kind}")
     return state
@@ -118,6 +107,33 @@ def _rz_tables(phis: np.ndarray) -> np.ndarray:
     return table
 
 
+def _fused_groups(spec: TrotterCircuitSpec, first: int) -> list[tuple[int, int, np.ndarray]]:
+    """The bond layer on qubits first..N as (a, width, unitary) groups, in gate order.
+
+    A group is a run of bonds on at most FUSED_QUBITS walked qubits [a, a +
+    width), walked qubit w being qubit first + w - 1; runs are cut from the
+    right, so the last one ends on qubit N.  Bond first - 1 of a CRx walk
+    joins the first run with its control held at |1>.  ``apply_gate`` builds
+    each unitary on eye(2^q) as a 2q-qubit state, its rows the first q qubits.
+    """
+    kind = GateKind.XY if spec.gate_family is GateFamily.XY else GateKind.CRX
+    groups = []
+    j1 = spec.n_qubits - 1  # the run's last bond
+    while j1 >= max(first - 1, 1):
+        j0 = j1 + 2 - FUSED_QUBITS
+        if j0 <= first:
+            j0 = max(first - 1, 1)
+        q = j1 + 2 - j0
+        state = StateVector(2 * q, np.eye(2**q, dtype=np.complex128).ravel())
+        for j in range(j0, j1 + 1):
+            apply_gate(state, GateOp(kind, (j - j0 + 1, j - j0 + 2), spec.bond_angles[j - 1]))
+        width = j1 + 2 - max(j0, first)
+        u = state.amplitudes.reshape(2**q, 2**q)[-(2**width) :, -(2**width) :]
+        groups.append((max(j0, first) - first + 1, width, np.ascontiguousarray(u)))
+        j1 = j0 - 1
+    return groups[::-1]
+
+
 def iterate_stack(spec: TrotterCircuitSpec, phis: np.ndarray):
     """Yield (eta, amps) after each Trotter step of a stack of circuits, eta = 1..n_steps.
 
@@ -127,69 +143,57 @@ def iterate_stack(spec: TrotterCircuitSpec, phis: np.ndarray):
     (B, 2^N) amplitude stack, mutated by further iteration; copy it to keep
     a trajectory.
 
-    Applies the gates ``build_circuit`` lists, fused per layer: each bond's
-    cos and sin are computed once per walk, each bond gate mixes its two
-    coupled blocks through one scratch buffer, and each Rz layer (every
-    step's but the last) is two in-place multiplies by the Kronecker
-    factors of its diagonals (over the first floor(N/2) and the last
-    ceil(N/2) qubits), made for the whole stack at once.
-
-    A CRx walk touches only the reachable block ``amps[:, 2^(N-s) :
-    2^(N-s+1)]`` (see the module docstring; s is the initial site): bonds
-    below s are skipped, bond s acts on the whole block as an Rx on qubit
-    s+1, the other bonds and the Rz tables are sliced to the block, and the
-    scratch buffer holds the largest sliced pair.  The yielded stack is
-    still (B, 2^N), zero outside the block.
+    Walks the block of m qubits that can change: all N for XY, qubits
+    s+1..N for CRx from site s (module docstring).  Each step applies each
+    of ``_fused_groups`` as one ``np.matmul`` over the stack, from the block
+    into one block-sized buffer or back, and then the Rz layer (every step's
+    but the last) as two multiplies by Kronecker factors of its diagonals,
+    over the block's first floor(m/2) and last ceil(m/2) qubits; the CRx
+    constant phase is folded into the first.  The stack stays zero outside
+    the block.
     """
     n = spec.n_qubits
     _check_n(n)
     phis = np.asarray(phis, dtype=float)
     if phis.ndim != 2 or phis.shape[1] != n:
-        raise ConfigurationError(
-            f"z angles have shape {phis.shape}, expected (B, {n})"
-        )
-    b = len(phis)
+        raise ConfigurationError(f"z angles have shape {phis.shape}, expected (B, {n})")
+    b, site = len(phis), spec.initial_excitation_site
     xy = spec.gate_family is GateFamily.XY
-    # [start, stop): the indices that can hold a non-zero amplitude, all of
-    # them for XY, the reachable block for CRx
-    site = spec.initial_excitation_site
-    start, stop = (0, 2**n) if xy else (1 << (n - site), 2 << (n - site))
+    first = 1 if xy else site + 1  # the block's first qubit
+    m = n - first + 1
     amps = np.zeros((b, 2**n), dtype=np.complex128)
     amps[:, 1 << (n - site)] = 1.0  # the X gate on |0...0>
+    block = amps[:, : 2**m] if xy else amps[:, 2**m : 2 ** (m + 1)]
 
-    hi = _rz_tables(phis[:, : n // 2])[:, :, None]
-    lo = _rz_tables(phis[:, n // 2 :])[:, None, :]
-    width = lo.shape[2]
-    rows = slice(start // width, -(-stop // width))
-    cols = slice(start % width, start % width + min(stop - start, width))
-    z_view = amps.reshape(b, hi.shape[1], width)[:, rows, cols]
-    hi, lo = hi[:, rows], lo[:, :, cols]
+    hi = _rz_tables(phis[:, first - 1 : first - 1 + m // 2])[:, :, None]
+    lo = _rz_tables(phis[:, first - 1 + m // 2 :])[:, None, :]
+    if not xy:  # qubits 1..s-1 hold |0> and qubit s holds |1>
+        hi *= np.exp(0.5j * (phis[:, site - 1] - phis[:, : site - 1].sum(axis=1)))[:, None, None]
+    z_shape = (b, hi.shape[1], lo.shape[2])
 
-    # A bond gate mixes the |01>,|10> (XY) or |10>,|11> (CRx) blocks of its
-    # pair as [[c, -is], [-is, c]]; ``pair[:, :, ::-1]`` holds the partners.
-    # Bond j only touches the values of qubits 1..j-1 inside [start, stop):
-    # a CRx bond below the initial site has none, since its control is 0.
-    angles = np.asarray(spec.bond_angles, dtype=float) * (1.0 if xy else 0.5)
-    pairs = []
-    for j, c, ms in zip(range(1, n), np.cos(angles), -1j * np.sin(angles)):
-        shift = n - j + 1  # each value of qubits 1..j-1 spans 2^shift indices
-        if stop >> shift > start >> shift:
-            quads = amps.reshape(b, 2 ** (j - 1), 4, -1)[:, start >> shift : stop >> shift]
-            pairs.append((quads[:, :, 1:3] if xy else quads[:, :, 2:4], c, ms))
-    scratch = np.empty(max((p.size for p, _, _ in pairs), default=0), dtype=np.complex128)
-    bonds = [
-        (pair, pair[:, :, ::-1], scratch[: pair.size].reshape(pair.shape), c, ms)
-        for pair, c, ms in pairs
-    ]
+    # Groups alternate between the block and one buffer; a group that ends
+    # on the last qubit is a (rows, 2^width) @ U.T product.
+    buffers = (block, np.empty_like(block))
+    products = []
+    for i, (a, width, u) in enumerate(_fused_groups(spec, first)):
+        src, dst = buffers[i % 2], buffers[1 - i % 2]
+        if a + width - 1 == m:
+            shape = (b, -1, 2**width)
+            products.append((src.reshape(shape), u.T, dst.reshape(shape)))
+        else:
+            shape = (b, 2 ** (a - 1), 2**width, -1)
+            products.append((u, src.reshape(shape), dst.reshape(shape)))
+    last = buffers[len(products) % 2]  # where a bond layer leaves the block
+    z_view, z_last = block.reshape(z_shape), last.reshape(z_shape)
 
     for eta in range(1, spec.n_steps + 1):
-        for pair, partners, mixed, c, ms in bonds:
-            np.multiply(partners, ms, out=mixed)
-            pair *= c
-            pair += mixed
+        for x, y, out in products:
+            np.matmul(x, y, out=out)
         if eta < spec.n_steps:
-            z_view *= hi
+            np.multiply(z_last, hi, out=z_view)
             z_view *= lo
+        elif last is not block:
+            block[...] = last
         yield eta, amps
 
 
@@ -226,21 +230,27 @@ def occupation_probs(state: StateVector) -> np.ndarray:
     return occupation_stack(state.amplitudes[None])[0]
 
 
-def occupation_stack(amps: np.ndarray) -> np.ndarray:
+def occupation_stack(amps: np.ndarray, site: int | None = None) -> np.ndarray:
     """(B, N) occupations P(qubit i measures 1) of a (B, 2^N) amplitude stack.
 
-    Valid for any state, including CRx outputs with several excitations
-    (a row then need not sum to 1).  Reads one |a|^2 buffer: qubit i's
-    probability is the sum of a row's upper half once qubits 1..i-1 have
-    been summed out by folding the rows in half, in place.
+    Valid for any state, including CRx outputs with several excitations.
+    Reads one |a|^2 buffer: qubit i's probability is the sum of a row's
+    upper half once qubits 1..i-1 are summed out by folding the rows in
+    half, in place.  Given a CRx stack's initial ``site`` s, it reads only
+    the block: qubits 1..s-1 read 0 and qubit s a row's norm.
     """
+    b, size = amps.shape
+    n = size.bit_length() - 1
+    probs = np.zeros((b, n))
+    if site is not None:
+        amps = amps[:, size >> site : size >> (site - 1)]
     p = np.abs(amps)
     p *= p
-    b, size = p.shape
-    probs = np.empty((b, size.bit_length() - 1))
-    for i in range(probs.shape[1]):
+    for i in range(n - p.shape[1].bit_length() + 1, n):
         half = p.shape[1] // 2
         probs[:, i] = p[:, half:].sum(axis=1)
         np.add(p[:, :half], p[:, half:], out=p[:, :half])
         p = p[:, :half]
+    if site is not None:
+        probs[:, site - 1] = p[:, 0]
     return probs

@@ -14,6 +14,7 @@ from __future__ import annotations
 import enum
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -44,10 +45,9 @@ from .subspace import (
 _MASK64 = (1 << 64) - 1
 # Amplitudes per stack walk.  Stacking pays where items are small (an N = 4
 # CRx scan walks its 315 circuits as one stack); N = 15 dense states (2^15
-# amplitudes) walk two to a stack.  Panel 3c on a 2-core Xeon VM, median of
-# 21 interleaved runs: two to a stack 573 ms at one thread and 375 ms at
-# two, one to a stack 580 and 470 ms.  As one stack of 5 it took 570-610 ms
-# at one thread and 510-550 ms at two (the pool gets a single task).
+# amplitudes) walk two to a stack.  Panel 3c on a 2-core Xeon VM, BLAS at one
+# thread, median of 7: 205 ms at one thread and 135 ms at two; one to a stack
+# 213 and 155 ms, four 208 and 174 ms, five (one task) 212 and 208 ms.
 MAX_STACK_AMPLITUDES = 2**16
 # Work items per sweep (grid points x trials), checked when the spec is made
 # and so before any per-item list or array exists.  Desk scale: the largest
@@ -96,6 +96,8 @@ class GridSpec:
             raise ConfigurationError(
                 f"grid count must be in [2, {MAX_SWEEP_ITEMS}], got {self.count}"
             )
+        if not np.isfinite(self.stop - self.start):  # linspace would give inf and nan
+            raise ConfigurationError(f"grid span from {self.start} to {self.stop} overflows")
 
     def values(self) -> np.ndarray:
         return np.linspace(self.start, self.stop, self.count)
@@ -324,10 +326,9 @@ def _walk_stack(circuit, phis, on_step=None) -> np.ndarray:
     on the dense one.
     """
     if circuit.gate_family is not GateFamily.XY:
-        return _final_occupations(dense_stack, occupation_stack, circuit, phis, on_step)
-    return _final_occupations(
-        subspace_stack, lambda amps: np.abs(amps) ** 2, circuit, phis, on_step
-    )
+        read = partial(occupation_stack, site=circuit.initial_excitation_site)
+        return _final_occupations(dense_stack, read, circuit, phis, on_step)
+    return _final_occupations(subspace_stack, lambda a: np.abs(a) ** 2, circuit, phis, on_step)
 
 
 def _cross_check(circuit, phis) -> None:
@@ -453,11 +454,8 @@ def run_sweep(
     items = [(i, v, k) for i, v in enumerate(values) for k in range(spec.trials)]
     if spec.kind in (ExperimentKind.RESONANCE_CONTINUOUS, ExperimentKind.CONVERGENCE):
         # seed-free: one call for the whole grid, one row per point
-        evaluate = (
-            _eval_resonance_continuous
-            if spec.kind is ExperimentKind.RESONANCE_CONTINUOUS
-            else _eval_convergence_ladder
-        )
+        continuous = spec.kind is ExperimentKind.RESONANCE_CONTINUOUS
+        evaluate = _eval_resonance_continuous if continuous else _eval_convergence_ladder
         outputs = [(obs, None) for obs in evaluate(spec, values)]
     else:
         outputs = _evaluate_items(spec, values, threads, verification_mode)
@@ -471,12 +469,9 @@ def run_sweep(
     aggregates = []
     names = sorted(rows[0].observables) if rows else []
     for i, v in enumerate(values):
+        point = rows[i * spec.trials : (i + 1) * spec.trials]
         for name in names:
-            samples = [
-                r.observables[name]
-                for r in rows[i * spec.trials : (i + 1) * spec.trials]
-            ]
-            mean, var = _welford(samples)
+            mean, var = _welford([r.observables[name] for r in point])
             aggregates.append(AggregateRow(v, name, mean, var))
 
     provenance = {
@@ -494,13 +489,7 @@ def run_sweep(
     }
     if assumptions:
         provenance["assumptions"] = assumptions
-    return SweepResult(
-        spec=spec,
-        provenance=provenance,
-        rows=tuple(rows),
-        aggregates=tuple(aggregates),
-        traces=tuple(traces),
-    )
+    return SweepResult(spec, provenance, tuple(rows), tuple(aggregates), tuple(traces))
 
 
 def convergence_study(

@@ -352,6 +352,24 @@ def test_criterion_13_byte_identical_outputs(tmp_path):
     report(13, "figure and sweep outputs byte-identical across runs and thread counts")
 
 
+def test_criterion_13_crx_outputs_byte_identical_across_threads(tmp_path):
+    from trotterlab import sweep
+    from trotterlab.cli import main
+
+    # panel 3c walks five N = 15 dense items as several stacks, so two
+    # threads really share them out; GEMM results must not depend on that
+    assert sweep.MAX_STACK_AMPLITUDES < 5 * 2**15
+    runs = []
+    for name, threads in (("t1", "1"), ("t1-again", "1"), ("t2", "2")):
+        out = tmp_path / name
+        out.mkdir()
+        assert main(["figure", "3c", "--seed", "5", "--threads", threads, "--out", str(out / "f.csv")]) == 0
+        runs.append({f.name: f.read_bytes() for f in sorted(out.iterdir())})
+    assert len(runs[0]) == 11  # the figure file and its ten companions
+    assert runs[0] == runs[1] == runs[2]
+    report(13, "CRx panel 3c byte-identical across runs and thread counts")
+
+
 def test_tail_window_matches_n15_definition():
     # supporting check for criteria 9/10: the window is qubits 11..15
     assert tail_start(15) == 11

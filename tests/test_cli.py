@@ -480,6 +480,7 @@ def _subcommand(cfg) -> str:
             "disorder_radius 8e+307 overflow: |base_phi| + 2 * disorder_radius must be finite",
         ),
         (_with_fixed(z_template=["phi"]), "z_template has length 1, expected 2"),
+        (_with_experiment(grid=[-1e308, 1e308, 3]), "grid span from -1e+308 to 1e+308 overflows"),
     ],
 )
 def test_malformed_config_shape_exits_2_naming_the_field(tmp_path, capsys, cfg, message):

@@ -345,6 +345,33 @@ def test_crx_from_the_last_site_only_gains_z_phases():
         assert np.max(np.abs(ref - expected)) <= 1e-15
 
 
+@pytest.mark.parametrize("family", GateFamily)
+def test_walker_matches_reference_across_fused_group_boundaries(family):
+    # N = 11..16 cuts the bond layer into more fused groups, and at more
+    # offsets, than the hypothesis cases (N <= 10) reach; CRx walks from
+    # sites 1, 2, N-1 and N have blocks of N-1, N-2, 1 and 0 qubits
+    rng = np.random.default_rng(12)
+    for n in range(11, 17):
+        for site in (1, 2, n - 1, n):
+            spec = TrotterCircuitSpec(
+                n_qubits=n,
+                n_steps=3,
+                gate_family=family,
+                bond_angles=tuple(rng.uniform(-np.pi, np.pi, n - 1)),
+                initial_excitation_site=site,
+            )
+            phis = rng.uniform(-np.pi, np.pi, (2, n))
+            got = [amps.copy() for _, amps in iterate_stack(spec, phis)]
+            occ = occupation_stack(got[-1], None if family is GateFamily.XY else site)
+            for b, row in enumerate(phis):
+                alone = replace(spec, z_layer=ZLayerSpec(explicit_phis=tuple(row)))
+                expected = reference_trajectory(alone, 0)
+                for amps, ref in zip(got, expected):
+                    assert np.max(np.abs(amps[b] - ref)) <= 1e-12
+                ref_occ = occupation_probs(StateVector(n, expected[-1]))
+                assert np.max(np.abs(occ[b] - ref_occ)) <= 1e-12
+
+
 @given(st.integers(1, 12), st.integers(0, 2**32 - 1))
 def test_folded_occupation_probs_match_per_qubit_sums(n, seed):
     state = random_state(n, np.random.default_rng(seed))
