@@ -211,6 +211,10 @@ def _run_verify_command() -> int:
 
 def main(argv=None) -> int:
     parser = _build_parser()
+    argv = list(sys.argv[1:] if argv is None else argv)
+    for i in reversed(range(len(argv) - 1)):  # argparse takes "-pi:pi:101" for an option
+        if argv[i] == "--grid":
+            argv[i : i + 2] = [f"--grid={argv[i + 1]}"]
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

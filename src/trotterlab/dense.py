@@ -7,18 +7,20 @@ cross-check of the single-excitation walker.  Basis index convention: qubit
 ``int(b, 2)``.  Callers address qubits, never raw indices.
 
 ``iterate_stack`` is the circuit walker: it steps a (B, 2^N) stack of
-circuits that differ only in their z angles; ``run_circuit`` walks one row.
-All rows and steps share one bond layer, so the walker fuses it, once per
-walk, into a few 2^k x 2^k unitaries on groups of k <= FUSED_QUBITS qubits
-and applies each as one matrix product: the gate clustering of large
-state-vector simulators (Haener and Steiger, SC17, arXiv:1704.01127).  A
-CRx walk from site s walks the smaller circuit on qubits s+1..N: a CRx
-bond's control is its lower qubit and Rz is diagonal, so qubits 1..s-1 stay
-|0>, qubit s stays |1> (bond s fires with its control fixed), the Rz phase
-of qubits 1..s is a constant per row, and only indices [2^(N-s), 2^(N-s+1))
-can be non-zero.  ``apply_gate`` on ``build_circuit``'s gate list is the
-gate-by-gate reference the walker is tested against, and the only code that
-spells out a gate; the walker builds its group unitaries with it.
+circuits that differ only in their z angles, and its final stack is checked
+by ``check_norms``, which both backends' walkers call.  ``run_circuit``
+walks one row.  All rows and steps share one bond layer, so the walker
+fuses it, once per walk, into a few 2^k x 2^k unitaries on groups of k <=
+FUSED_QUBITS qubits and applies each as one matrix product: the gate
+clustering of large state-vector simulators (Haener and Steiger, SC17,
+arXiv:1704.01127).  A CRx walk from site s walks the smaller circuit on
+qubits s+1..N: a CRx bond's control is its lower qubit and Rz is diagonal,
+so qubits 1..s-1 stay |0>, qubit s stays |1> (bond s fires with its control
+fixed), the Rz phase of qubits 1..s is a constant per row, and only indices
+[2^(N-s), 2^(N-s+1)) can be non-zero.  ``apply_gate`` on
+``build_circuit``'s gate list is the gate-by-gate reference the walker is
+tested against, and the only code that spells out a gate; the walker builds
+its group unitaries with it.
 """
 
 from __future__ import annotations
@@ -150,7 +152,7 @@ def iterate_stack(spec: TrotterCircuitSpec, phis: np.ndarray):
     but the last) as two multiplies by Kronecker factors of its diagonals,
     over the block's first floor(m/2) and last ceil(m/2) qubits; the CRx
     constant phase is folded into the first.  The stack stays zero outside
-    the block.
+    the block.  The final stack is norm-checked before it is yielded.
     """
     n = spec.n_qubits
     _check_n(n)
@@ -192,24 +194,30 @@ def iterate_stack(spec: TrotterCircuitSpec, phis: np.ndarray):
         if eta < spec.n_steps:
             np.multiply(z_last, hi, out=z_view)
             z_view *= lo
-        elif last is not block:
-            block[...] = last
+        else:
+            if last is not block:
+                block[...] = last
+            check_norms(spec, amps)
         yield eta, amps
 
 
-def run_circuit(spec: TrotterCircuitSpec, seed: int | None = None) -> StateVector:
-    """The state after the whole circuit for ``spec``, with its norm checked."""
-    phis = np.asarray([realize_z_layer(spec.z_layer, spec.n_qubits, seed)])
-    for _, amps in iterate_stack(spec, phis):
+def final_stack(walk, spec: TrotterCircuitSpec, phis: np.ndarray) -> np.ndarray:
+    """The final, norm-checked amplitude stack of either backend's ``walk(spec, phis)``."""
+    for _, amps in walk(spec, phis):
         pass
-    check_norms(spec, amps)
-    return StateVector(spec.n_qubits, amps[0])
+    return amps
+
+
+def run_circuit(spec: TrotterCircuitSpec, seed: int | None = None) -> StateVector:
+    """The state after the whole circuit for ``spec``."""
+    phis = np.asarray([realize_z_layer(spec.z_layer, spec.n_qubits, seed)])
+    return StateVector(spec.n_qubits, final_stack(iterate_stack, spec, phis)[0])
 
 
 def check_norms(spec: TrotterCircuitSpec, amps: np.ndarray) -> None:
     """Raise InvalidStateError if a row of a final stack of ``spec`` drifted.
 
-    ``amps`` is either backend's final stack: (B, 2^N) dense or (B, N)
+    ``amps`` is either walker's final stack: (B, 2^N) dense or (B, N)
     single-excitation amplitudes.  The bound is NORM_DRIFT_C's, with
     ``gates`` counting every gate of ``build_circuit(spec)``; ``vdot``
     allocates no 2^N temporary.

@@ -96,7 +96,7 @@ FIGURE_IDS = (*RESONANCE_PANELS, "3b", *LOCALIZATION_PANELS)
 @dataclass(frozen=True)
 class FigureData:
     figure_id: str
-    kind: str  # "resonance" | "localization" | "convergence"
+    kind: str  # "resonance" | "localization"
     series: tuple[tuple[str, SweepResult], ...]
 
     @property

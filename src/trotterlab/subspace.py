@@ -10,9 +10,11 @@ amplitudes a state, so every XY sweep walks here.  States are plain
 complex arrays: (N,) for one, (B, N) for a stack.
 
 ``iterate_stack`` is the circuit walker: it steps a (B, N) stack of circuits
-that differ only in their z angles, one matrix product per Trotter step;
-``run_discrete`` walks it on one row.  ``trotter_step`` applies one step
-bond by bond and is kept as the reference the walker is tested against.
+that differ only in their z angles, one matrix product per Trotter step, and
+norm-checks the final stack; ``run_discrete`` walks it on one row.
+``trotter_step`` applies one step bond by bond, the walker's reference, and
+is the only code that spells out the XY rotation: its bond loop on eye(N)
+builds ``bond_layer_matrix``.
 
 ``evolve_chains`` is the exact oracle: it applies ``exp(-iHt)`` to a stack
 of tight-binding chains via one eigendecomposition call instead of
@@ -24,6 +26,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .dense import check_norms, final_stack
 from .errors import ConfigurationError, NumericalError
 from .model import ChainSpec, GateFamily, TrotterCircuitSpec, realize_z_layer
 
@@ -52,7 +55,7 @@ def trotter_step(
 ) -> np.ndarray:
     """One Trotter step on (N,) amplitudes, in place: ascending bond rotations, then z phases.
 
-    The bond-by-bond reference for ``iterate_stack``, which does not call it.
+    The bond-by-bond reference for ``iterate_stack``; on an (N, M) array it steps the rows.
     """
     n = len(amps)
     if len(bond_angles) != n - 1 or len(z_angles) != n:
@@ -62,7 +65,7 @@ def trotter_step(
         )
     for j, th in enumerate(bond_angles):
         c, s = np.cos(th), np.sin(th)
-        aj, aj1 = amps[j], amps[j + 1]
+        aj, aj1 = amps[[j, j + 1]]
         amps[j] = c * aj - 1j * s * aj1
         amps[j + 1] = -1j * s * aj + c * aj1
     if include_z:
@@ -73,9 +76,7 @@ def trotter_step(
 def run_discrete(spec: TrotterCircuitSpec, seed: int | None = None) -> np.ndarray:
     """The (N,) amplitudes after the whole circuit for ``spec`` (an XY-family circuit)."""
     phis = np.asarray([realize_z_layer(spec.z_layer, spec.n_qubits, seed)])
-    for _, amps in iterate_stack(spec, phis):
-        pass
-    return amps[0]
+    return final_stack(iterate_stack, spec, phis)[0]
 
 
 def iterate_stack(spec: TrotterCircuitSpec, phis: np.ndarray):
@@ -85,20 +86,17 @@ def iterate_stack(spec: TrotterCircuitSpec, phis: np.ndarray):
     site; row b has its own realized z angles ``phis[b]`` (``spec.z_layer``
     is not used).  ``amps`` is the live (B, N) amplitude stack.  A step is
     one product with the transposed bond-layer matrix and one multiply by
-    the z phases; the last step has no z layer, as in ``build_circuit``.
+    the z phases; the last step has no z layer, as in ``build_circuit``, and
+    is norm-checked before it is yielded.
     """
     if spec.gate_family is not GateFamily.XY:
-        raise ConfigurationError(
-            "the subspace backend only supports XY-family circuits"
-        )
+        raise ConfigurationError("the subspace backend only supports XY-family circuits")
     n = spec.n_qubits
     if n > MAX_CHAIN_SITES:
         raise ConfigurationError(f"n_qubits {n} exceeds {MAX_CHAIN_SITES}")
     phis = np.asarray(phis, dtype=float)
     if phis.ndim != 2 or phis.shape[1] != n:
-        raise ConfigurationError(
-            f"z angles have shape {phis.shape}, expected (B, {n})"
-        )
+        raise ConfigurationError(f"z angles have shape {phis.shape}, expected (B, {n})")
     bond_t = bond_layer_matrix(spec.bond_angles).T
     z_phases = np.exp(-1j * phis)
     amps = np.zeros(phis.shape, dtype=np.complex128)
@@ -110,19 +108,14 @@ def iterate_stack(spec: TrotterCircuitSpec, phis: np.ndarray):
             np.multiply(bonded, z_phases, out=amps)
         else:
             amps[...] = bonded
+            check_norms(spec, amps)
         yield eta, amps
 
 
 def bond_layer_matrix(bond_angles: "np.ndarray | tuple[float, ...]") -> np.ndarray:
-    """The N x N matrix of one bond layer (ascending XY rotations)."""
+    """The N x N matrix of one bond layer: ``trotter_step``'s bonds on the rows of eye(N)."""
     n = len(bond_angles) + 1
-    u = np.eye(n, dtype=np.complex128)
-    for j, th in enumerate(bond_angles):
-        c, s = np.cos(th), np.sin(th)
-        rows = u[[j, j + 1], :]
-        u[j, :] = c * rows[0] - 1j * s * rows[1]
-        u[j + 1, :] = -1j * s * rows[0] + c * rows[1]
-    return u
+    return trotter_step(np.eye(n, dtype=np.complex128), bond_angles, (0.0,) * n, include_z=False)
 
 
 def step_matrix(

@@ -15,12 +15,13 @@ import enum
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
+from math import isqrt
 
 import numpy as np
 
 from . import __version__
 from .analytics import LocalizationReport, ipr, ipr_ave, tail_prob
-from .dense import MAX_QUBITS, check_norms, iterate_stack as dense_stack, occupation_stack
+from .dense import MAX_QUBITS, final_stack, iterate_stack as dense_stack, occupation_stack
 from .errors import ConfigurationError, NumericalError
 from .model import (
     ChainSpec,
@@ -61,6 +62,12 @@ MAX_SWEEP_ITEMS = 2**20
 # the companion files.  Through a CLI run at the cap (N = 3), peak RSS grew
 # by 230-280 MiB, 115-140 bytes a value.  Panel 4b holds 8000 values.
 MAX_ITEM_STEPS = 2**21
+# Entries sized by N per sweep, checked before any is allocated: work items x
+# N z angles and template entries, or grid points x N^2 chain Hamiltonian
+# entries (panel 2d4: 4501 x 5^2).  Through a CLI run at the cap, peak RSS was
+# 241 MiB for an N = 1000 XY scan, 235 MiB for an N = 1000 localization and
+# 96-115 MiB for chains of 20-1000 sites.
+MAX_GRID_ENTRIES = 2**21
 
 
 def _splitmix64(x: int) -> int:
@@ -209,15 +216,17 @@ def _index_field(fixed: dict, name: str, default: int | None, top: int) -> int:
     return index
 
 
-def _template_grid(fixed: dict, name: str, params: dict, count: int) -> np.ndarray:
-    """(count, len) array: the template field ``name`` resolved at every grid value.
+def _template_grid(fixed: dict, name: str, params: dict, count: int, length: int) -> np.ndarray:
+    """(count, length) array: the template field ``name`` resolved at every grid value.
 
     Entries are numbers or '[-]name' strings.  A name bound in ``params``
     resolves to plus or minus its value (the swept name is bound to the
     whole grid, an array); any other string is parsed as an angle.
     """
     entries = require_type(fixed[name], "list", name)
-    out = np.empty((count, len(entries)))
+    if len(entries) != length:
+        raise ConfigurationError(f"{name} has length {len(entries)}, expected {length}")
+    out = np.empty((count, length))
     for col, e in enumerate(entries):
         if not isinstance(e, str):
             out[:, col] = parse_angle(e)
@@ -230,38 +239,49 @@ def _template_grid(fixed: dict, name: str, params: dict, count: int) -> np.ndarr
     return out
 
 
+def _chain_grid(spec: SweepSpec, params: dict, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """(count, N - 1) couplings and (count, N) potentials of a chain kind, N = len(potentials).
+
+    N is capped by MAX_GRID_ENTRIES before either template is resolved.
+    """
+    fixed = spec.fixed
+    _require(fixed, ["couplings", "potentials", "t"], spec.kind)
+    n = len(require_type(fixed["potentials"], "list", "potentials"))
+    top = isqrt(MAX_GRID_ENTRIES // count)
+    if not 2 <= n <= top:
+        raise ConfigurationError(
+            f"potentials must have [2, {top}] entries for {count} grid points"
+            f" (at most {MAX_GRID_ENTRIES} Hamiltonian entries), got {n}"
+        )
+    couplings = _template_grid(fixed, "couplings", params, count, n - 1)
+    return couplings, _template_grid(fixed, "potentials", params, count, n)
+
+
 def _eval_resonance_continuous(spec: SweepSpec, values: list[float]) -> list[dict]:
     """Observables at every grid value, from one stacked oracle call."""
     fixed = spec.fixed
-    _require(fixed, ["couplings", "potentials", "t"], spec.kind)
     params = {**fixed, spec.swept: np.asarray(values, dtype=float)}
-    couplings = _template_grid(fixed, "couplings", params, len(values))
-    potentials = _template_grid(fixed, "potentials", params, len(values))
-    n = ChainSpec(tuple(couplings[0]), tuple(potentials[0])).n_sites  # shape check
+    couplings, potentials = _chain_grid(spec, params, len(values))
+    n = potentials.shape[1]
     target = _index_field(fixed, "target_site", n, n)
     init = basis_state(n, _index_field(fixed, "init_site", 1, n))
-    amps = evolve_chains(
-        chain_hamiltonians(couplings, potentials), parse_angle(fixed["t"]), init
-    )
+    amps = evolve_chains(chain_hamiltonians(couplings, potentials), parse_angle(fixed["t"]), init)
     return [{"probability": float(p)} for p in np.abs(amps[:, target - 1]) ** 2]
 
 
 def _eval_convergence_ladder(spec: SweepSpec, values: list[float]) -> list[dict]:
     """Distance to the exact state at every step count, from one study."""
-    fixed = spec.fixed
-    _require(fixed, ["couplings", "potentials", "t"], spec.kind)
-    chain = ChainSpec(
-        couplings=tuple(_template_grid(fixed, "couplings", {}, 1)[0].tolist()),
-        potentials=tuple(_template_grid(fixed, "potentials", {}, 1)[0].tolist()),
-    )
-    table = convergence_study(chain, parse_angle(fixed["t"]), values)
+    couplings, potentials = _chain_grid(spec, {}, 1)
+    chain = ChainSpec(tuple(couplings[0].tolist()), tuple(potentials[0].tolist()))
+    table = convergence_study(chain, parse_angle(spec.fixed["t"]), values)
     return [{"distance": distance} for _, distance in table]
 
 
 def _items(spec: SweepSpec, values: list[float]) -> list[tuple[TrotterCircuitSpec, tuple]]:
     """Every (point, trial) work item: (circuit without a z layer, its z angles).
 
-    ``n_steps`` is capped by MAX_ITEM_STEPS for every kind.  A resonance
+    ``n_steps`` is capped by MAX_ITEM_STEPS and ``n_qubits`` by
+    MAX_GRID_ENTRIES, over all items, for every kind.  A resonance
     point resolves its ``bond_angles`` and ``z_template`` templates.  A
     localization point's disorder radius is its grid value and its
     ``n_qubits`` is at least 3 (the tail window is the last third); trial k
@@ -277,17 +297,15 @@ def _items(spec: SweepSpec, values: list[float]) -> list[tuple[TrotterCircuitSpe
         else _gate_family(fixed.get("gate_family", "xy"))
     )
     # capped before a per-qubit tuple is built: CRx runs only on the dense walker
-    n = _index_field(
-        fixed, "n_qubits", None, MAX_CHAIN_SITES if family is GateFamily.XY else MAX_QUBITS
-    )
-    n_steps = _index_field(fixed, "n_steps", None, MAX_ITEM_STEPS // (len(values) * spec.trials))
+    n_items = len(values) * spec.trials
+    top = MAX_CHAIN_SITES if family is GateFamily.XY else MAX_QUBITS
+    n = _index_field(fixed, "n_qubits", None, min(top, MAX_GRID_ENTRIES // n_items))
+    n_steps = _index_field(fixed, "n_steps", None, MAX_ITEM_STEPS // n_items)
     if not localization:
         params = {**fixed, spec.swept: np.asarray(values, dtype=float)}
-        bonds = _template_grid(fixed, "bond_angles", params, len(values)).tolist()
-        phis = _template_grid(fixed, "z_template", params, len(values))
+        bonds = _template_grid(fixed, "bond_angles", params, len(values), n - 1).tolist()
+        phis = _template_grid(fixed, "z_template", params, len(values), n)
         circuits = [TrotterCircuitSpec(n, n_steps, family, tuple(b)) for b in bonds]
-        if phis.shape[1] != n:
-            raise ConfigurationError(f"z_template has length {phis.shape[1]}, expected {n}")
         return list(zip(circuits, map(tuple, phis.tolist())))
     if n < 3:
         raise ConfigurationError(f"n_qubits must be >= 3 for localization, got {n}")
@@ -301,47 +319,28 @@ def _items(spec: SweepSpec, values: list[float]) -> list[tuple[TrotterCircuitSpe
     ]
 
 
-def _final_occupations(walk, occupations, circuit, phis, on_step=None) -> np.ndarray:
-    """Walk one stack with ``walk``; return its norm-checked (B, N) final occupations.
+def _walker(circuit):
+    """(walk, read): the gate family's stack walker and its (B, N) occupation readout.
 
-    ``occupations`` reads (B, N) occupations from the walker's amplitude
-    stack, and ``on_step(eta, probs)``, if given, sees them after every step;
-    the last step's are read once, after the norm check.
+    XY circuits conserve the excitation number, so they walk on the
+    single-excitation walker; CRx circuits walk on the dense one.
     """
-    for eta, amps in walk(circuit, phis):
-        if on_step is not None and eta < circuit.n_steps:
-            on_step(eta, occupations(amps))
-    check_norms(circuit, amps)
-    final = occupations(amps)
-    if on_step is not None:
-        on_step(eta, final)
-    return final
+    if circuit.gate_family is GateFamily.XY:
+        return subspace_stack, lambda amps: np.abs(amps) ** 2
+    return dense_stack, partial(occupation_stack, site=circuit.initial_excitation_site)
 
 
-def _walk_stack(circuit, phis, on_step=None) -> np.ndarray:
-    """Walk one stack; return its (B, N) occupations after the last step.
-
-    The gate family picks the walker.  XY circuits conserve the excitation
-    number, so they walk on the single-excitation walker; CRx circuits walk
-    on the dense one.
-    """
-    if circuit.gate_family is not GateFamily.XY:
-        read = partial(occupation_stack, site=circuit.initial_excitation_site)
-        return _final_occupations(dense_stack, read, circuit, phis, on_step)
-    return _final_occupations(subspace_stack, lambda a: np.abs(a) ** 2, circuit, phis, on_step)
-
-
-def _cross_check(circuit, phis) -> None:
-    """Walk one XY stack on both walkers; their final occupations must agree to 1e-10."""
-    dense = _final_occupations(dense_stack, occupation_stack, circuit, phis)
-    gap = float(np.max(np.abs(_walk_stack(circuit, phis) - dense)))
-    if gap > 1e-10:
-        raise NumericalError(f"verification mode: backends disagree by {gap:.3e}")
+def backend_gap(circuit, phis) -> float:
+    """Largest final-occupation gap between the dense and single-excitation walks of XY rows."""
+    dense = occupation_stack(final_stack(dense_stack, circuit, phis))
+    return float(np.max(np.abs(np.abs(final_stack(subspace_stack, circuit, phis)) ** 2 - dense)))
 
 
 def _resonance_rows(circuit, phis, target: int):
     """Resonance observables of one stack: the target qubit's final occupation."""
-    return [({"probability": float(p)}, None) for p in _walk_stack(circuit, phis)[:, target - 1]]
+    walk, read = _walker(circuit)
+    probs = read(final_stack(walk, circuit, phis))[:, target - 1]
+    return [({"probability": float(p)}, None) for p in probs]
 
 
 def _localization_rows(circuit, phis, profile_eta: int):
@@ -350,15 +349,14 @@ def _localization_rows(circuit, phis, profile_eta: int):
     tails = np.empty((circuit.n_steps, len(phis)))
     iprs = np.empty_like(tails)
     profile = np.empty((len(phis), circuit.n_qubits))
-
-    def on_step(eta, probs):
+    walk, read = _walker(circuit)
+    for eta, amps in walk(circuit, phis):
+        probs = read(amps)
         tails[eta - 1] = tail_prob(probs)
         if xy:  # a CRx state holds several excitations and has no IPR
             iprs[eta - 1] = ipr(probs)
         if eta == profile_eta:
             profile[:] = probs
-
-    _walk_stack(circuit, phis, on_step=on_step)
     outputs = []
     for tail, series, prof in zip(tails.T.tolist(), iprs.T.tolist(), profile.tolist()):
         series = tuple(series) if xy else None
@@ -394,9 +392,10 @@ def _evaluate_items(
 
     Consecutive items with equal circuits share a stack; the gate family
     sets its row width (N amplitudes for XY, 2^N for CRx).  Verification
-    mode adds a second pass over the same XY items, grouped at 2^N a row
-    and walked on both walkers on the same pool; it only checks, so the
-    outputs do not depend on it.  Outputs come back in (point, trial) order.
+    mode adds a second pass over the same XY items, grouped at 2^N a row,
+    whose tasks return their ``backend_gap`` on the same pool; it only
+    checks (NumericalError on the worst gap beyond 1e-10), so the outputs do
+    not depend on it.  Outputs come back in (point, trial) order.
     """
     items = _items(spec, values)
     n, steps = items[0][0].n_qubits, items[0][0].n_steps
@@ -406,19 +405,18 @@ def _evaluate_items(
     else:
         rows, readout = _resonance_rows, _index_field(spec.fixed, "target_qubit", n, n)
     xy = items[0][0].gate_family is GateFamily.XY
-    tasks = [(rows, circuit, phis, readout) for circuit, phis in _stacks(items, n if xy else 2**n)]
+    tasks = [partial(rows, *stack, readout) for stack in _stacks(items, n if xy else 2**n)]
     n_walks = len(tasks)
     if verification_mode and xy:
-        tasks += [(_cross_check, circuit, phis) for circuit, phis in _stacks(items, 2**n)]
-
-    def work(task):
-        return task[0](*task[1:])
-
+        tasks += [partial(backend_gap, *stack) for stack in _stacks(items, 2**n)]
     if threads > 1 and len(tasks) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(work, tasks))
+            parts = list(pool.map(lambda task: task(), tasks))
     else:
-        parts = [work(task) for task in tasks]
+        parts = [task() for task in tasks]
+    gap = max(parts[n_walks:], default=0.0)
+    if gap > 1e-10:
+        raise NumericalError(f"verification mode: backends disagree by {gap:.3e}")
     return [out for part in parts[:n_walks] for out in part]
 
 

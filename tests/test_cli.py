@@ -226,6 +226,18 @@ def test_grid_override_flag(tmp_path):
     assert len(json.loads(out.read_text())["rows"]) == 11
 
 
+@pytest.mark.parametrize("grid, count", [("-1:1:3", 3), ("-pi:pi:101", 101)])
+def test_grid_override_takes_a_spaced_negative_start(tmp_path, grid, count):
+    out = tmp_path / "r.json"
+    argv = ["resonance", "--config", write_config(tmp_path, RESONANCE_CONFIG), "--out", str(out)]
+    assert main([*argv, "--format", "json", "--grid", grid]) == 0
+    assert len(json.loads(out.read_text())["rows"]) == count
+
+
+def test_bare_trailing_grid_flag_exits_2(tmp_path):
+    assert main(["resonance", "--config", write_config(tmp_path, RESONANCE_CONFIG), "--grid"]) == 2
+
+
 def test_convergence_subcommand(tmp_path):
     cfg = {
         "experiment": {
@@ -481,6 +493,38 @@ def _subcommand(cfg) -> str:
         ),
         (_with_fixed(z_template=["phi"]), "z_template has length 1, expected 2"),
         (_with_experiment(grid=[-1e308, 1e308, 3]), "grid span from -1e+308 to 1e+308 overflows"),
+        # oversized templates and z layers, each rejected before it is allocated
+        (
+            _with_fixed(_with_experiment(grid=["-pi", "pi", 2**19]), bond_angles=[0.1] * 5000),
+            "bond_angles has length 5000, expected 1",
+        ),
+        (
+            _with_fixed(
+                _with_experiment(grid=["-pi", "pi", 2**20]),
+                n_qubits=1000,
+                n_steps=1,
+                bond_angles=[0.1] * 999,
+                z_template=["phi"] + [0.0] * 999,
+            ),
+            "n_qubits must be in [1, 2], got 1000",
+        ),
+        (
+            _with_fixed(
+                _with_experiment(CONTINUOUS_CONFIG, grid=[0, 1, 20000]),
+                couplings=[1.0] * 99,
+                potentials=["V1"] + [0.0] * 99,
+            ),
+            "potentials must have [2, 10] entries for 20000 grid points"
+            " (at most 2097152 Hamiltonian entries), got 100",
+        ),
+        (
+            _with_fixed(
+                _with_experiment(LOCALIZATION_CONFIG, grid=[0, 1, 1024], trials=1024),
+                n_qubits=1000,
+                n_steps=1,
+            ),
+            "n_qubits must be in [1, 2], got 1000",
+        ),
     ],
 )
 def test_malformed_config_shape_exits_2_naming_the_field(tmp_path, capsys, cfg, message):

@@ -8,7 +8,7 @@ from scipy.linalg import expm
 
 from trotterlab.dense import iterate_stack as dense_stack
 from trotterlab.dense import occupation_probs, occupation_stack, run_circuit
-from trotterlab.errors import ConfigurationError, NumericalError
+from trotterlab.errors import ConfigurationError, InvalidStateError, NumericalError
 from trotterlab.model import (
     ChainSpec,
     GateFamily,
@@ -348,6 +348,16 @@ def test_iterate_stack_rejects_misshapen_z_angles():
     for phis in (np.zeros(3), np.zeros((2, 4))):
         with pytest.raises(ConfigurationError, match="z angles"):
             next(iterate_stack(spec, phis))
+
+
+def test_run_discrete_checks_the_final_norm(monkeypatch):
+    import trotterlab.subspace as subspace
+
+    real = subspace.bond_layer_matrix
+    monkeypatch.setattr(subspace, "bond_layer_matrix", lambda angles: real(angles) * (1 + 1e-11))
+    spec = TrotterCircuitSpec(n_qubits=4, n_steps=3, bond_angles=(0.4, 0.9, -0.3))
+    with pytest.raises(InvalidStateError, match="norm drifted"):
+        run_discrete(spec, seed=1)
 
 
 def test_iterate_stack_caps_the_chain_size_before_allocating(monkeypatch):
