@@ -11,24 +11,22 @@ Config file layout (JSON)::
       "experiment": {"kind": ..., "swept": ..., "grid": [start, stop, count],
                      "fixed": {...}, "trials": ..., "master_seed": ...},
       "output":     {"path": "out.csv", "format": "csv"},
-      "engine":     {"threads": 1, "verification_mode": false}
+      "engine":     {"verification_mode": false}
     }
 
 Angle-valued entries accept plain numbers or "pi" literals such as
-``"pi/2"`` or ``"-pi/1.5"``.  ``--threads`` falls back to
-``engine.threads``, then the ``TROTTERLAB_THREADS`` environment variable,
-then 1; a thread count below 1 from any of them is a configuration error.
+``"pi/2"`` or ``"-pi/1.5"``.  ``--threads`` (default 1) alone sets the
+pool size, and a count below 1 is a configuration error.
 The gate family picks the walker (single-excitation for XY, dense for
 controlled-Rx); ``engine.verification_mode`` also re-walks every XY item
 on both walkers as a cross-check, without changing the outputs.  Keys the
-reader does not know are ignored.
+reader does not know are ignored, and no environment variable is read.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -56,7 +54,6 @@ class RunConfig:
     spec: SweepSpec
     out_path: str = "sweep.csv"
     out_format: str = "csv"
-    threads: int | None = None  # None -> --threads, TROTTERLAB_THREADS, then 1
     verification_mode: bool = False
 
 
@@ -103,32 +100,14 @@ def load_config(path: str, default_kind: ExperimentKind) -> RunConfig:
     if out_format not in ("csv", "json"):
         raise ConfigurationError(f"output.format must be 'csv' or 'json', got {out_format!r}")
     engine = require_type(data.get("engine", {}), "JSON object", "engine")
-    threads = engine.get("threads")
     return RunConfig(
         spec=spec,
         out_path=require_type(out.get("path", "sweep.csv"), "string", "output.path"),
         out_format=out_format,
-        threads=None if threads is None else _thread_count(threads, "engine.threads"),
         verification_mode=parse_bool(
             engine.get("verification_mode", False), "engine.verification_mode"
         ),
     )
-
-
-def _thread_count(value, name: str) -> int:
-    threads = parse_int(value, name)
-    if threads < 1:
-        raise ConfigurationError(f"{name} must be >= 1, got {threads}")
-    return threads
-
-
-def _resolve_threads(flag_value: int | None, config_value: int | None = None) -> int:
-    if flag_value is not None:
-        return _thread_count(flag_value, "--threads")
-    if config_value is not None:
-        return config_value
-    env = os.environ.get("TROTTERLAB_THREADS", "")
-    return _thread_count(env, "TROTTERLAB_THREADS") if env else 1
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -144,7 +123,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None, help="override master seed")
         p.add_argument("--out", default=None, help="output file path")
         p.add_argument("--format", choices=("csv", "json"), default=None)
-        p.add_argument("--threads", type=int, default=None)
+        p.add_argument("--threads", type=int, default=1, help="thread pool size (default 1)")
 
     for name in ("resonance", "localization", "convergence", "crx"):
         p = sub.add_parser(name, help=f"run a {name} sweep from a config")
@@ -174,8 +153,9 @@ def _run_sweep_command(command: str, args) -> int:
         spec = replace(spec, master_seed=args.seed)
     if args.grid is not None:
         spec = replace(spec, grid=_parse_grid_triplet(args.grid))
-    threads = _resolve_threads(args.threads, config.threads)
-    result = run_sweep(spec, threads=threads, verification_mode=config.verification_mode)
+    if args.threads < 1:
+        raise ConfigurationError(f"--threads must be >= 1, got {args.threads}")
+    result = run_sweep(spec, threads=args.threads, verification_mode=config.verification_mode)
     out_path = args.out or config.out_path
     out_format = args.format or config.out_format
     write_sweep(out_path, out_format, result)
@@ -184,11 +164,12 @@ def _run_sweep_command(command: str, args) -> int:
 
 
 def _run_figure_command(args) -> int:
-    threads = _resolve_threads(args.threads)
+    if args.threads < 1:
+        raise ConfigurationError(f"--threads must be >= 1, got {args.threads}")
     fig = figure_recipe(
         args.figure_id,
         master_seed=args.seed if args.seed is not None else 0,
-        threads=threads,
+        threads=args.threads,
     )
     out_format = args.format or "csv"
     out_path = args.out or f"figure_{fig.figure_id}.{out_format}"

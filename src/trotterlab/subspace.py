@@ -2,12 +2,16 @@
 
 XY-family circuits conserve the excitation number, so a circuit started from
 ``|e_j>`` (qubit j excited, rest 0) stays in the N-dimensional span of the
-``|e_j>``.  This backend tracks those N amplitudes directly: amplitude j is
-``<e_j|psi>``.  A realized Rz layer contributes the relative phase
-``exp(-i phi_j)`` to site j, matching a chain with +V_j on-site potentials.
-It gives the same occupations as the dense walker at N instead of 2^N
-amplitudes a state, so every XY sweep walks here.  States are plain
-complex arrays: (N,) for one, (B, N) for a stack.
+``|e_j>``.  This backend tracks one amplitude ``a_j`` per site in the chain
+convention: a z layer multiplies site j by ``exp(-i phi_j)``, matching a
+chain with +V_j on-site potentials.  The gate-level Rz layer gives ``|e_j>``
+the opposite relative phase, ``exp(+i phi_j)``, so the dense amplitude of
+``|e_j>`` is ``c * (-1)^j * conj(a_j)`` with one global phase ``|c| = 1``
+(conjugation also flips the sign of the bonds' ``-i sin`` terms, which the
+``(-1)^j`` undoes).  Neither changes an occupation ``|a_j|^2``, so this
+backend gives the dense walker's occupations at N instead of 2^N amplitudes
+a state, and every XY sweep walks here.  States are plain complex arrays:
+(N,) for one, (B, N) for a stack.
 
 ``iterate_stack`` is the circuit walker: it steps a (B, N) stack of circuits
 that differ only in their z angles, one matrix product per Trotter step, and

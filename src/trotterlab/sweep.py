@@ -270,8 +270,12 @@ def _eval_resonance_continuous(spec: SweepSpec, values: list[float]) -> list[dic
 
 
 def _eval_convergence_ladder(spec: SweepSpec, values: list[float]) -> list[dict]:
-    """Distance to the exact state at every step count, from one study."""
-    couplings, potentials = _chain_grid(spec, {}, 1)
+    """Distance to the exact state at every step count, from one study.
+
+    Each rung builds an N x N step matrix, so the ladder's length counts
+    against MAX_GRID_ENTRIES as a grid's point count does.
+    """
+    couplings, potentials = _chain_grid(spec, {}, len(values))
     chain = ChainSpec(tuple(couplings[0].tolist()), tuple(potentials[0].tolist()))
     table = convergence_study(chain, parse_angle(spec.fixed["t"]), values)
     return [{"distance": distance} for _, distance in table]
@@ -449,7 +453,6 @@ def run_sweep(
         values = [float(v) for v in spec.grid.geometric_int_values()]
     else:
         values = [float(v) for v in spec.grid.values()]
-    items = [(i, v, k) for i, v in enumerate(values) for k in range(spec.trials)]
     if spec.kind in (ExperimentKind.RESONANCE_CONTINUOUS, ExperimentKind.CONVERGENCE):
         # seed-free: one call for the whole grid, one row per point
         continuous = spec.kind is ExperimentKind.RESONANCE_CONTINUOUS
@@ -459,7 +462,8 @@ def run_sweep(
         outputs = _evaluate_items(spec, values, threads, verification_mode)
 
     rows, traces = [], []
-    for (i, v, k), (obs, report) in zip(items, outputs):
+    labels = ((v, k) for v in values for k in range(spec.trials))
+    for (v, k), (obs, report) in zip(labels, outputs):
         rows.append(Row(swept_value=v, trial=k, observables=obs))
         if report is not None:
             traces.append(Trace(swept_value=v, trial=k, report=report))

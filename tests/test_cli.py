@@ -311,40 +311,49 @@ def test_figure_subcommand_writes_file(tmp_path):
     assert "V2=-pi/2" in text
 
 
+@pytest.mark.parametrize(
+    "figure_id, kind, labels, rows, traces",
+    [
+        ("3b", "resonance", ["alpha=-pi/1.5", "alpha=pi/4"], 315, 0),
+        ("4a", "localization", ["R-grid"], 2, 2),
+    ],
+)
+def test_figure_json_holds_every_series_at_any_thread_count(
+    tmp_path, figure_id, kind, labels, rows, traces
+):
+    outs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"fig{threads}.json"
+        argv = ["figure", figure_id, "--format", "json", "--threads", threads, "--out", str(out)]
+        assert main(argv) == 0
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
+    payload = json.loads(outs[0])
+    assert sorted(payload) == ["figure_id", "kind", "series"]
+    assert (payload["figure_id"], payload["kind"]) == (figure_id, kind)
+    assert sorted(payload["series"]) == labels
+    for series in payload["series"].values():
+        assert sorted(series) == ["aggregates", "provenance", "rows", "traces"]
+        assert (len(series["rows"]), len(series["traces"])) == (rows, traces)
+
+
 def test_verify_subcommand_green(capsys):
     assert main(["verify"]) == 0
     out = capsys.readouterr().out
     assert "closed-form-n2" in out and "0 failed" in out
 
 
-def test_threads_env_fallback(tmp_path, monkeypatch):
-    # env applies only when neither the flag nor the config sets threads
-    bare = {k: v for k, v in RESONANCE_CONFIG.items() if k != "engine"}
-    cfg = write_config(tmp_path, bare)
-    out1, out2 = tmp_path / "e1.csv", tmp_path / "e2.csv"
-    monkeypatch.setenv("TROTTERLAB_THREADS", "2")
-    assert main(["resonance", "--config", cfg, "--out", str(out1)]) == 0
-    monkeypatch.delenv("TROTTERLAB_THREADS")
-    assert main(["resonance", "--config", cfg, "--out", str(out2)]) == 0
-    assert out1.read_bytes() == out2.read_bytes()
-    monkeypatch.setenv("TROTTERLAB_THREADS", "banana")
-    assert main(["resonance", "--config", cfg, "--out", str(out1)]) == 2
-
-
 @pytest.mark.parametrize(
-    "flag, env, message",
+    "flag, message",
     [
-        (["--threads", "-5"], None, "--threads must be >= 1, got -5"),
-        (["--threads", "0"], None, "--threads must be >= 1, got 0"),
-        ([], "-3", "TROTTERLAB_THREADS must be >= 1, got -3"),
+        (["--threads", "-5"], "--threads must be >= 1, got -5"),
+        (["--threads", "0"], "--threads must be >= 1, got 0"),
     ],
 )
-def test_thread_count_below_1_exits_2(tmp_path, capsys, monkeypatch, flag, env, message):
-    bare = {k: v for k, v in RESONANCE_CONFIG.items() if k != "engine"}
-    if env is not None:
-        monkeypatch.setenv("TROTTERLAB_THREADS", env)
+def test_thread_count_below_1_exits_2(tmp_path, capsys, flag, message):
     out = tmp_path / "t.csv"
-    argv = ["resonance", "--config", write_config(tmp_path, bare), "--out", str(out), *flag]
+    cfg = write_config(tmp_path, RESONANCE_CONFIG)
+    argv = ["resonance", "--config", cfg, "--out", str(out), *flag]
     assert main(argv) == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
@@ -453,17 +462,17 @@ def _subcommand(cfg) -> str:
         (_with_experiment(trials=float("inf")), "experiment.trials must be an integer"),
         (_with_experiment(trials=2.5), "experiment.trials must be an integer, got 2.5"),
         (_with_experiment(grid=[0, 1, float("inf")]), "grid count must be an integer"),
-        (
-            dict(RESONANCE_CONFIG, engine={"threads": float("inf")}),
-            "engine.threads must be an integer",
-        ),
+        (_with_experiment(grid="1:2"), "grid must be 'start:stop:count', got '1:2'"),
         (
             dict(RESONANCE_CONFIG, engine={"verification_mode": "false"}),
             "engine.verification_mode must be true or false, got 'false'",
         ),
         (_with_fixed(n_steps=0), "n_steps must be in [1, 51150], got 0"),
         (_with_fixed(bond_angles=["pi/4", 0.1]), "bond_angles has length 2, expected 1"),
-        (dict(RESONANCE_CONFIG, engine={"threads": -3}), "engine.threads must be >= 1, got -3"),
+        (
+            dict(RESONANCE_CONFIG, experiment={"kind": "resonance_discrete"}),
+            "experiment.grid is required",
+        ),
         (_with_experiment(grid={"start": 0, "stop": 1, "count": 3}), "grid needs exactly"),
         (_with_fixed(CONTINUOUS_CONFIG, init_site=5), "init_site must be in [1, 2], got 5"),
         (_with_experiment(trials=2), "a resonance_discrete sweep takes trials = 1, got 2"),
@@ -524,6 +533,19 @@ def _subcommand(cfg) -> str:
                 n_steps=1,
             ),
             "n_qubits must be in [1, 2], got 1000",
+        ),
+        (
+            _with_experiment(CONVERGENCE_CONFIG, grid=[0, 40, 3]),
+            "convergence grids need 0 < start < stop",
+        ),
+        (
+            _with_experiment(CONVERGENCE_CONFIG, grid=[1, 3, 5]),
+            "degenerate convergence ladder [1, 1, 2, 2, 3]",
+        ),
+        # a convergence ladder's rungs count against the entry cap like grid points
+        (
+            _with_fixed(CONVERGENCE_CONFIG, couplings=[0.5] * 999, potentials=[0.0] * 1000),
+            "potentials must have [2, 836] entries for 3 grid points",
         ),
     ],
 )
@@ -644,9 +666,10 @@ def test_walked_resonance_n_steps_is_capped_before_any_walk(
     assert not out.exists()
 
 
-def test_removed_walker_settings_are_ignored(tmp_path):
-    # engine.backend and fixed.drop_final_z are unread keys: the gate family
-    # picks the walker and the final Rz layer is always dropped
+def test_removed_walker_settings_are_ignored(tmp_path, monkeypatch):
+    # engine.backend, fixed.drop_final_z, engine.threads and TROTTERLAB_THREADS
+    # are unread: the gate family picks the walker, the final Rz layer is
+    # always dropped and --threads alone sets the pool size
     def run(name, engine, fixed):
         cfg = {
             "experiment": {
@@ -670,14 +693,22 @@ def test_removed_walker_settings_are_ignored(tmp_path):
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(cfg))
         assert main(["localization", "--config", str(path)]) == 0
+        return {f.name: f.read_text() for f in sorted((tmp_path / name).iterdir())}
+
+    def data_lines(files):  # a fixed key is echoed in the provenance headers
         return {
-            f.name: [line for line in f.read_text().splitlines() if not line.startswith("#")]
-            for f in sorted((tmp_path / name).iterdir())
+            name: [line for line in text.splitlines() if not line.startswith("#")]
+            for name, text in files.items()
         }
 
     plain = run("plain", {}, {})
     assert len(plain) == 7  # the main CSV and three companions per grid point
-    assert run("old", {"backend": "dense"}, {"drop_final_z": False}) == plain
+    old = run("old", {"backend": "dense"}, {"drop_final_z": False})
+    assert data_lines(old) == data_lines(plain)
+    for i, threads in enumerate([-3, float("inf"), "x", 2]):
+        assert run(f"threads{i}", {"threads": threads}, {}) == plain
+    monkeypatch.setenv("TROTTERLAB_THREADS", "banana")
+    assert run("env", {}, {}) == plain
 
 
 def test_output_format_is_checked_before_the_sweep_runs(tmp_path, capsys, monkeypatch):

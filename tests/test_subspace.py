@@ -27,6 +27,7 @@ from trotterlab.subspace import (
     step_matrix,
     trotter_step,
 )
+from trotterlab.verification import random_circuit_spec
 
 
 def test_trotter_step_zero_bond_angles_is_phase_only():
@@ -90,6 +91,20 @@ def test_run_discrete_matches_dense_probabilities(seed):
     dense_probs = occupation_probs(run_circuit(spec, z_seed))
     sub_probs = np.abs(run_discrete(spec, z_seed)) ** 2
     assert np.max(np.abs(dense_probs - sub_probs)) < 1e-10
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_dense_amplitudes_are_the_signed_conjugate_of_subspace_amplitudes(seed):
+    # the gate-level Rz layer gives |e_j> the phase exp(+i phi_j) and the
+    # subspace walker exp(-i phi_j): dense <e_j|psi> = c (-1)^j conj(a_j), |c| = 1
+    spec, z_seed = random_circuit_spec(np.random.default_rng(seed))
+    n = spec.n_qubits
+    dense = run_circuit(spec, z_seed).amplitudes[[2 ** (n - j) for j in range(1, n + 1)]]
+    mapped = (-1.0) ** np.arange(1, n + 1) * np.conj(run_discrete(spec, z_seed))
+    k = np.argmax(np.abs(mapped))
+    c = dense[k] / mapped[k]
+    assert abs(abs(c) - 1) < 1e-12
+    assert np.max(np.abs(dense - c * mapped)) < 1e-12
 
 
 def test_run_discrete_partial_steps_keep_z_layer():

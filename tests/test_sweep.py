@@ -1,6 +1,7 @@
 """Sweep harness: determinism, seeding, aggregation, convergence."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -315,6 +316,26 @@ def test_omitted_trials_give_20_rows_per_point_to_localization_only():
     assert rows_per_point(localization_spec(n=3, steps=5)) == 20
     for spec in (discrete, crx, continuous, convergence):
         assert rows_per_point(spec) == 1
+
+
+def test_rejected_sweep_allocates_no_per_item_labels():
+    # 2^20 items of an N = 1000 chain are rejected on n_qubits before any
+    # per-item list exists (a list of (i, v, k) labels alone peaks near 96 MiB)
+    spec = SweepSpec(
+        kind=ExperimentKind.LOCALIZATION,
+        swept="R",
+        grid=GridSpec(0.0, 1.0, 1024),
+        fixed={"n_qubits": 1000, "n_steps": 1, "bond_angle": 0.7, "base_phi": 1.0},
+        trials=1024,
+    )
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigurationError, match="n_qubits must be in"):
+            run_sweep(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 def test_grid_validation():
