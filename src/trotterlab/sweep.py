@@ -47,8 +47,9 @@ _MASK64 = (1 << 64) - 1
 # Amplitudes per stack walk.  Stacking pays where items are small (an N = 4
 # CRx scan walks its 315 circuits as one stack); N = 15 dense states (2^15
 # amplitudes) walk two to a stack.  Panel 3c on a 2-core Xeon VM, BLAS at one
-# thread, median of 7: 205 ms at one thread and 135 ms at two; one to a stack
-# 213 and 155 ms, four 208 and 174 ms, five (one task) 212 and 208 ms.
+# thread, the median over 4-6 rounds of medians of 7 in one noisy session:
+# 170 ms at one thread and 137 ms at two; one to a stack 179 and 201 ms, four
+# 178 and 176 ms, five (one task) 173 and 169 ms.
 MAX_STACK_AMPLITUDES = 2**16
 # Work items per sweep (grid points x trials), checked when the spec is made
 # and so before any per-item list or array exists.  Desk scale: the largest

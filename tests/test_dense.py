@@ -5,6 +5,7 @@ scipy.linalg.expm and embeds it with Kronecker products; the backend under
 test never forms those matrices, so agreement is a real cross-check.
 """
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -15,6 +16,7 @@ from scipy.linalg import expm
 
 from trotterlab.dense import (
     StateVector,
+    _fused_groups,
     apply_gate,
     check_norms,
     init_basis,
@@ -278,6 +280,27 @@ def reference_trajectory(spec: TrotterCircuitSpec, seed: int) -> list[np.ndarray
     return series
 
 
+def frame_phases(spec: TrotterCircuitSpec) -> np.ndarray:
+    """i^(-g(x)) on every basis state x: the walker's frame, from qubit bits.
+
+    g(x) sums the positions of x's excited qubits for XY and counts its
+    excited qubits s+1..N for a CRx walk from site s.
+    """
+    n = spec.n_qubits
+    bits = (np.arange(2**n)[:, None] >> np.arange(n - 1, -1, -1)) & 1  # column q - 1: qubit q
+    if spec.gate_family is GateFamily.XY:
+        g = bits @ np.arange(1, n + 1)
+    else:
+        g = bits[:, spec.initial_excitation_site :].sum(axis=1)
+    return np.array([1, -1j, -1, 1j])[g % 4]
+
+
+def walker_view(spec: TrotterCircuitSpec, series: list[np.ndarray]) -> list[np.ndarray]:
+    """What the walker yields for a reference trajectory: frame amplitudes, then the state."""
+    phases = frame_phases(spec)
+    return [phases * amps for amps in series[:-1]] + series[-1:]
+
+
 @st.composite
 def circuit_specs(draw):
     n = draw(st.integers(2, 10))
@@ -304,7 +327,7 @@ def test_walker_matches_gate_by_gate_reference(case):
     phis = np.asarray([realize_z_layer(spec.z_layer, spec.n_qubits, seed)])
     got = [amps[0].copy() for _, amps in iterate_stack(spec, phis)]
     assert len(got) == len(expected) == spec.n_steps
-    for amps, ref in zip(got, expected):
+    for amps, ref in zip(got, walker_view(spec, expected)):
         assert np.max(np.abs(amps - ref)) <= 1e-12
 
 
@@ -366,7 +389,7 @@ def test_walker_matches_reference_across_fused_group_boundaries(family):
             for b, row in enumerate(phis):
                 alone = replace(spec, z_layer=ZLayerSpec(explicit_phis=tuple(row)))
                 expected = reference_trajectory(alone, 0)
-                for amps, ref in zip(got, expected):
+                for amps, ref in zip(got, walker_view(spec, expected)):
                     assert np.max(np.abs(amps[b] - ref)) <= 1e-12
                 ref_occ = occupation_probs(StateVector(n, expected[-1]))
                 assert np.max(np.abs(occ[b] - ref_occ)) <= 1e-12
@@ -407,7 +430,7 @@ def test_each_stack_row_matches_gate_by_gate_reference(case):
     for b, row in enumerate(phis):
         alone = replace(spec, z_layer=ZLayerSpec(explicit_phis=tuple(row)))
         expected = reference_trajectory(alone, 0)
-        for (amps, occ), ref in zip(got, expected):
+        for (amps, occ), ref in zip(got, walker_view(spec, expected)):
             assert np.max(np.abs(amps[b] - ref)) <= 1e-12
             ref_occ = occupation_probs(StateVector(spec.n_qubits, ref))
             assert np.max(np.abs(occ[b] - ref_occ)) <= 1e-12
@@ -418,3 +441,46 @@ def test_stack_rejects_misshapen_z_angles():
     for phis in (np.zeros(3), np.zeros((2, 4))):
         with pytest.raises(ConfigurationError, match="z angles"):
             next(iterate_stack(spec, phis))
+
+
+@pytest.mark.parametrize("family", GateFamily)
+def test_frame_groups_are_real_orthogonal_matrices(family):
+    # every fused group in the frame is real up to exact zeros, so the
+    # walker may drop its imaginary part; N = 2..9 with CRx sites 1, 2, N-1
+    # and N reach every group width the walker makes
+    rng = np.random.default_rng(4)
+    widths = set()
+    for n in range(2, 10):
+        for site in sorted({1, 2, n - 1, n}):
+            spec = TrotterCircuitSpec(
+                n_qubits=n,
+                n_steps=1,
+                gate_family=family,
+                bond_angles=tuple(rng.uniform(-np.pi, np.pi, n - 1)),
+                initial_excitation_site=site,
+            )
+            first = 1 if family is GateFamily.XY else site + 1
+            for _, width, u in _fused_groups(spec, first):
+                widths.add(width)
+                assert np.all(u.imag == 0.0)
+                assert np.max(np.abs(u.real @ u.real.T - np.eye(2**width))) <= 1e-14
+    assert widths == ({2, 3, 4} if family is GateFamily.XY else {1, 2, 3, 4})
+
+
+def test_n20_crx_walk_allocates_only_the_state_and_one_block_buffer():
+    # the state is 16 MiB and the block buffer 8 MiB; no table or index of
+    # the walk's set-up may grow with 2^N
+    spec = TrotterCircuitSpec(
+        n_qubits=20,
+        n_steps=1,
+        gate_family=GateFamily.CRX,
+        bond_angles=(np.pi / 2,) * 19,
+        z_layer=ZLayerSpec(base_phi=np.pi / 2, disorder_radius=np.pi / 4),
+    )
+    tracemalloc.start()
+    try:
+        run_circuit(spec, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * 2**20
