@@ -15,7 +15,5 @@ from .model import (  # noqa: F401
     TrotterCircuitSpec,
     ZLayerSpec,
     build_circuit,
-    chain_from_circuit,
-    circuit_from_chain,
     realize_z_layer,
 )

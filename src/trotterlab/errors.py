@@ -9,10 +9,6 @@ class ConfigurationError(TrotterlabError):
     """Invalid spec, config file, or parameter combination."""
 
 
-class UnsupportedMappingError(ConfigurationError):
-    """Requested a mapping that does not exist (e.g. CRx circuit to a chain)."""
-
-
 class InvalidStateError(TrotterlabError):
     """A state failed a normalization or shape check."""
 

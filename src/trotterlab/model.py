@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, UnsupportedMappingError
+from .errors import ConfigurationError
 
 
 class GateKind(enum.Enum):
@@ -84,14 +84,13 @@ class ZLayerSpec:
 
     The realized angle at site j is ``s_j * (base_phi + r_j)``, with the
     alternating signs ``s = (+1, -1, +1, ...)`` and ``r_j`` drawn once,
-    uniformly from ``[-disorder_radius, +disorder_radius]``.
-    ``explicit_phis`` bypasses signs and sampling entirely; it is used for
-    the small hand-set circuits where each site's angle is given directly.
+    uniformly from ``[-disorder_radius, +disorder_radius]``.  Walkers take
+    realized angles as a (B, N) array; this spec is only the disorder law
+    that ``realize_z_layer`` draws one row from.
     """
 
     base_phi: float = 0.0
     disorder_radius: float = 0.0
-    explicit_phis: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
         if self.disorder_radius < 0:
@@ -115,14 +114,6 @@ def realize_z_layer(
     angles.  The generator is numpy's PCG64 seeded directly with ``seed``.
     When ``disorder_radius`` is 0 no randomness is consumed at all.
     """
-    if spec.explicit_phis is not None:
-        if len(spec.explicit_phis) != n_qubits:
-            raise ConfigurationError(
-                f"explicit_phis has length {len(spec.explicit_phis)}, "
-                f"expected {n_qubits}"
-            )
-        return tuple(float(p) for p in spec.explicit_phis)
-
     if spec.disorder_radius == 0.0:
         offsets = np.zeros(n_qubits)
     else:
@@ -211,45 +202,14 @@ class ChainSpec:
         return len(self.potentials)
 
 
-def chain_from_circuit(
-    spec: TrotterCircuitSpec, tau: float, seed: int | None = None
-) -> ChainSpec:
-    """Invert theta_j = J_j tau, phi_j = V_j tau for an XY-family circuit.
-
-    ``seed`` is required when the z layer actually samples disorder.  CRx
-    circuits have no single-excitation chain equivalent and are rejected.
-    """
-    if spec.gate_family is not GateFamily.XY:
-        raise UnsupportedMappingError(
-            "only XY-family circuits map to a tight-binding chain"
-        )
-    if tau == 0:
-        raise ConfigurationError("tau must be nonzero")
-    phis = realize_z_layer(spec.z_layer, spec.n_qubits, seed)
-    return ChainSpec(
-        couplings=tuple(th / tau for th in spec.bond_angles),
-        potentials=tuple(p / tau for p in phis),
-    )
-
-
-def circuit_from_chain(chain: ChainSpec, tau: float, n_steps: int) -> TrotterCircuitSpec:
-    """Discretize a chain into an XY-family circuit spec with step size ``tau``."""
-    return TrotterCircuitSpec(
-        n_qubits=chain.n_sites,
-        n_steps=n_steps,
-        bond_angles=tuple(j * tau for j in chain.couplings),
-        z_layer=ZLayerSpec(explicit_phis=tuple(v * tau for v in chain.potentials)),
-    )
-
-
 def parse_angle(value: float | int | str) -> float:
     """Parse an angle given as a number or a 'pi' literal like ``-pi/1.5``.
 
     Accepted string forms: ``pi``, ``pi/k``, ``a*pi``, ``a*pi/b``, ``api/b``
     (with a, b, k decimal numbers), an optional leading sign, or a plain
-    decimal number.  NaN and infinite values are rejected.
+    decimal number.  Booleans, NaN and infinite values are rejected.
     """
-    if isinstance(value, numbers.Real):
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
         angle = float(value)
     elif isinstance(value, str):
         angle = _parse_angle_text(value)

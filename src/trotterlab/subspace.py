@@ -15,7 +15,7 @@ a state, and every XY sweep walks here.  States are plain complex arrays:
 
 ``iterate_stack`` is the circuit walker: it steps a (B, N) stack of circuits
 that differ only in their z angles, one matrix product per Trotter step, and
-norm-checks the final stack; ``run_discrete`` walks it on one row.
+norm-checks the final stack; ``dense.final_stack`` runs it to the end.
 ``trotter_step`` applies one step bond by bond, the walker's reference, and
 is the only code that spells out the XY rotation: its bond loop on eye(N)
 builds ``bond_layer_matrix``.
@@ -30,9 +30,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dense import check_norms, final_stack
+from .dense import check_norms
 from .errors import ConfigurationError, NumericalError
-from .model import ChainSpec, GateFamily, TrotterCircuitSpec, realize_z_layer
+from .model import ChainSpec, GateFamily, TrotterCircuitSpec
 
 MAX_CHAIN_SITES = 1000  # also caps N of the walker: its bond-layer matrix is N x N
 # Eigen-residual bound: max|H v - lambda v| <= EIGH_RESIDUAL_C * eps * N * max|lambda|.
@@ -75,12 +75,6 @@ def trotter_step(
     if include_z:
         amps *= np.exp(-1j * np.asarray(z_angles))
     return amps
-
-
-def run_discrete(spec: TrotterCircuitSpec, seed: int | None = None) -> np.ndarray:
-    """The (N,) amplitudes after the whole circuit for ``spec`` (an XY-family circuit)."""
-    phis = np.asarray([realize_z_layer(spec.z_layer, spec.n_qubits, seed)])
-    return final_stack(iterate_stack, spec, phis)[0]
 
 
 def iterate_stack(spec: TrotterCircuitSpec, phis: np.ndarray):

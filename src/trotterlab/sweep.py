@@ -500,10 +500,12 @@ def convergence_study(
 ) -> list[tuple[int, float]]:
     """(N_T, ||psi_discrete - psi_continuous||_2) for each step count.
 
-    The discrete state is the single Trotter-step matrix raised to the N_T-th
-    power by binary powering, which is algebraically the same product as N_T
-    sequential steps (all z layers included) but runs in O(log N_T) matrix
-    multiplies, so step counts in the millions stay cheap.
+    The discrete state is the chain's circuit, ``theta_j = J_j tau`` and
+    ``phi_j = V_j tau`` with ``tau = t / N_T``: its single Trotter-step
+    matrix raised to the N_T-th power by binary powering, which is
+    algebraically the same product as N_T sequential steps (all z layers
+    included) but runs in O(log N_T) matrix multiplies, so step counts in
+    the millions stay cheap.
     """
     n_t_list = [int(n) for n in n_t_list]
     if any(b <= a for a, b in zip(n_t_list, n_t_list[1:])):

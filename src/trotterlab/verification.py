@@ -71,15 +71,20 @@ def closed_form_n3_suite() -> SuiteReport:
     return _closed_form_suite("closed-form-n3", 3, p001_closed_form)
 
 
-def random_circuit_spec(rng: np.random.Generator) -> tuple[TrotterCircuitSpec, int]:
-    """A random XY circuit (N <= 10, N_T <= 20) and a z-layer seed."""
+def random_circuit_spec(rng: np.random.Generator) -> tuple[TrotterCircuitSpec, np.ndarray]:
+    """A random XY circuit (N <= 10, N_T <= 20) and its (1, N) z angles.
+
+    Half the circuits draw each z angle uniformly from [-pi, pi], half
+    realize a disordered layer from a drawn seed.
+    """
     n = int(rng.integers(2, 11))
     n_steps = int(rng.integers(1, 21))
     bond_angles = tuple(rng.uniform(-math.pi, math.pi, n - 1))
-    if rng.random() < 0.5:
-        z = ZLayerSpec(explicit_phis=tuple(rng.uniform(-math.pi, math.pi, n)))
+    hand_set = rng.random() < 0.5
+    if hand_set:
+        phis = rng.uniform(-math.pi, math.pi, n)
     else:
-        z = ZLayerSpec(
+        law = ZLayerSpec(
             base_phi=float(rng.uniform(-math.pi, math.pi)),
             disorder_radius=float(rng.uniform(0, math.pi)),
         )
@@ -88,10 +93,12 @@ def random_circuit_spec(rng: np.random.Generator) -> tuple[TrotterCircuitSpec, i
         n_steps=n_steps,
         gate_family=GateFamily.XY,
         bond_angles=bond_angles,
-        z_layer=z,
         initial_excitation_site=int(rng.integers(1, n + 1)),
     )
-    return spec, int(rng.integers(0, 2**63))
+    seed = int(rng.integers(0, 2**63))  # drawn for every circuit, so the sequence is fixed
+    if not hand_set:
+        phis = realize_z_layer(law, n, seed)
+    return spec, np.array([phis])
 
 
 def backend_equivalence_suite() -> SuiteReport:
@@ -102,11 +109,7 @@ def backend_equivalence_suite() -> SuiteReport:
     ``backend_gap`` is at most 1e-10.
     """
     rng = np.random.default_rng(2024)
-    gaps = []
-    for _ in range(50):
-        spec, z_seed = random_circuit_spec(rng)
-        phis = np.array([realize_z_layer(spec.z_layer, spec.n_qubits, z_seed)])
-        gaps.append(backend_gap(spec, phis))
+    gaps = [backend_gap(*random_circuit_spec(rng)) for _ in range(50)]
     ok = [gap <= 1e-10 for gap in gaps]
     return _tally("backend-equivalence", gaps, ok, "max prob gap={worst:.3e}")
 

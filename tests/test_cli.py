@@ -547,6 +547,9 @@ def _subcommand(cfg) -> str:
             _with_fixed(CONVERGENCE_CONFIG, couplings=[0.5] * 999, potentials=[0.0] * 1000),
             "potentials must have [2, 836] entries for 3 grid points",
         ),
+        # a JSON boolean is no angle, though Python counts bool as a number
+        (_with_fixed(LOCALIZATION_CONFIG, bond_angle=True), "cannot parse angle True"),
+        (_with_experiment(LOCALIZATION_CONFIG, grid=[True, 1, 2]), "cannot parse angle True"),
     ],
 )
 def test_malformed_config_shape_exits_2_naming_the_field(tmp_path, capsys, cfg, message):

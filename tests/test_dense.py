@@ -155,9 +155,8 @@ def test_run_circuit_n2_resonant_point():
         n_qubits=2,
         n_steps=2,
         bond_angles=(np.pi / 4,),
-        z_layer=ZLayerSpec(explicit_phis=(0.0, 0.0)),
     )
-    state = run_circuit(spec)
+    state = run_circuit(spec)  # the default z layer is all zeros
     assert abs(abs(state.amplitudes[int("01", 2)]) ** 2 - 1.0) < 1e-12
 
 
@@ -179,8 +178,7 @@ def test_run_circuit_n3_frozen_value():
         n_qubits=3,
         n_steps=2,
         bond_angles=(np.pi / 4, np.pi / 4),
-        z_layer=ZLayerSpec(explicit_phis=(0.0, 0.0, 0.0)),
-    )
+    )  # the default z layer is all zeros
     assert abs(abs(run_circuit(spec).amplitudes[int("001", 2)]) ** 2 - expected) < 1e-12
 
 
@@ -265,10 +263,16 @@ def test_check_norms_flags_any_drifted_row_of_a_stack():
             check_norms(spec, bad)
 
 
-def reference_trajectory(spec: TrotterCircuitSpec, seed: int) -> list[np.ndarray]:
-    """Amplitudes after each Trotter step, applying build_circuit gate by gate."""
+def reference_trajectory(spec: TrotterCircuitSpec, phis: np.ndarray) -> list[np.ndarray]:
+    """Amplitudes after each Trotter step, applying build_circuit gate by gate.
+
+    Each Rz gate on qubit j takes the angle ``phis[j - 1]``.
+    """
     n = spec.n_qubits
-    gates = iter(build_circuit(spec, seed))
+    gates = iter(
+        replace(g, angle=float(phis[g.sites[0] - 1])) if g.kind is GateKind.RZ else g
+        for g in build_circuit(spec)
+    )
     state = apply_gate(init_basis(n, "0" * n), next(gates))  # the X gate
     series = []
     for eta in range(1, spec.n_steps + 1):
@@ -305,26 +309,28 @@ def walker_view(spec: TrotterCircuitSpec, series: list[np.ndarray]) -> list[np.n
 def circuit_specs(draw):
     n = draw(st.integers(2, 10))
     angle = st.floats(-np.pi, np.pi)
-    if draw(st.booleans()):
-        z = ZLayerSpec(explicit_phis=tuple(draw(st.lists(angle, min_size=n, max_size=n))))
+    hand_set = draw(st.booleans())
+    if hand_set:
+        phis = draw(st.lists(angle, min_size=n, max_size=n))
     else:
-        z = ZLayerSpec(base_phi=draw(angle), disorder_radius=draw(st.floats(0, np.pi)))
+        law = ZLayerSpec(base_phi=draw(angle), disorder_radius=draw(st.floats(0, np.pi)))
     spec = TrotterCircuitSpec(
         n_qubits=n,
         n_steps=draw(st.integers(1, 20)),
         gate_family=draw(st.sampled_from(GateFamily)),
         bond_angles=tuple(draw(st.lists(angle, min_size=n - 1, max_size=n - 1))),
-        z_layer=z,
         initial_excitation_site=draw(st.integers(1, n)),
     )
-    return spec, draw(st.integers(0, 2**63 - 1))
+    seed = draw(st.integers(0, 2**63 - 1))
+    if not hand_set:
+        phis = realize_z_layer(law, n, seed)
+    return spec, np.array([phis])
 
 
 @given(circuit_specs())
 def test_walker_matches_gate_by_gate_reference(case):
-    spec, seed = case
-    expected = reference_trajectory(spec, seed)
-    phis = np.asarray([realize_z_layer(spec.z_layer, spec.n_qubits, seed)])
+    spec, phis = case
+    expected = reference_trajectory(spec, phis[0])
     got = [amps[0].copy() for _, amps in iterate_stack(spec, phis)]
     assert len(got) == len(expected) == spec.n_steps
     for amps, ref in zip(got, walker_view(spec, expected)):
@@ -336,12 +342,12 @@ def test_crx_reference_stays_in_the_reachable_block(case):
     # A CRx bond's control is its lower qubit and Rz is diagonal, so from
     # |e_s> qubits 1..s-1 stay |0> and qubit s stays |1>: every non-zero
     # amplitude lies in the block [2^(N-s), 2^(N-s+1)) the walker steps.
-    spec, seed = case
+    spec, phis = case
     spec = replace(spec, gate_family=GateFamily.CRX)
     n, s = spec.n_qubits, spec.initial_excitation_site
     outside = np.ones(2**n, dtype=bool)
     outside[2 ** (n - s) : 2 ** (n - s + 1)] = False
-    for amps in reference_trajectory(spec, seed):
+    for amps in reference_trajectory(spec, phis[0]):
         assert np.all(amps[outside] == 0.0)
 
 
@@ -355,11 +361,10 @@ def test_crx_from_the_last_site_only_gains_z_phases():
         n_steps=3,
         gate_family=GateFamily.CRX,
         bond_angles=(0.9, -0.5, 1.3, 2.2),
-        z_layer=ZLayerSpec(explicit_phis=tuple(phis[0])),
         initial_excitation_site=n,
     )
     phase = np.exp(0.5j * (phis[0, -1] - phis[0, :-1].sum()))
-    reference = reference_trajectory(spec, 0)
+    reference = reference_trajectory(spec, phis[0])
     for (eta, amps), ref in zip(iterate_stack(spec, phis), reference):
         layers = min(eta, spec.n_steps - 1)
         expected = np.zeros(2**n, dtype=complex)
@@ -387,8 +392,7 @@ def test_walker_matches_reference_across_fused_group_boundaries(family):
             got = [amps.copy() for _, amps in iterate_stack(spec, phis)]
             occ = occupation_stack(got[-1], None if family is GateFamily.XY else site)
             for b, row in enumerate(phis):
-                alone = replace(spec, z_layer=ZLayerSpec(explicit_phis=tuple(row)))
-                expected = reference_trajectory(alone, 0)
+                expected = reference_trajectory(spec, row)
                 for amps, ref in zip(got, walker_view(spec, expected)):
                     assert np.max(np.abs(amps[b] - ref)) <= 1e-12
                 ref_occ = occupation_probs(StateVector(n, expected[-1]))
@@ -428,8 +432,7 @@ def test_each_stack_row_matches_gate_by_gate_reference(case):
     got = [(amps.copy(), occupation_stack(amps)) for _, amps in iterate_stack(spec, phis)]
     assert len(got) == spec.n_steps
     for b, row in enumerate(phis):
-        alone = replace(spec, z_layer=ZLayerSpec(explicit_phis=tuple(row)))
-        expected = reference_trajectory(alone, 0)
+        expected = reference_trajectory(spec, row)
         for (amps, occ), ref in zip(got, walker_view(spec, expected)):
             assert np.max(np.abs(amps[b] - ref)) <= 1e-12
             ref_occ = occupation_probs(StateVector(spec.n_qubits, ref))

@@ -1,21 +1,18 @@
-"""Circuit/chain domain types: construction rules, determinism, mappings."""
+"""Circuit/chain domain types: construction rules, determinism, angle parsing."""
 
 import math
 
 import numpy as np
 import pytest
 
-from trotterlab.errors import ConfigurationError, UnsupportedMappingError
+from trotterlab.errors import ConfigurationError
 from trotterlab.model import (
     ChainSpec,
-    GateFamily,
     GateKind,
     GateOp,
     TrotterCircuitSpec,
     ZLayerSpec,
     build_circuit,
-    chain_from_circuit,
-    circuit_from_chain,
     parse_angle,
     realize_z_layer,
 )
@@ -39,14 +36,6 @@ def test_realize_zero_radius_alternating():
     layer = ZLayerSpec(base_phi=math.pi / 2)
     got = realize_z_layer(layer, 4)
     assert got == (math.pi / 2, -math.pi / 2, math.pi / 2, -math.pi / 2)
-
-
-def test_realize_explicit_bypasses_seed():
-    layer = ZLayerSpec(base_phi=9.9, disorder_radius=3.0, explicit_phis=(0.3, -0.8))
-    assert realize_z_layer(layer, 2, seed=1) == (0.3, -0.8)
-    assert realize_z_layer(layer, 2, seed=999) == (0.3, -0.8)
-    with pytest.raises(ConfigurationError):
-        realize_z_layer(layer, 3, seed=1)  # explicit length mismatch
 
 
 def test_realize_uniform_range_property():
@@ -85,14 +74,14 @@ def test_build_circuit_n2_layout():
         n_qubits=2,
         n_steps=2,
         bond_angles=(0.7,),
-        z_layer=ZLayerSpec(explicit_phis=(0.2, 0.5)),
+        z_layer=ZLayerSpec(base_phi=0.2),
     )
     gates = build_circuit(spec)
     assert gates == [
         GateOp(GateKind.X, (1,)),
         GateOp(GateKind.XY, (1, 2), 0.7),
         GateOp(GateKind.RZ, (1,), 0.2),
-        GateOp(GateKind.RZ, (2,), 0.5),
+        GateOp(GateKind.RZ, (2,), -0.2),
         GateOp(GateKind.XY, (1, 2), 0.7),
     ]
 
@@ -162,39 +151,6 @@ def test_circuit_spec_validation():
         )
 
 
-def test_chain_from_circuit_definition():
-    tau = 2.0
-    spec = TrotterCircuitSpec(
-        n_qubits=3,
-        n_steps=4,
-        bond_angles=(0.1 * tau, 0.1 * tau),
-        z_layer=ZLayerSpec(explicit_phis=(0.6, -0.2, 0.6)),
-    )
-    chain = chain_from_circuit(spec, tau)
-    assert chain.couplings == (0.1, 0.1)
-    assert chain.potentials == (0.3, -0.1, 0.3)
-
-
-def test_chain_round_trip():
-    chain = ChainSpec((0.5, 1.5, -0.7), (1.0, -2.0, 0.25, 3.0))
-    tau = 0.37
-    back = chain_from_circuit(circuit_from_chain(chain, tau, n_steps=10), tau)
-    assert np.max(np.abs(np.array(back.couplings) - chain.couplings)) < 1e-15
-    assert np.max(np.abs(np.array(back.potentials) - chain.potentials)) < 1e-15
-
-
-def test_chain_from_circuit_rejects_crx():
-    spec = TrotterCircuitSpec(
-        n_qubits=2,
-        n_steps=1,
-        gate_family=GateFamily.CRX,
-        bond_angles=(0.2,),
-        z_layer=ZLayerSpec(),
-    )
-    with pytest.raises(UnsupportedMappingError):
-        chain_from_circuit(spec, 1.0)
-
-
 def test_chain_spec_validation():
     with pytest.raises(ConfigurationError):
         ChainSpec((1.0,), (1.0,))
@@ -223,7 +179,7 @@ def test_parse_angle(text, expected):
 
 @pytest.mark.parametrize(
     "bad",
-    ["pie", "pi/", "x*pi", "", "pi/0x2", "pi/0", "nan", "inf", "-inf", "1e400", None, [1.0]],
+    ["pie", "pi/", "x*pi", "", "pi/0x2", "pi/0", "nan", "inf", "-inf", "1e400", None, [1.0], True, False],
 )
 def test_parse_angle_rejects_garbage(bad):
     with pytest.raises(ConfigurationError):

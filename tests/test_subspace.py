@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from trotterlab.dense import iterate_stack as dense_stack
-from trotterlab.dense import occupation_probs, occupation_stack, run_circuit
+from trotterlab.dense import final_stack, occupation_stack
 from trotterlab.errors import ConfigurationError, InvalidStateError, NumericalError
 from trotterlab.model import (
     ChainSpec,
@@ -23,7 +23,6 @@ from trotterlab.subspace import (
     continuous_evolve,
     evolve_chains,
     iterate_stack,
-    run_discrete,
     step_matrix,
     trotter_step,
 )
@@ -68,10 +67,9 @@ def test_run_discrete_rejects_crx():
         n_steps=1,
         gate_family=GateFamily.CRX,
         bond_angles=(0.2,),
-        z_layer=ZLayerSpec(),
     )
     with pytest.raises(ConfigurationError):
-        run_discrete(spec)
+        next(iterate_stack(spec, np.zeros((1, 2))))
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -82,14 +80,14 @@ def test_run_discrete_matches_dense_probabilities(seed):
         n_qubits=n,
         n_steps=int(rng.integers(1, 12)),
         bond_angles=tuple(rng.uniform(-np.pi, np.pi, n - 1)),
-        z_layer=ZLayerSpec(
-            base_phi=float(rng.uniform(-np.pi, np.pi)),
-            disorder_radius=float(rng.uniform(0, np.pi)),
-        ),
     )
-    z_seed = int(rng.integers(0, 2**32))
-    dense_probs = occupation_probs(run_circuit(spec, z_seed))
-    sub_probs = np.abs(run_discrete(spec, z_seed)) ** 2
+    law = ZLayerSpec(
+        base_phi=float(rng.uniform(-np.pi, np.pi)),
+        disorder_radius=float(rng.uniform(0, np.pi)),
+    )
+    phis = np.array([realize_z_layer(law, n, int(rng.integers(0, 2**32)))])
+    dense_probs = occupation_stack(final_stack(dense_stack, spec, phis))
+    sub_probs = np.abs(final_stack(iterate_stack, spec, phis)) ** 2
     assert np.max(np.abs(dense_probs - sub_probs)) < 1e-10
 
 
@@ -97,10 +95,10 @@ def test_run_discrete_matches_dense_probabilities(seed):
 def test_dense_amplitudes_are_the_signed_conjugate_of_subspace_amplitudes(seed):
     # the gate-level Rz layer gives |e_j> the phase exp(+i phi_j) and the
     # subspace walker exp(-i phi_j): dense <e_j|psi> = c (-1)^j conj(a_j), |c| = 1
-    spec, z_seed = random_circuit_spec(np.random.default_rng(seed))
+    spec, phis = random_circuit_spec(np.random.default_rng(seed))
     n = spec.n_qubits
-    dense = run_circuit(spec, z_seed).amplitudes[[2 ** (n - j) for j in range(1, n + 1)]]
-    mapped = (-1.0) ** np.arange(1, n + 1) * np.conj(run_discrete(spec, z_seed))
+    dense = final_stack(dense_stack, spec, phis)[0, [2 ** (n - j) for j in range(1, n + 1)]]
+    mapped = (-1.0) ** np.arange(1, n + 1) * np.conj(final_stack(iterate_stack, spec, phis)[0])
     k = np.argmax(np.abs(mapped))
     c = dense[k] / mapped[k]
     assert abs(abs(c) - 1) < 1e-12
@@ -113,7 +111,6 @@ def test_run_discrete_partial_steps_keep_z_layer():
         n_qubits=3,
         n_steps=5,
         bond_angles=(0.4, 0.4),
-        z_layer=ZLayerSpec(explicit_phis=(0.3, -0.2, 0.1)),
     )
     phis = np.array([(0.3, -0.2, 0.1)])
     partial = next(amps[0].copy() for eta, amps in iterate_stack(spec, phis) if eta == 2)
@@ -372,7 +369,7 @@ def test_run_discrete_checks_the_final_norm(monkeypatch):
     monkeypatch.setattr(subspace, "bond_layer_matrix", lambda angles: real(angles) * (1 + 1e-11))
     spec = TrotterCircuitSpec(n_qubits=4, n_steps=3, bond_angles=(0.4, 0.9, -0.3))
     with pytest.raises(InvalidStateError, match="norm drifted"):
-        run_discrete(spec, seed=1)
+        final_stack(iterate_stack, spec, np.zeros((1, 4)))
 
 
 def test_iterate_stack_caps_the_chain_size_before_allocating(monkeypatch):

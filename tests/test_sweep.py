@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 from trotterlab.analytics import Curve, find_peaks
 from trotterlab.errors import ConfigurationError, InvalidStateError, NumericalError
 from trotterlab.analytics import ipr, tail_prob
-from trotterlab.dense import occupation_probs, run_circuit
+from trotterlab.dense import final_stack, occupation_stack
+from trotterlab.dense import iterate_stack as dense_stack
 from trotterlab.model import (
     ChainSpec,
     GateFamily,
@@ -20,7 +21,7 @@ from trotterlab.model import (
     ZLayerSpec,
     realize_z_layer,
 )
-from trotterlab.subspace import chain_hamiltonian, run_discrete
+from trotterlab.subspace import chain_hamiltonian, continuous_evolve
 from trotterlab.subspace import iterate_stack as subspace_stack
 from trotterlab.sweep import (
     ExperimentKind,
@@ -141,7 +142,6 @@ def test_child_seed_contract_reproduces_work_item():
         n_qubits=8,
         n_steps=12,
         bond_angles=(math.pi / 4,) * 7,
-        z_layer=ZLayerSpec(explicit_phis=phis),
     )
     iprs = [ipr(np.abs(amps[0]) ** 2) for _, amps in subspace_stack(circuit, np.array([phis]))]
     trace = next(t for t in result.traces if t.trial == k and t.swept_value == r_values[i])
@@ -270,6 +270,25 @@ def test_convergence_study_requires_increasing_steps():
         convergence_study(chain, 1.0, [10, 10])
     with pytest.raises(ConfigurationError):
         convergence_study(chain, 1.0, [20, 10])
+
+
+@pytest.mark.parametrize("n_t", [1, 3, 7])
+def test_convergence_study_walks_the_mapped_circuit(n_t):
+    # theta_j = J_j tau and phi_j = V_j tau: the walker's final state, times
+    # the last z layer (a circuit drops it, convergence_study applies it),
+    # sits at convergence_study's distance from the exact evolution
+    rng = np.random.default_rng(n_t)
+    n = int(rng.integers(4, 6))
+    chain = ChainSpec(tuple(rng.uniform(-2, 2, n - 1)), tuple(rng.uniform(-3, 3, n)))
+    t = 2.5
+    tau = t / n_t
+    circuit = TrotterCircuitSpec(
+        n_qubits=n, n_steps=n_t, bond_angles=tuple(j * tau for j in chain.couplings)
+    )
+    phis = np.array([[v * tau for v in chain.potentials]])
+    disc = final_stack(subspace_stack, circuit, phis)[0] * np.exp(-1j * phis[0])
+    dist = float(np.linalg.norm(disc - continuous_evolve(chain, t)))
+    assert abs(dist - convergence_study(chain, t, [n_t])[0][1]) <= 1e-12
 
 
 def test_convergence_sweep_uses_geometric_grid():
@@ -457,11 +476,11 @@ def test_resonance_rows_match_items_run_alone(
             n_steps=steps,
             gate_family=GateFamily.CRX if crx else GateFamily.XY,
             bond_angles=tuple([phi] + [0.9] * (n - 2) if swept_bond else [0.9] * (n - 1)),
-            z_layer=ZLayerSpec(explicit_phis=(phi, -0.4) + (0.3,) * (n - 2)),
         )
+        phis = np.array([(phi, -0.4) + (0.3,) * (n - 2)])
         if crx:
-            want = occupation_probs(run_circuit(circuit))[target - 1]
+            want = occupation_stack(final_stack(dense_stack, circuit, phis))[0, target - 1]
         else:
-            want = abs(run_discrete(circuit)[target - 1]) ** 2
+            want = abs(final_stack(subspace_stack, circuit, phis)[0, target - 1]) ** 2
         assert row.trial == 0
         assert abs(row.observables["probability"] - want) <= 1e-12
