@@ -47,18 +47,10 @@ def ipr(probs) -> "float | np.ndarray":
     """
     probs = np.asarray(probs, dtype=float)
     err = float(np.max(np.abs(np.sum(probs, axis=-1) - 1.0)))
-    if err > 1e-9:
+    if not err <= 1e-9:  # NaN fails too
         raise InvalidStateError(f"state norm deviates by {err:.3e} (tol 1.0e-09)")
     out = np.sum(probs**2, axis=-1)
     return float(out) if probs.ndim == 1 else out
-
-
-def ipr_ave(series) -> float:
-    """Trajectory-averaged IPR, (1/N_T) sum_eta IPR_eta."""
-    series = list(series)
-    if not series:
-        raise ConfigurationError("ipr_ave needs a nonempty series")
-    return float(np.mean(series))
 
 
 def tail_start(n: int) -> int:
@@ -101,27 +93,6 @@ class Curve:
             raise ConfigurationError(
                 f"ys must be finite and in [0, 1]: range ({ys.min():.3e}, {ys.max():.3e})"
             )
-
-
-@dataclass(frozen=True)
-class LocalizationReport:
-    """Per-run localization summary for a single z-layer realization."""
-
-    ipr_series: tuple[float, ...] | None
-    ipr_ave: float | None
-    tail_series: tuple[float, ...]
-    final_profile: tuple[float, ...]
-    profile_eta: int
-
-    def __post_init__(self) -> None:
-        if self.ipr_series is not None:
-            n = len(self.final_profile)
-            lo, hi = 1 / n - 1e-9, 1 + 1e-9
-            if any(not lo <= v <= hi for v in self.ipr_series):
-                raise InvalidStateError(
-                    f"IPR values escape [1/{n}, 1]: "
-                    f"({min(self.ipr_series):.4f}, {max(self.ipr_series):.4f})"
-                )
 
 
 def _refine_peak(xs: np.ndarray, ys: np.ndarray, i: int) -> tuple[float, float]:

@@ -14,8 +14,8 @@ CSV schemas (the column names are part of the external contract):
   ``eta,ipr`` / ``eta,tail_prob`` / ``qubit,probability``
 * convergence: ``n_steps,distance``
 
-JSON output mirrors the result dataclasses field by field (tuples become
-lists); CSV is the documented lossy projection above.
+JSON output mirrors the result's row and trace views and its per-point
+moments; CSV, written from the result's arrays, is the lossy projection above.
 """
 
 from __future__ import annotations
@@ -27,8 +27,8 @@ from .errors import ConfigurationError
 from .figures import FigureData
 from .sweep import ExperimentKind, SweepResult
 
-# Localization companion files: (file name part, columns, report field).  A
-# CRx report has no IPR series, so it gets no ``ipr`` file.
+# Localization companion files: (file name part, columns, result field).  A
+# CRx result has no IPR series, so it gets no ``ipr`` file.
 _COMPANIONS = (
     ("ipr", "eta,ipr", "ipr_series"),
     ("tail", "eta,tail_prob", "tail_series"),
@@ -54,11 +54,16 @@ def _write_json(path: str, payload: dict) -> None:
 
 
 def result_to_jsonable(result: SweepResult) -> dict:
-    """The result's provenance, rows, aggregates and traces, field by field."""
+    """The result's provenance, rows, per-point aggregates and traces."""
+    moments = [(k, *(a.tolist() for a in result.moments[k])) for k in sorted(result.moments)]
     return {
         "provenance": result.provenance,
         "rows": [vars(row) for row in result.rows],
-        "aggregates": [vars(aggregate) for aggregate in result.aggregates],
+        "aggregates": [
+            {"swept_value": v, "observable": name, "mean": mean[i], "variance": variance[i]}
+            for i, v in enumerate(result.values.tolist())
+            for name, mean, variance in moments
+        ],
         "traces": [
             {"swept_value": t.swept_value, "trial": t.trial, **vars(t.report)}
             for t in result.traces
@@ -70,9 +75,9 @@ def _write_resonance_csv(path: str, series, extra: dict) -> None:
     """``swept_value,series_id,probability`` for one or more curve series."""
     labels = [label for label, _ in series]
     lines = (
-        f"{_fmt(row.swept_value)},{label},{_fmt(row.observables['probability'])}"
+        f"{_fmt(v)},{label},{_fmt(p)}"
         for label, result in series
-        for row in result.rows
+        for v, (p,) in zip(result.values.tolist(), result.observables["probability"].tolist())
     )
     header = _header(series[0][1].provenance, {**extra, "series": labels})
     _write_csv(path, header, "swept_value,series_id,probability", lines)
@@ -90,24 +95,22 @@ def _write_localization_csv(path: str, result: SweepResult, extra: dict) -> None
     """
     out = Path(path)
     stem, suffix = out.stem, out.suffix or ".csv"
-    firsts = [t for t in result.traces if t.trial == 0]  # grid order
-    has_ipr = any(t.report.ipr_series is not None for t in result.traces)
-    main_col = "ipr_ave" if has_ipr else "mean_tail"
+    main_col = "mean_tail" if result.ipr_series is None else "ipr_ave"
+    r_values = result.values.tolist()
+    r_index = {str(i): r for i, r in enumerate(r_values)}
 
-    r_index = {str(i): t.swept_value for i, t in enumerate(firsts)}
-    lines = (
-        f"{_fmt(row.swept_value)},{row.trial},{_fmt(row.observables[main_col])}"
-        for row in result.rows
-    )
+    samples = zip(r_values, result.observables[main_col].tolist())
+    lines = (f"{_fmt(v)},{k},{_fmt(x)}" for v, xs in samples for k, x in enumerate(xs))
     header = _header(result.provenance, {"r_index": r_index, **extra})
     _write_csv(out, header, f"R,trial,{main_col}", lines)
 
-    for i, trace in enumerate(firsts):
-        header = _header(result.provenance, {"R": trace.swept_value, "trial": 0, **extra})
+    for i, r in enumerate(r_values):
+        header = _header(result.provenance, {"R": r, "trial": 0, **extra})
         for name, columns, field in _COMPANIONS:
-            values = getattr(trace.report, field)
+            values = getattr(result, field)
             if values is not None:
-                lines = (f"{k},{_fmt(v)}" for k, v in enumerate(values, start=1))
+                first = values[i * result.spec.trials].tolist()  # the point's trial 0
+                lines = (f"{k},{_fmt(v)}" for k, v in enumerate(first, start=1))
                 _write_csv(out.with_name(f"{stem}_{name}_r{i}{suffix}"), header, columns, lines)
 
 
@@ -123,7 +126,8 @@ def _write_csvs(path: str, fmt: str, series, extra: dict) -> None:
     if result.spec.kind is ExperimentKind.LOCALIZATION:
         _write_localization_csv(path, result, extra)
     elif result.spec.kind is ExperimentKind.CONVERGENCE:
-        lines = (f"{int(r.swept_value)},{_fmt(r.observables['distance'])}" for r in result.rows)
+        samples = zip(result.values.tolist(), result.observables["distance"].tolist())
+        lines = (f"{int(v)},{_fmt(d)}" for v, (d,) in samples)
         _write_csv(path, _header(result.provenance, extra), "n_steps,distance", lines)
     else:
         _write_resonance_csv(path, series, extra)

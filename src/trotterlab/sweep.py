@@ -5,8 +5,8 @@ than one.  Child seeding: localization trial ``k`` at grid point ``i``
 realizes its z layer with ``child_seed(master_seed, i, k) =
 sm64(sm64(sm64(master) ^ i) ^ k)`` where ``sm64`` is the splitmix64
 finalizer.  Any subset of work items therefore reruns identically, and
-results cannot depend on scheduling: work items are pure and rows are merged
-in (point, trial) order regardless of the worker count.
+results cannot depend on scheduling: work items are pure and their outputs
+are merged in (point, trial) order regardless of the worker count.
 """
 
 from __future__ import annotations
@@ -14,15 +14,16 @@ from __future__ import annotations
 import enum
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
+from itertools import repeat
 from math import isqrt
 
 import numpy as np
 
 from . import __version__
-from .analytics import LocalizationReport, ipr, ipr_ave, tail_prob
+from .analytics import ipr, tail_prob
 from .dense import MAX_QUBITS, final_stack, iterate_stack as dense_stack, occupation_stack
-from .errors import ConfigurationError, NumericalError
+from .errors import ConfigurationError, InvalidStateError, NumericalError
 from .model import (
     ChainSpec,
     GateFamily,
@@ -58,10 +59,10 @@ MAX_SWEEP_ITEMS = 2**20
 # Trotter steps summed over the work items of a walked sweep (n_steps x grid
 # points x trials), checked before any z layer is realized.  For resonance
 # and CRx scans it bounds the walk length.  For localization each step of
-# each item is a per-step series value: a tail and an IPR, first in a walk's
-# (steps, B) float64 arrays, then as Python floats in the trace tuples and
-# the companion files.  Through a CLI run at the cap (N = 3), peak RSS grew
-# by 230-280 MiB, 115-140 bytes a value.  Panel 4b holds 8000 values.
+# each item is a per-step series value: a tail and an IPR, in a stack's
+# (B, steps) float64 arrays and then in the result's (items, steps) ones.
+# Through a CLI run at the cap (N = 3, 2048 steps of 32 x 32 or 1024 x 1
+# items), peak RSS grew by 71 MiB, 36 bytes a value.  Panel 4b holds 8000.
 MAX_ITEM_STEPS = 2**21
 # Entries sized by N per sweep, checked before any is allocated: work items x
 # N z angles and template entries, or grid points x N^2 chain Hamiltonian
@@ -161,11 +162,14 @@ class Row:
 
 
 @dataclass(frozen=True)
-class AggregateRow:
-    swept_value: float
-    observable: str
-    mean: float
-    variance: float  # population variance over trials
+class LocalizationReport:
+    """One localization item's per-step series (``ipr_*`` are None for CRx)."""
+
+    ipr_series: tuple[float, ...] | None
+    ipr_ave: float | None
+    tail_series: tuple[float, ...]
+    final_profile: tuple[float, ...]
+    profile_eta: int
 
 
 @dataclass(frozen=True)
@@ -177,21 +181,65 @@ class Trace:
     report: LocalizationReport
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SweepResult:
+    """A sweep's outputs as arrays, items in (point, trial) order.
+
+    The (points,) grid ``values``, one (points, trials) array per observable
+    and, for localization, (items, steps) tail and (XY only) IPR series and
+    the (items, N) occupations at step ``profile_eta``.  ``rows`` and
+    ``traces`` are per-item views, built from the arrays when first read.
+    """
+
     spec: SweepSpec
     provenance: dict
-    rows: tuple[Row, ...]
-    aggregates: tuple[AggregateRow, ...]
-    traces: tuple[Trace, ...] = ()
+    values: np.ndarray
+    observables: dict
+    tail_series: np.ndarray | None = None
+    ipr_series: np.ndarray | None = None
+    final_profile: np.ndarray | None = None
+    profile_eta: int | None = None
+
+    @cached_property
+    def moments(self) -> dict:
+        """Observable -> per-point (mean, population variance): Welford's update over trials."""
+        samples = np.stack(list(self.observables.values()))  # (observables, points, trials)
+        mean, m2 = np.zeros(samples.shape[:2]), np.zeros(samples.shape[:2])
+        for i, x in enumerate(np.moveaxis(samples, 2, 0), start=1):
+            delta = x - mean
+            mean += delta / i
+            m2 += delta * (x - mean)
+        return dict(zip(self.observables, zip(mean, m2 / samples.shape[2])))
 
     def mean_curve(self, observable: str) -> tuple[np.ndarray, np.ndarray]:
         """(grid values, per-point trial means) for one observable."""
-        pts = [a for a in self.aggregates if a.observable == observable]
-        return (
-            np.array([a.swept_value for a in pts]),
-            np.array([a.mean for a in pts]),
+        return self.values.copy(), self.moments[observable][0].copy()
+
+    def _labels(self):
+        return ((v, k) for v in self.values.tolist() for k in range(self.spec.trials))
+
+    @cached_property
+    def rows(self) -> tuple[Row, ...]:
+        items = zip(self._labels(), zip(*(a.ravel().tolist() for a in self.observables.values())))
+        return tuple(Row(v, k, dict(zip(self.observables, obs))) for (v, k), obs in items)
+
+    @cached_property
+    def traces(self) -> tuple[Trace, ...]:
+        if self.tail_series is None:
+            return ()
+        xy = self.ipr_series is not None
+        iprs = _tuples(self.ipr_series) if xy else repeat(None)
+        aves = self.observables["ipr_ave"].ravel().tolist() if xy else repeat(None)
+        series = zip(iprs, aves, _tuples(self.tail_series), _tuples(self.final_profile))
+        return tuple(
+            Trace(v, k, LocalizationReport(ipr, ave, tail, prof, self.profile_eta))
+            for (v, k), (ipr, ave, tail, prof) in zip(self._labels(), series)
         )
+
+
+def _tuples(a: np.ndarray):
+    """The rows of a 2-D array as tuples of floats, one row at a time."""
+    return map(tuple, map(np.ndarray.tolist, a))
 
 
 def _require(fixed: dict, names: list[str], kind: ExperimentKind) -> None:
@@ -258,19 +306,18 @@ def _chain_grid(spec: SweepSpec, params: dict, count: int) -> tuple[np.ndarray, 
     return couplings, _template_grid(fixed, "potentials", params, count, n)
 
 
-def _eval_resonance_continuous(spec: SweepSpec, values: list[float]) -> list[dict]:
+def _eval_resonance_continuous(spec: SweepSpec, values: np.ndarray) -> dict:
     """Observables at every grid value, from one stacked oracle call."""
     fixed = spec.fixed
-    params = {**fixed, spec.swept: np.asarray(values, dtype=float)}
-    couplings, potentials = _chain_grid(spec, params, len(values))
+    couplings, potentials = _chain_grid(spec, {**fixed, spec.swept: values}, len(values))
     n = potentials.shape[1]
     target = _index_field(fixed, "target_site", n, n)
     init = basis_state(n, _index_field(fixed, "init_site", 1, n))
     amps = evolve_chains(chain_hamiltonians(couplings, potentials), parse_angle(fixed["t"]), init)
-    return [{"probability": float(p)} for p in np.abs(amps[:, target - 1]) ** 2]
+    return {"probability": np.abs(amps[:, target - 1]) ** 2}
 
 
-def _eval_convergence_ladder(spec: SweepSpec, values: list[float]) -> list[dict]:
+def _eval_convergence_ladder(spec: SweepSpec, values: np.ndarray) -> dict:
     """Distance to the exact state at every step count, from one study.
 
     Each rung builds an N x N step matrix, so the ladder's length counts
@@ -279,11 +326,11 @@ def _eval_convergence_ladder(spec: SweepSpec, values: list[float]) -> list[dict]
     couplings, potentials = _chain_grid(spec, {}, len(values))
     chain = ChainSpec(tuple(couplings[0].tolist()), tuple(potentials[0].tolist()))
     table = convergence_study(chain, parse_angle(spec.fixed["t"]), values)
-    return [{"distance": distance} for _, distance in table]
+    return {"distance": np.array([distance for _, distance in table])}
 
 
-def _items(spec: SweepSpec, values: list[float]) -> list[tuple[TrotterCircuitSpec, tuple]]:
-    """Every (point, trial) work item: (circuit without a z layer, its z angles).
+def _items(spec: SweepSpec, values: np.ndarray) -> tuple[list, np.ndarray]:
+    """Every (point, trial) work item: its circuit without a z layer, and (items, N) z angles.
 
     ``n_steps`` is capped by MAX_ITEM_STEPS and ``n_qubits`` by
     MAX_GRID_ENTRIES, over all items, for every kind.  A resonance
@@ -307,21 +354,20 @@ def _items(spec: SweepSpec, values: list[float]) -> list[tuple[TrotterCircuitSpe
     n = _index_field(fixed, "n_qubits", None, min(top, MAX_GRID_ENTRIES // n_items))
     n_steps = _index_field(fixed, "n_steps", None, MAX_ITEM_STEPS // n_items)
     if not localization:
-        params = {**fixed, spec.swept: np.asarray(values, dtype=float)}
+        params = {**fixed, spec.swept: values}
         bonds = _template_grid(fixed, "bond_angles", params, len(values), n - 1).tolist()
         phis = _template_grid(fixed, "z_template", params, len(values), n)
-        circuits = [TrotterCircuitSpec(n, n_steps, family, tuple(b)) for b in bonds]
-        return list(zip(circuits, map(tuple, phis.tolist())))
+        return [TrotterCircuitSpec(n, n_steps, family, tuple(b)) for b in bonds], phis
     if n < 3:
         raise ConfigurationError(f"n_qubits must be >= 3 for localization, got {n}")
     circuit = TrotterCircuitSpec(n, n_steps, family, (parse_angle(fixed["bond_angle"]),) * (n - 1))
     base_phi = parse_angle(fixed["base_phi"])
-    z_layers = [ZLayerSpec(base_phi=base_phi, disorder_radius=r) for r in values]
-    return [
-        (circuit, realize_z_layer(z_layer, n, child_seed(spec.master_seed, i, k)))
-        for i, z_layer in enumerate(z_layers)
-        for k in range(spec.trials)
-    ]
+    phis = np.empty((len(values), spec.trials, n))
+    for i, r in enumerate(values.tolist()):
+        z_layer = ZLayerSpec(base_phi=base_phi, disorder_radius=r)
+        for k in range(spec.trials):
+            phis[i, k] = realize_z_layer(z_layer, n, child_seed(spec.master_seed, i, k))
+    return [circuit] * n_items, phis.reshape(n_items, n)
 
 
 def _walker(circuit):
@@ -341,58 +387,59 @@ def backend_gap(circuit, phis) -> float:
     return float(np.max(np.abs(np.abs(final_stack(subspace_stack, circuit, phis)) ** 2 - dense)))
 
 
-def _resonance_rows(circuit, phis, target: int):
+def _resonance_rows(circuit, phis, target: int) -> tuple[dict, dict]:
     """Resonance observables of one stack: the target qubit's final occupation."""
     walk, read = _walker(circuit)
-    probs = read(final_stack(walk, circuit, phis))[:, target - 1]
-    return [({"probability": float(p)}, None) for p in probs]
+    return {"probability": read(final_stack(walk, circuit, phis))[:, target - 1]}, {}
 
 
-def _localization_rows(circuit, phis, profile_eta: int):
-    """Localization observables and reports of one stack, reduced step by step."""
-    xy = circuit.gate_family is GateFamily.XY
-    tails = np.empty((circuit.n_steps, len(phis)))
-    iprs = np.empty_like(tails)
-    profile = np.empty((len(phis), circuit.n_qubits))
+def _localization_rows(circuit, phis, profile_eta: int) -> tuple[dict, dict]:
+    """Localization observables and per-step series of one stack, reduced step by step."""
+    n, xy = circuit.n_qubits, circuit.gate_family is GateFamily.XY
+    # (B, steps): each item's means sum its contiguous row, as np.mean of the row does
+    tails = np.empty((len(phis), circuit.n_steps))
+    iprs, profile = np.empty_like(tails), np.empty((len(phis), n))
     walk, read = _walker(circuit)
     for eta, amps in walk(circuit, phis):
         probs = read(amps)
-        tails[eta - 1] = tail_prob(probs)
+        tails[:, eta - 1] = tail_prob(probs)
         if xy:  # a CRx state holds several excitations and has no IPR
-            iprs[eta - 1] = ipr(probs)
+            iprs[:, eta - 1] = ipr(probs)
         if eta == profile_eta:
             profile[:] = probs
-    outputs = []
-    for tail, series, prof in zip(tails.T.tolist(), iprs.T.tolist(), profile.tolist()):
-        series = tuple(series) if xy else None
-        report = LocalizationReport(
-            series, ipr_ave(series) if xy else None, tuple(tail), tuple(prof), profile_eta
-        )
-        obs = {"ipr_ave": report.ipr_ave} if xy else {}
-        obs.update(mean_tail=float(np.mean(tail)), tail_at_profile_eta=tail[profile_eta - 1])
-        outputs.append((obs, report))
-    return outputs
+    obs = {"mean_tail": tails.mean(axis=1), "tail_at_profile_eta": tails[:, profile_eta - 1]}
+    series = {"tail_series": tails, "final_profile": profile}
+    if xy:
+        # one range check for the whole stack; NaN fails it too
+        if not np.all((iprs >= 1 / n - 1e-9) & (iprs <= 1 + 1e-9)):
+            raise InvalidStateError(
+                f"IPR values escape [1/{n}, 1]: ({np.min(iprs):.4f}, {np.max(iprs):.4f})"
+            )
+        obs["ipr_ave"], series["ipr_series"] = iprs.mean(axis=1), iprs
+    return obs, series
 
 
-def _stacks(items, width: int) -> list[tuple]:
-    """Consecutive items that share a circuit, as (circuit, (B, N) z angles) stacks.
+def _stacks(circuits: list, phis: np.ndarray, width: int) -> list[tuple]:
+    """Runs of consecutive items that share a circuit, as (circuit, (B, N) z angles) stacks.
 
     A stack holds at most MAX_STACK_AMPLITUDES amplitudes at ``width`` a row
     (an item too large for that walks alone).
     """
-    stacks = []
-    for circuit, phis in items:
-        last = stacks[-1] if stacks else None
-        if last and last[0] == circuit and (len(last[1]) + 1) * width <= MAX_STACK_AMPLITUDES:
-            last[1].append(phis)
-        else:
-            stacks.append((circuit, [phis]))
-    return [(circuit, np.array(rows)) for circuit, rows in stacks]
+    cap, stacks, start = max(1, MAX_STACK_AMPLITUDES // width), [], 0
+    for i in range(1, len(circuits) + 1):
+        if i == len(circuits) or i - start == cap or circuits[i] != circuits[start]:
+            stacks.append((circuits[start], phis[start:i]))
+            start = i
+    return stacks
+
+
+def _concat(parts: list[dict]) -> dict:
+    return {key: np.concatenate([part[key] for part in parts]) for key in parts[0]}
 
 
 def _evaluate_items(
-    spec: SweepSpec, values: list[float], threads: int, verification_mode: bool
-) -> list[tuple[dict, LocalizationReport | None]]:
+    spec: SweepSpec, values: np.ndarray, threads: int, verification_mode: bool
+) -> tuple[dict, dict]:
     """Every (point, trial) item of a walked kind, walked as stacks.
 
     Consecutive items with equal circuits share a stack; the gate family
@@ -400,20 +447,21 @@ def _evaluate_items(
     mode adds a second pass over the same XY items, grouped at 2^N a row,
     whose tasks return their ``backend_gap`` on the same pool; it only
     checks (NumericalError on the worst gap beyond 1e-10), so the outputs do
-    not depend on it.  Outputs come back in (point, trial) order.
+    not depend on it.  Returns the (items,) observables and, for
+    localization, the ``SweepResult`` series fields, in (point, trial) order.
     """
-    items = _items(spec, values)
-    n, steps = items[0][0].n_qubits, items[0][0].n_steps
+    circuits, phis = _items(spec, values)
+    n, steps = circuits[0].n_qubits, circuits[0].n_steps
     if spec.kind is ExperimentKind.LOCALIZATION:
         rows = _localization_rows
         readout = _index_field(spec.fixed, "profile_eta", min(10, steps), steps)
     else:
         rows, readout = _resonance_rows, _index_field(spec.fixed, "target_qubit", n, n)
-    xy = items[0][0].gate_family is GateFamily.XY
-    tasks = [partial(rows, *stack, readout) for stack in _stacks(items, n if xy else 2**n)]
+    xy = circuits[0].gate_family is GateFamily.XY
+    tasks = [partial(rows, *stack, readout) for stack in _stacks(circuits, phis, n if xy else 2**n)]
     n_walks = len(tasks)
     if verification_mode and xy:
-        tasks += [partial(backend_gap, *stack) for stack in _stacks(items, 2**n)]
+        tasks += [partial(backend_gap, *stack) for stack in _stacks(circuits, phis, 2**n)]
     if threads > 1 and len(tasks) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             parts = list(pool.map(lambda task: task(), tasks))
@@ -422,17 +470,10 @@ def _evaluate_items(
     gap = max(parts[n_walks:], default=0.0)
     if gap > 1e-10:
         raise NumericalError(f"verification mode: backends disagree by {gap:.3e}")
-    return [out for part in parts[:n_walks] for out in part]
-
-
-def _welford(values: list[float]) -> tuple[float, float]:
-    """Numerically stable (mean, population variance)."""
-    mean, m2 = 0.0, 0.0
-    for i, x in enumerate(values, start=1):
-        delta = x - mean
-        mean += delta / i
-        m2 += delta * (x - mean)
-    return mean, m2 / len(values)
+    series = _concat([part[1] for part in parts[:n_walks]])
+    if spec.kind is ExperimentKind.LOCALIZATION:
+        series["profile_eta"] = readout
+    return _concat([part[0] for part in parts[:n_walks]]), series
 
 
 def run_sweep(
@@ -445,37 +486,20 @@ def run_sweep(
 
     Seeded kinds walk their items as stacks, on a pool of ``threads`` when
     there is more than one stack.  The result is independent of ``threads``:
-    items are pure functions of (spec, point, trial) and rows are merged in
-    (point, trial) order.  ``verification_mode`` re-walks every XY item on
-    both walkers as a check (NumericalError beyond 1e-10); only the
-    provenance records it.
+    items are pure functions of (spec, point, trial) and their outputs are
+    merged in (point, trial) order.  ``verification_mode`` re-walks every
+    XY item on both walkers as a check (NumericalError beyond 1e-10); only
+    the provenance records it.
     """
-    if spec.kind is ExperimentKind.CONVERGENCE:
-        values = [float(v) for v in spec.grid.geometric_int_values()]
+    ladder = spec.kind is ExperimentKind.CONVERGENCE
+    values = np.array(spec.grid.geometric_int_values() if ladder else spec.grid.values(), float)
+    if ladder or spec.kind is ExperimentKind.RESONANCE_CONTINUOUS:
+        # seed-free: one call for the whole grid, one item per point
+        evaluate = _eval_convergence_ladder if ladder else _eval_resonance_continuous
+        outputs, series = evaluate(spec, values), {}
     else:
-        values = [float(v) for v in spec.grid.values()]
-    if spec.kind in (ExperimentKind.RESONANCE_CONTINUOUS, ExperimentKind.CONVERGENCE):
-        # seed-free: one call for the whole grid, one row per point
-        continuous = spec.kind is ExperimentKind.RESONANCE_CONTINUOUS
-        evaluate = _eval_resonance_continuous if continuous else _eval_convergence_ladder
-        outputs = [(obs, None) for obs in evaluate(spec, values)]
-    else:
-        outputs = _evaluate_items(spec, values, threads, verification_mode)
-
-    rows, traces = [], []
-    labels = ((v, k) for v in values for k in range(spec.trials))
-    for (v, k), (obs, report) in zip(labels, outputs):
-        rows.append(Row(swept_value=v, trial=k, observables=obs))
-        if report is not None:
-            traces.append(Trace(swept_value=v, trial=k, report=report))
-
-    aggregates = []
-    names = sorted(rows[0].observables) if rows else []
-    for i, v in enumerate(values):
-        point = rows[i * spec.trials : (i + 1) * spec.trials]
-        for name in names:
-            mean, var = _welford([r.observables[name] for r in point])
-            aggregates.append(AggregateRow(v, name, mean, var))
+        outputs, series = _evaluate_items(spec, values, threads, verification_mode)
+    observables = {name: a.reshape(len(values), spec.trials) for name, a in outputs.items()}
 
     provenance = {
         "tool": "trotterlab",
@@ -492,7 +516,7 @@ def run_sweep(
     }
     if assumptions:
         provenance["assumptions"] = assumptions
-    return SweepResult(spec, provenance, tuple(rows), tuple(aggregates), tuple(traces))
+    return SweepResult(spec, provenance, values, observables, **series)
 
 
 def convergence_study(

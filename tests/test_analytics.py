@@ -9,10 +9,8 @@ from hypothesis import strategies as st
 
 from trotterlab.analytics import (
     Curve,
-    LocalizationReport,
     find_peaks,
     ipr,
-    ipr_ave,
     p001_closed_form,
     p01_closed_form,
     tail_prob,
@@ -100,6 +98,14 @@ def test_ipr_rejects_unnormalized_state():
     ipr(np.array([[1.0, 0.0, 0.0], [0.5, 0.5, 1e-10]]))
 
 
+def test_ipr_rejects_nan():
+    # a NaN sum fails the norm check instead of passing through as the IPR
+    with pytest.raises(InvalidStateError, match="nan"):
+        ipr(np.array([np.nan, 0.5, 0.5]))
+    with pytest.raises(InvalidStateError, match="nan"):
+        ipr(np.array([[1.0, 0.0, 0.0], [np.nan, 0.5, 0.5]]))
+
+
 def test_ipr_series_and_average():
     # a trajectory's occupations as one stack: one IPR per row
     trajectory = np.array([np.abs(basis_state(4, 1)) ** 2, np.full(4, 0.25)])
@@ -107,11 +113,6 @@ def test_ipr_series_and_average():
     assert series.shape == (2,)
     assert series.tolist() == [ipr(row) for row in trajectory]
     assert series == pytest.approx([1.0, 0.25])
-    assert ipr_ave(series) == pytest.approx(0.625)
-    assert ipr_ave([0.3, 0.3, 0.3]) == pytest.approx(0.3)
-    assert ipr_ave([1.0, 1 / 4]) == pytest.approx((1 + 1 / 4) / 2)
-    with pytest.raises(ConfigurationError):
-        ipr_ave([])
 
 
 def test_tail_window_definition():
@@ -162,17 +163,6 @@ def test_curve_validation():
         Curve(np.array([0.0, 1.0, 2.0]), np.array([0.5, np.nan, 0.5]))
     with pytest.raises(ConfigurationError):
         Curve(np.array([0.0, np.nan, 2.0]), np.array([0.5, 0.5, 0.5]))
-
-
-def test_localization_report_invariant():
-    with pytest.raises(InvalidStateError):
-        LocalizationReport(
-            ipr_series=(0.01,),  # below 1/N for N=4
-            ipr_ave=0.01,
-            tail_series=(0.0,),
-            final_profile=(1.0, 0.0, 0.0, 0.0),
-            profile_eta=1,
-        )
 
 
 def test_find_peaks_triangular_bump():

@@ -62,9 +62,10 @@ def test_json_mirrors_the_result_field_by_field(tmp_path, spec):
         for r in result.rows
     ]
     assert data["aggregates"] == [
-        {"swept_value": a.swept_value, "observable": a.observable, "mean": a.mean,
-         "variance": a.variance}
-        for a in result.aggregates
+        {"swept_value": v, "observable": name, "mean": result.moments[name][0][i],
+         "variance": result.moments[name][1][i]}
+        for i, v in enumerate(result.values)
+        for name in sorted(result.observables)
     ]
 
     def listed(series):

@@ -88,15 +88,23 @@ def test_row_count_and_aggregate_shape():
     assert len(result.rows) == 3 * 4
     names = sorted(result.rows[0].observables)
     assert names == ["ipr_ave", "mean_tail", "tail_at_profile_eta"]
-    assert len(result.aggregates) == 3 * len(names)
+    assert sorted(result.moments) == names
+    assert all(m.shape == v.shape == (3,) for m, v in result.moments.values())
     assert len(result.traces) == 3 * 4
+
+
+def same_moments(a, b) -> bool:
+    """Whether two results' per-point means and variances are equal, bit for bit."""
+    return a.moments.keys() == b.moments.keys() and all(
+        np.array_equal(x, y) for name in a.moments for x, y in zip(a.moments[name], b.moments[name])
+    )
 
 
 def test_rerun_is_identical():
     a = run_sweep(localization_spec())
     b = run_sweep(localization_spec())
     assert a.rows == b.rows
-    assert a.aggregates == b.aggregates
+    assert same_moments(a, b)
     assert a.traces == b.traces
 
 
@@ -104,27 +112,37 @@ def test_threads_do_not_change_results():
     a = run_sweep(localization_spec(), threads=1)
     b = run_sweep(localization_spec(), threads=4)
     assert a.rows == b.rows
-    assert a.aggregates == b.aggregates
+    assert same_moments(a, b)
     assert a.traces == b.traces
 
 
 def test_zero_disorder_variance_is_exactly_zero():
     result = run_sweep(localization_spec(trials=6))
-    zero_r = [a for a in result.aggregates if a.swept_value == 0.0]
-    assert zero_r and all(a.variance == 0.0 for a in zero_r)
+    zero_r = result.values == 0.0
+    assert zero_r.any()
+    assert all(np.all(variance[zero_r] == 0.0) for _, variance in result.moments.values())
+
+
+def welford(samples):
+    """The scalar reference: (mean, population variance) by Welford's update."""
+    mean = m2 = 0.0
+    for i, x in enumerate(samples, start=1):
+        delta = x - mean
+        mean += delta / i
+        m2 += delta * (x - mean)
+    return mean, m2 / len(samples)
 
 
 def test_aggregates_match_recomputation():
     result = run_sweep(localization_spec(trials=5, seed=3))
-    for agg in result.aggregates:
-        samples = [
-            r.observables[agg.observable]
-            for r in result.rows
-            if r.swept_value == agg.swept_value
-        ]
-        assert agg.mean == pytest.approx(np.mean(samples), abs=1e-12)
-        assert agg.variance == pytest.approx(np.var(samples), abs=1e-12)
-        assert agg.variance >= 0.0
+    for name, (means, variances) in result.moments.items():
+        for v, mean, variance in zip(result.values, means, variances):
+            samples = [r.observables[name] for r in result.rows if r.swept_value == v]
+            # the vectorised pass makes the scalar update's operations, bit for bit
+            assert (mean, variance) == welford(samples)
+            assert mean == pytest.approx(np.mean(samples), abs=1e-12)
+            assert variance == pytest.approx(np.var(samples), abs=1e-12)
+            assert variance >= 0.0
 
 
 def test_child_seed_contract_reproduces_work_item():
@@ -205,7 +223,7 @@ def test_verification_mode_leaves_the_outputs_unchanged(threads):
     off = run_sweep(spec, threads=threads)
     assert on.rows == off.rows
     assert on.traces == off.traces
-    assert on.aggregates == off.aggregates
+    assert same_moments(on, off)
 
 
 def drifting_walker(real):
@@ -242,6 +260,18 @@ def test_dense_stack_norm_drift_raises(monkeypatch, spec, options, walker):
     monkeypatch.setattr(sweep, walker, drifting_walker(getattr(sweep, walker)))
     with pytest.raises(InvalidStateError, match="norm drifted"):
         run_sweep(spec, **options)
+
+
+@pytest.mark.parametrize("value", [0.01, np.nan, 1.5], ids=["below", "nan", "above"])
+def test_out_of_range_ipr_raises(monkeypatch, value):
+    # the whole stack's IPR array is range-checked against [1/N, 1]
+    import trotterlab.sweep as sweep
+
+    spec = localization_spec(trials=2, n=4, steps=6)
+    run_sweep(spec)
+    monkeypatch.setattr(sweep, "ipr", lambda probs: np.full(len(probs), value))
+    with pytest.raises(InvalidStateError, match=r"IPR values escape \[1/4, 1\]"):
+        run_sweep(spec)
 
 
 def test_convergence_study_first_order_ratios():
@@ -357,6 +387,26 @@ def test_rejected_sweep_allocates_no_per_item_labels():
     assert peak < 8 * 2**20
 
 
+def test_localization_result_holds_no_per_item_objects():
+    # 64 x 64 items of two N = 3 steps: the returned result keeps arrays,
+    # not a Row, a Trace and a report with three tuples of floats per item
+    spec = SweepSpec(
+        kind=ExperimentKind.LOCALIZATION,
+        swept="R",
+        grid=GridSpec(0.0, 1.0, 64),
+        fixed={"n_qubits": 3, "n_steps": 2, "bond_angle": 0.7, "base_phi": 1.0},
+        trials=64,
+    )
+    tracemalloc.start()
+    try:
+        result = run_sweep(spec)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < 2 * 2**20
+    assert len(result.rows) == len(result.traces) == 64 * 64
+
+
 def test_grid_validation():
     with pytest.raises(ConfigurationError):
         GridSpec(0, 1, 1)
@@ -431,8 +481,9 @@ def test_batched_localization_rows_match_items_run_alone(seed, trials, n, steps)
         assert np.max(np.abs(np.array(rep.ipr_series) - [np.sum(p**2) for p in probs])) <= 1e-12
         assert np.max(np.abs(np.array(rep.tail_series) - [tail_prob(p) for p in probs])) <= 1e-12
         assert np.max(np.abs(np.array(rep.final_profile) - probs[-1])) <= 1e-12
-        assert abs(row.observables["ipr_ave"] - rep.ipr_ave) == 0.0
-        assert abs(row.observables["mean_tail"] - np.mean(rep.tail_series)) <= 1e-15
+        # each item's means sum its steps in np.mean's order, bit for bit
+        assert row.observables["ipr_ave"] == np.mean(rep.ipr_series)
+        assert row.observables["mean_tail"] == np.mean(rep.tail_series)
 
 
 @given(
