@@ -15,8 +15,8 @@ Config file layout (JSON)::
     }
 
 Angle-valued entries accept plain numbers or "pi" literals such as
-``"pi/2"`` or ``"-pi/1.5"``.  ``--threads`` (default 1) alone sets the
-pool size, and a count below 1 is a configuration error.
+``"pi/2"`` or ``"-pi/1.5"``.  ``--threads`` is ignored (every sweep walks
+on one thread), but a count below 1 is still a configuration error.
 The gate family picks the walker (single-excitation for XY, dense for
 controlled-Rx); ``engine.verification_mode`` also re-walks every XY item
 on both walkers as a cross-check, without changing the outputs.  Keys the
@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -45,6 +46,10 @@ _SUBCOMMAND_KINDS = {
     "convergence": (ExperimentKind.CONVERGENCE,),
     "crx": (ExperimentKind.CRX_RESONANCE,),
 }
+
+# JSON levels a config may nest (the top object is level 1).  Provenance headers
+# echo it, and their encoder exceeds Python's recursion limit at ~990 levels.
+MAX_CONFIG_DEPTH = 100
 
 
 @dataclass
@@ -68,22 +73,38 @@ def _parse_grid_triplet(raw) -> GridSpec:
     return GridSpec(parse_angle(raw[0]), parse_angle(raw[1]), parse_int(raw[2], "grid count"))
 
 
-def load_config(path: str, default_kind: ExperimentKind) -> RunConfig:
+def _file_path(path: str, name: str) -> str:
+    """``path`` if it can name a file, else a ConfigurationError naming ``name``."""
     try:
-        data = json.loads(Path(path).read_text())
+        if b"\0" not in os.fsencode(path):
+            return path
+    except UnicodeEncodeError:
+        pass
+    raise ConfigurationError(f"{name} {path!r} cannot name a file")
+
+
+def load_config(path: str, default_kind: ExperimentKind) -> RunConfig:
+    too_deep = f"config file {path} nests deeper than {MAX_CONFIG_DEPTH} levels"
+    try:
+        data = json.loads(Path(_file_path(path, "config file")).read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise ConfigurationError(f"config file not found: {path}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # not UTF-8, or not JSON
         raise ConfigurationError(f"config file {path} is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise ConfigurationError(too_deep) from None
 
-    require_type(data, "JSON object", "the config")
+    level = [require_type(data, "JSON object", "the config")]
+    for _ in range(MAX_CONFIG_DEPTH):  # the containers one level further down
+        level = [v for c in level for v in (c.values() if isinstance(c, dict) else c)]
+        level = [v for v in level if isinstance(v, (dict, list))]
+    if level:
+        raise ConfigurationError(too_deep)
     exp = require_type(data.get("experiment", {}), "JSON object", "experiment")
     try:
         kind = ExperimentKind(exp.get("kind", default_kind.value))
     except ValueError:
-        raise ConfigurationError(
-            f"unknown experiment kind {exp.get('kind')!r}"
-        ) from None
+        raise ConfigurationError(f"unknown experiment kind {exp.get('kind')!r}") from None
     if "grid" not in exp:
         raise ConfigurationError("experiment.grid is required")
     trials = exp.get("trials")
@@ -102,7 +123,9 @@ def load_config(path: str, default_kind: ExperimentKind) -> RunConfig:
     engine = require_type(data.get("engine", {}), "JSON object", "engine")
     return RunConfig(
         spec=spec,
-        out_path=require_type(out.get("path", "sweep.csv"), "string", "output.path"),
+        out_path=_file_path(
+            require_type(out.get("path", "sweep.csv"), "string", "output.path"), "output.path"
+        ),
         out_format=out_format,
         verification_mode=parse_bool(
             engine.get("verification_mode", False), "engine.verification_mode"
@@ -123,7 +146,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None, help="override master seed")
         p.add_argument("--out", default=None, help="output file path")
         p.add_argument("--format", choices=("csv", "json"), default=None)
-        p.add_argument("--threads", type=int, default=1, help="thread pool size (default 1)")
+        p.add_argument("--threads", type=int, default=1, help="accepted and ignored (default 1)")
 
     for name in ("resonance", "localization", "convergence", "crx"):
         p = sub.add_parser(name, help=f"run a {name} sweep from a config")
@@ -153,9 +176,7 @@ def _run_sweep_command(command: str, args) -> int:
         spec = replace(spec, master_seed=args.seed)
     if args.grid is not None:
         spec = replace(spec, grid=_parse_grid_triplet(args.grid))
-    if args.threads < 1:
-        raise ConfigurationError(f"--threads must be >= 1, got {args.threads}")
-    result = run_sweep(spec, threads=args.threads, verification_mode=config.verification_mode)
+    result = run_sweep(spec, verification_mode=config.verification_mode)
     out_path = args.out or config.out_path
     out_format = args.format or config.out_format
     write_sweep(out_path, out_format, result)
@@ -164,13 +185,7 @@ def _run_sweep_command(command: str, args) -> int:
 
 
 def _run_figure_command(args) -> int:
-    if args.threads < 1:
-        raise ConfigurationError(f"--threads must be >= 1, got {args.threads}")
-    fig = figure_recipe(
-        args.figure_id,
-        master_seed=args.seed if args.seed is not None else 0,
-        threads=args.threads,
-    )
+    fig = figure_recipe(args.figure_id, master_seed=args.seed if args.seed is not None else 0)
     out_format = args.format or "csv"
     out_path = args.out or f"figure_{fig.figure_id}.{out_format}"
     write_figure(out_path, out_format, fig)
@@ -204,6 +219,10 @@ def main(argv=None) -> int:
     try:
         if args.command == "verify":
             return _run_verify_command()
+        if args.threads < 1:
+            raise ConfigurationError(f"--threads must be >= 1, got {args.threads}")
+        if args.out is not None:
+            _file_path(args.out, "--out")
         if args.command == "figure":
             return _run_figure_command(args)
         return _run_sweep_command(args.command, args)

@@ -104,12 +104,8 @@ class FigureData:
         return self.series[0][1].provenance
 
 
-def figure_recipe(
-    figure_id: str,
-    master_seed: int = 0,
-    threads: int = 1,
-) -> FigureData:
-    """Run the bundled recipe for one panel identifier."""
+def figure_recipe(figure_id: str, master_seed: int = 0, threads: int = 1) -> FigureData:
+    """Run one panel's bundled recipe.  ``threads`` is ignored: sweeps walk on one thread."""
     fid = figure_id.lower()
     if fid not in FIGURE_IDS:
         raise ConfigurationError(
@@ -159,7 +155,7 @@ def figure_recipe(
                 },
                 master_seed=master_seed,
             )
-            series.append((label, run_sweep(spec, threads=threads, assumptions=assumptions)))
+            series.append((label, run_sweep(spec, assumptions=assumptions)))
         return FigureData(fid, "resonance", tuple(series))
 
     family, count, trials = LOCALIZATION_PANELS[fid]
@@ -172,5 +168,5 @@ def figure_recipe(
         trials=trials,
         master_seed=master_seed,
     )
-    result = run_sweep(spec, threads=threads, assumptions=dict(assumptions))
+    result = run_sweep(spec, assumptions=dict(assumptions))
     return FigureData(fid, "localization", (("R-grid", result),))

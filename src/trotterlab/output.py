@@ -46,7 +46,9 @@ def _header(provenance: dict, extra: dict) -> str:
 
 
 def _write_csv(path, header: str, columns: str, lines) -> None:
-    Path(path).write_text("\n".join([header, columns, *lines]) + "\n")
+    with open(path, "w") as f:
+        f.write(f"{header}\n{columns}\n")
+        f.writelines(f"{line}\n" for line in lines)
 
 
 def _write_json(path: str, payload: dict) -> None:
@@ -77,7 +79,7 @@ def _write_resonance_csv(path: str, series, extra: dict) -> None:
     lines = (
         f"{_fmt(v)},{label},{_fmt(p)}"
         for label, result in series
-        for v, (p,) in zip(result.values.tolist(), result.observables["probability"].tolist())
+        for v, (p,) in zip(result.values, result.observables["probability"])
     )
     header = _header(series[0][1].provenance, {**extra, "series": labels})
     _write_csv(path, header, "swept_value,series_id,probability", lines)
@@ -99,7 +101,7 @@ def _write_localization_csv(path: str, result: SweepResult, extra: dict) -> None
     r_values = result.values.tolist()
     r_index = {str(i): r for i, r in enumerate(r_values)}
 
-    samples = zip(r_values, result.observables[main_col].tolist())
+    samples = zip(r_values, result.observables[main_col])
     lines = (f"{_fmt(v)},{k},{_fmt(x)}" for v, xs in samples for k, x in enumerate(xs))
     header = _header(result.provenance, {"r_index": r_index, **extra})
     _write_csv(out, header, f"R,trial,{main_col}", lines)
@@ -126,7 +128,7 @@ def _write_csvs(path: str, fmt: str, series, extra: dict) -> None:
     if result.spec.kind is ExperimentKind.LOCALIZATION:
         _write_localization_csv(path, result, extra)
     elif result.spec.kind is ExperimentKind.CONVERGENCE:
-        samples = zip(result.values.tolist(), result.observables["distance"].tolist())
+        samples = zip(result.values, result.observables["distance"])
         lines = (f"{int(v)},{_fmt(d)}" for v, (d,) in samples)
         _write_csv(path, _header(result.provenance, extra), "n_steps,distance", lines)
     else:

@@ -4,15 +4,14 @@ Trials count disorder realizations, so only localization sweeps take more
 than one.  Child seeding: localization trial ``k`` at grid point ``i``
 realizes its z layer with ``child_seed(master_seed, i, k) =
 sm64(sm64(sm64(master) ^ i) ^ k)`` where ``sm64`` is the splitmix64
-finalizer.  Any subset of work items therefore reruns identically, and
-results cannot depend on scheduling: work items are pure and their outputs
-are merged in (point, trial) order regardless of the worker count.
+finalizer.  Any subset of work items therefore reruns identically.  A sweep
+walks its items as stacks, one after another on the calling thread, in
+(point, trial) order.
 """
 
 from __future__ import annotations
 
 import enum
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 from itertools import repeat
@@ -46,11 +45,9 @@ from .subspace import (
 
 _MASK64 = (1 << 64) - 1
 # Amplitudes per stack walk.  Stacking pays where items are small (an N = 4
-# CRx scan walks its 315 circuits as one stack); N = 15 dense states (2^15
-# amplitudes) walk two to a stack.  Panel 3c on a 2-core Xeon VM, BLAS at one
-# thread, the median over 4-6 rounds of medians of 7 in one noisy session:
-# 170 ms at one thread and 137 ms at two; one to a stack 179 and 201 ms, four
-# 178 and 176 ms, five (one task) 173 and 169 ms.
+# CRx scan walks its 315 circuits as one stack); N = 15 dense states walk two
+# to a stack.  Panel 3c, 2-core VM, median of 4 rounds of medians of 7, in ms,
+# BLAS at 1 thread (default): 1 a stack 176 (193), 2 169 (172), 4 166 (169), 5 161 (161).
 MAX_STACK_AMPLITUDES = 2**16
 # Work items per sweep (grid points x trials), checked when the spec is made
 # and so before any per-item list or array exists.  Desk scale: the largest
@@ -437,18 +434,14 @@ def _concat(parts: list[dict]) -> dict:
     return {key: np.concatenate([part[key] for part in parts]) for key in parts[0]}
 
 
-def _evaluate_items(
-    spec: SweepSpec, values: np.ndarray, threads: int, verification_mode: bool
-) -> tuple[dict, dict]:
-    """Every (point, trial) item of a walked kind, walked as stacks.
+def _evaluate_items(spec: SweepSpec, values: np.ndarray, verify: bool) -> tuple[dict, dict]:
+    """Every (point, trial) item of a walked kind, walked as stacks in that order.
 
-    Consecutive items with equal circuits share a stack; the gate family
-    sets its row width (N amplitudes for XY, 2^N for CRx).  Verification
-    mode adds a second pass over the same XY items, grouped at 2^N a row,
-    whose tasks return their ``backend_gap`` on the same pool; it only
-    checks (NumericalError on the worst gap beyond 1e-10), so the outputs do
-    not depend on it.  Returns the (items,) observables and, for
-    localization, the ``SweepResult`` series fields, in (point, trial) order.
+    Consecutive items with equal circuits share a stack of rows N (XY) or
+    2^N (CRx) amplitudes wide.  ``verify`` then checks the worst
+    ``backend_gap`` of the XY items at 2^N a row (NumericalError beyond
+    1e-10).  Returns the (items,) observables and, for localization, the
+    ``SweepResult`` series fields.
     """
     circuits, phis = _items(spec, values)
     n, steps = circuits[0].n_qubits, circuits[0].n_steps
@@ -458,38 +451,26 @@ def _evaluate_items(
     else:
         rows, readout = _resonance_rows, _index_field(spec.fixed, "target_qubit", n, n)
     xy = circuits[0].gate_family is GateFamily.XY
-    tasks = [partial(rows, *stack, readout) for stack in _stacks(circuits, phis, n if xy else 2**n)]
-    n_walks = len(tasks)
-    if verification_mode and xy:
-        tasks += [partial(backend_gap, *stack) for stack in _stacks(circuits, phis, 2**n)]
-    if threads > 1 and len(tasks) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(lambda task: task(), tasks))
-    else:
-        parts = [task() for task in tasks]
-    gap = max(parts[n_walks:], default=0.0)
-    if gap > 1e-10:
-        raise NumericalError(f"verification mode: backends disagree by {gap:.3e}")
-    series = _concat([part[1] for part in parts[:n_walks]])
+    parts = [rows(*stack, readout) for stack in _stacks(circuits, phis, n if xy else 2**n)]
+    if verify and xy:
+        gap = max(backend_gap(*stack) for stack in _stacks(circuits, phis, 2**n))
+        if gap > 1e-10:
+            raise NumericalError(f"verification mode: backends disagree by {gap:.3e}")
+    series = _concat([part[1] for part in parts])
     if spec.kind is ExperimentKind.LOCALIZATION:
         series["profile_eta"] = readout
-    return _concat([part[0] for part in parts[:n_walks]]), series
+    return _concat([part[0] for part in parts]), series
 
 
 def run_sweep(
-    spec: SweepSpec,
-    threads: int = 1,
-    verification_mode: bool = False,
-    assumptions: dict | None = None,
+    spec: SweepSpec, *, verification_mode: bool = False, assumptions: dict | None = None
 ) -> SweepResult:
     """Evaluate the experiment on every (grid point, trial) work item.
 
-    Seeded kinds walk their items as stacks, on a pool of ``threads`` when
-    there is more than one stack.  The result is independent of ``threads``:
-    items are pure functions of (spec, point, trial) and their outputs are
-    merged in (point, trial) order.  ``verification_mode`` re-walks every
-    XY item on both walkers as a check (NumericalError beyond 1e-10); only
-    the provenance records it.
+    Seeded kinds walk their items as stacks, in (point, trial) order; items
+    are pure functions of (spec, point, trial).  ``verification_mode``
+    re-walks every XY item on both walkers as a check (NumericalError beyond
+    1e-10); only the provenance records it.
     """
     ladder = spec.kind is ExperimentKind.CONVERGENCE
     values = np.array(spec.grid.geometric_int_values() if ladder else spec.grid.values(), float)
@@ -498,7 +479,7 @@ def run_sweep(
         evaluate = _eval_convergence_ladder if ladder else _eval_resonance_continuous
         outputs, series = evaluate(spec, values), {}
     else:
-        outputs, series = _evaluate_items(spec, values, threads, verification_mode)
+        outputs, series = _evaluate_items(spec, values, verification_mode)
     observables = {name: a.reshape(len(values), spec.trials) for name, a in outputs.items()}
 
     provenance = {

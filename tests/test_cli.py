@@ -359,6 +359,20 @@ def test_thread_count_below_1_exits_2(tmp_path, capsys, flag, message):
     assert not out.exists()
 
 
+def test_threads_flag_starts_no_thread(tmp_path, monkeypatch):
+    # --threads is accepted and ignored: even 3c's five N = 15 walks run on
+    # the calling thread
+    import threading
+
+    def no_thread(self):
+        raise AssertionError("a thread was started")
+
+    monkeypatch.setattr(threading.Thread, "start", no_thread)
+    out = tmp_path / "f.csv"
+    assert main(["figure", "3c", "--threads", "2", "--out", str(out)]) == 0
+    assert out.exists()
+
+
 def test_figure_takes_no_grid_flag(tmp_path):
     out = tmp_path / "f.csv"
     assert main(["figure", "2a4", "--grid", "0:1:5", "--out", str(out)]) == 2
@@ -550,6 +564,8 @@ def _subcommand(cfg) -> str:
         # a JSON boolean is no angle, though Python counts bool as a number
         (_with_fixed(LOCALIZATION_CONFIG, bond_angle=True), "cannot parse angle True"),
         (_with_experiment(LOCALIZATION_CONFIG, grid=[True, 1, 2]), "cannot parse angle True"),
+        # parsed, but too deep to echo into a provenance header
+        (_with_fixed(x=json.loads("[" * 98 + "]" * 98)), "nests deeper than 100 levels"),
     ],
 )
 def test_malformed_config_shape_exits_2_naming_the_field(tmp_path, capsys, cfg, message):
@@ -672,7 +688,7 @@ def test_walked_resonance_n_steps_is_capped_before_any_walk(
 def test_removed_walker_settings_are_ignored(tmp_path, monkeypatch):
     # engine.backend, fixed.drop_final_z, engine.threads and TROTTERLAB_THREADS
     # are unread: the gate family picks the walker, the final Rz layer is
-    # always dropped and --threads alone sets the pool size
+    # always dropped and every sweep walks on one thread
     def run(name, engine, fixed):
         cfg = {
             "experiment": {
@@ -781,3 +797,48 @@ def test_cli_import_leaves_scipy_signal_unloaded():
         [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
     )
     assert run.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (b'{"experiment": {"swept": "\xff"}}', "is not valid JSON: 'utf-8' codec can't decode"),
+        (b"[" * 100000 + b"]" * 100000, "nests deeper than 100 levels"),
+    ],
+    ids=["not-utf8", "nested-100000"],
+)
+def test_unreadable_config_exits_2_naming_the_file(tmp_path, capsys, text, message):
+    path = tmp_path / "config.json"
+    path.write_bytes(text)
+    out = tmp_path / "u.csv"
+    assert main(["resonance", "--config", str(path), "--out", str(out)]) == 2
+    assert f"config file {path} {message}" in capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == [path]
+
+
+@pytest.mark.parametrize("name", ["a\0b.csv", "a\ud800.csv"], ids=["nul", "lone-surrogate"])
+@pytest.mark.parametrize(
+    "source, argv",
+    [
+        ("output.path", ["resonance", "--config", "config.json"]),
+        ("--out", ["resonance", "--config", "config.json", "--out"]),
+        ("--out", ["figure", "4a", "--out"]),
+        ("config file", ["resonance", "--config"]),
+    ],
+    ids=["output.path", "resonance-out", "figure-out", "config"],
+)
+def test_unusable_file_path_exits_2_before_the_sweep_runs(
+    tmp_path, capsys, monkeypatch, name, source, argv
+):
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("a sweep ran")
+
+    monkeypatch.setattr(cli, "run_sweep", no_sweep)
+    monkeypatch.setattr(cli, "figure_recipe", no_sweep)
+    monkeypatch.chdir(tmp_path)
+    path = name if source == "output.path" else "r.csv"
+    write_config(tmp_path, dict(RESONANCE_CONFIG, output={"path": path}))
+    argv = argv if source == "output.path" else [*argv, name]
+    assert main(argv) == 2
+    assert f"{source} {name!r} cannot name a file" in capsys.readouterr().err
+    assert [f.name for f in tmp_path.iterdir()] == ["config.json"]

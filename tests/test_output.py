@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import pytest
 
@@ -121,3 +122,24 @@ def test_localization_csv_schema(tmp_path, family, main_col, companions):
             assert lines[1] == columns
             values = getattr(trace.report, series[name])
             assert lines[2:] == [f"{k},{v!r}" for k, v in enumerate(values, start=1)]
+
+
+def test_csv_writer_streams_its_lines(tmp_path):
+    # the main CSV is written as its lines are formatted, not built whole first
+    spec = SweepSpec(
+        kind=ExperimentKind.LOCALIZATION,
+        swept="R",
+        grid=GridSpec(0.0, 1.0, 64),
+        fixed={"n_qubits": 3, "n_steps": 2, "bond_angle": 0.7, "base_phi": 0.3},
+        trials=64,
+        master_seed=1,
+    )
+    result = run_sweep(spec)
+    path = tmp_path / "loc.csv"
+    tracemalloc.start()
+    try:
+        write_sweep(str(path), "csv", result)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < path.stat().st_size / 2

@@ -108,14 +108,6 @@ def test_rerun_is_identical():
     assert a.traces == b.traces
 
 
-def test_threads_do_not_change_results():
-    a = run_sweep(localization_spec(), threads=1)
-    b = run_sweep(localization_spec(), threads=4)
-    assert a.rows == b.rows
-    assert same_moments(a, b)
-    assert a.traces == b.traces
-
-
 def test_zero_disorder_variance_is_exactly_zero():
     result = run_sweep(localization_spec(trials=6))
     zero_r = result.values == 0.0
@@ -214,13 +206,12 @@ def test_verification_mode_cross_checks_localization_stacks(monkeypatch):
         run_sweep(spec, verification_mode=True)
 
 
-@pytest.mark.parametrize("threads", [1, 2])
-def test_verification_mode_leaves_the_outputs_unchanged(threads):
+def test_verification_mode_leaves_the_outputs_unchanged():
     # an N = 17 dense item walks alone, while its single-excitation rows
     # share one stack: the cross-check must not regroup the rows it checks
     spec = localization_spec(seed=1, trials=2, n=17, steps=20)
-    on = run_sweep(spec, threads=threads, verification_mode=True)
-    off = run_sweep(spec, threads=threads)
+    on = run_sweep(spec, verification_mode=True)
+    off = run_sweep(spec)
     assert on.rows == off.rows
     assert on.traces == off.traces
     assert same_moments(on, off)
@@ -493,11 +484,8 @@ def test_batched_localization_rows_match_items_run_alone(seed, trials, n, steps)
     steps=st.integers(1, 6),
     swept_bond=st.booleans(),
     verification_mode=st.booleans(),
-    threads=st.sampled_from([1, 2]),
 )
-def test_resonance_rows_match_items_run_alone(
-    seed, crx, n, steps, swept_bond, verification_mode, threads
-):
+def test_resonance_rows_match_items_run_alone(seed, crx, n, steps, swept_bond, verification_mode):
     # each row of a stacked resonance sweep equals its point's circuit run
     # alone, whatever the master seed; a bond template naming the swept
     # parameter gives every point its own stack
@@ -517,7 +505,7 @@ def test_resonance_rows_match_items_run_alone(
         },
         master_seed=seed,
     )
-    result = run_sweep(spec, threads=threads, verification_mode=verification_mode and not crx)
+    result = run_sweep(spec, verification_mode=verification_mode and not crx)
     assert len(result.rows) == 4
     target = spec.fixed["target_qubit"]
     for row in result.rows:
