@@ -112,12 +112,50 @@ def _refine_peak(xs: np.ndarray, ys: np.ndarray, i: int) -> tuple[float, float]:
     return float(xv), float(a * xv * xv + b * xv + c)
 
 
+def _prominent_peaks(ys: np.ndarray, min_prominence: float) -> np.ndarray:
+    """The peak indices SciPy's ``signal.find_peaks(ys, prominence=min_prominence)`` gives.
+
+    A peak is a rise followed, after any flat run, by a fall; a flat top is
+    taken at its midpoint ``(left + right) // 2``.  Its prominence is its
+    height above the higher of two minima, each over the samples between
+    it and the nearest strictly higher sample (or the edge) on that side.
+    """
+    steps = np.flatnonzero(ys[1:] != ys[:-1])
+    rises = ys[steps + 1] > ys[steps]
+    tops = np.flatnonzero(rises[:-1] & ~rises[1:])
+    peaks = (steps[tops] + 1 + steps[tops + 1]) // 2
+    # Walk left from each peak, and from its mirror in the reversed copy behind
+    # an inf wall, over samples no higher than it: binary lifting on sparse
+    # tables of block maxima and minima (block k at i covers z[i : i + 2^k]).
+    n = ys.size
+    z = np.concatenate([ys, [np.inf], ys[::-1]])
+    height = np.tile(ys[peaks], 2)
+    lo = np.concatenate([peaks, 2 * n - peaks])
+    low = height.copy()
+    maxes, mins = [z], [z]
+    while 2 ** len(maxes) <= z.size:
+        h = 2 ** (len(maxes) - 1)
+        maxes.append(np.maximum(maxes[-1][:-h], maxes[-1][h:]))
+        mins.append(np.minimum(mins[-1][:-h], mins[-1][h:]))
+    for k in reversed(range(len(maxes))):
+        start = lo - 2**k
+        block = np.maximum(start, 0)
+        ok = (start >= 0) & (maxes[k][block] <= height)
+        lo = np.where(ok, start, lo)
+        low = np.where(ok, np.minimum(low, mins[k][block]), low)
+    prominence = height[: peaks.size] - np.maximum(low[: peaks.size], low[peaks.size :])
+    return peaks[prominence >= min_prominence]
+
+
 def find_peaks(
     curve: Curve, min_prominence: float = DEFAULT_PEAK_PROMINENCE
 ) -> list[tuple[float, float]]:
-    """Local maxima with prominence >= ``min_prominence``.
+    """Local maxima with prominence >= ``min_prominence`` (finite).
 
-    Candidates come from 3-point comparison, positions and heights are
+    The sample indices are those of SciPy's
+    ``signal.find_peaks(ys, prominence=min_prominence)``: a flat top
+    counts once, at its midpoint sample ``(left + right) // 2``, and a flat
+    run that touches either end is no peak.  Positions and heights are
     refined by quadratic interpolation on the neighboring samples, and the
     result is sorted by position.  Prominence is topographic (height above
     the highest saddle toward a higher peak), so adding a constant to ys
@@ -127,9 +165,7 @@ def find_peaks(
         raise ConfigurationError("find_peaks needs a nonempty curve")
     if curve.xs.size < 3:
         raise ConfigurationError("find_peaks needs at least 3 samples")
-    # imported here: scipy.signal takes over a second to import and no
-    # command-line path finds peaks
-    from scipy.signal import find_peaks as _scipy_find_peaks
-
-    idx, _ = _scipy_find_peaks(curve.ys, prominence=min_prominence)
+    if not np.isfinite(min_prominence):
+        raise ConfigurationError(f"min_prominence must be finite, got {min_prominence}")
+    idx = _prominent_peaks(curve.ys, min_prominence)
     return sorted(_refine_peak(curve.xs, curve.ys, i) for i in idx)

@@ -76,11 +76,18 @@ def _parse_grid_triplet(raw) -> GridSpec:
 def _file_path(path: str, name: str) -> str:
     """``path`` if it can name a file, else a ConfigurationError naming ``name``."""
     try:
-        if b"\0" not in os.fsencode(path):
+        if path and b"\0" not in os.fsencode(path):
             return path
     except UnicodeEncodeError:
         pass
     raise ConfigurationError(f"{name} {path!r} cannot name a file")
+
+
+def _check_output_dir(path: str) -> None:
+    """Fail before any sweep runs when ``path``'s directory does not exist."""
+    parent = Path(path).parent
+    if not parent.is_dir():
+        raise ConfigurationError(f"cannot write {path!r}: {str(parent)!r} is not a directory")
 
 
 def load_config(path: str, default_kind: ExperimentKind) -> RunConfig:
@@ -176,18 +183,21 @@ def _run_sweep_command(command: str, args) -> int:
         spec = replace(spec, master_seed=args.seed)
     if args.grid is not None:
         spec = replace(spec, grid=_parse_grid_triplet(args.grid))
-    result = run_sweep(spec, verification_mode=config.verification_mode)
-    out_path = args.out or config.out_path
+    out_path = args.out if args.out is not None else config.out_path
     out_format = args.format or config.out_format
+    _check_output_dir(out_path)
+    result = run_sweep(spec, verification_mode=config.verification_mode)
     write_sweep(out_path, out_format, result)
     print(f"wrote {out_path}")
     return 0
 
 
 def _run_figure_command(args) -> int:
+    if args.out is not None:
+        _check_output_dir(args.out)
     fig = figure_recipe(args.figure_id, master_seed=args.seed if args.seed is not None else 0)
     out_format = args.format or "csv"
-    out_path = args.out or f"figure_{fig.figure_id}.{out_format}"
+    out_path = args.out if args.out is not None else f"figure_{fig.figure_id}.{out_format}"
     write_figure(out_path, out_format, fig)
     print(f"wrote {out_path}")
     return 0

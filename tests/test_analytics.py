@@ -4,11 +4,15 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.signal import find_peaks as scipy_find_peaks
 
+from trotterlab import figures
 from trotterlab.analytics import (
+    DEFAULT_PEAK_PROMINENCE,
     Curve,
+    _prominent_peaks,
     find_peaks,
     ipr,
     p001_closed_form,
@@ -217,3 +221,39 @@ def test_find_peaks_input_validation():
         find_peaks(Curve(np.array([]), np.array([])))
     with pytest.raises(ConfigurationError):
         find_peaks(Curve(np.array([0.0, 1.0]), np.array([0.0, 1.0])))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_find_peaks_rejects_non_finite_prominence(bad):
+    xs = np.linspace(0, 1, 5)
+    ys = np.array([0.0, 0.5, 0.1, 0.6, 0.0])
+    with pytest.raises(ConfigurationError, match="min_prominence"):
+        find_peaks(Curve(xs, ys), min_prominence=bad)
+
+
+# a small integer alphabet, so that plateaus, ties and edge plateaus are common
+@settings(max_examples=500)
+@given(
+    ys=st.lists(st.integers(0, 3), min_size=3, max_size=40),
+    prominence=st.sampled_from([-1.0, 0.0, 0.5, 1.0, 1.5, 2.0, 3.0]),
+)
+@example(ys=[2, 2, 2], prominence=0.0)
+@example(ys=[2, 2, 2, 2, 2, 2], prominence=0.0)
+@example(ys=[0, 1, 0], prominence=0.0)
+@example(ys=[0, 1, 0], prominence=1.0)
+@example(ys=[1, 0, 1], prominence=0.0)
+@example(ys=[0, 2, 2, 1, 2, 2, 0], prominence=0.0)
+@example(ys=[3, 3, 1, 2, 2, 2, 1, 3, 3], prominence=1.0)
+def test_peak_indices_match_scipy(ys, prominence):
+    ys = np.array(ys, dtype=float)
+    expected = scipy_find_peaks(ys, prominence=prominence)[0]
+    np.testing.assert_array_equal(_prominent_peaks(ys, prominence), expected)
+
+
+@pytest.mark.parametrize("figure_id", ["2a4", "2b4", "2c4", "2d4"])
+def test_resonance_panel_peak_indices_match_scipy(figure_id):
+    for _, res in figures.figure_recipe(figure_id, master_seed=0).series:
+        ys = Curve(*res.mean_curve("probability")).ys
+        expected = scipy_find_peaks(ys, prominence=DEFAULT_PEAK_PROMINENCE)[0]
+        assert expected.size
+        np.testing.assert_array_equal(_prominent_peaks(ys, DEFAULT_PEAK_PROMINENCE), expected)

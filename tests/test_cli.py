@@ -790,13 +790,20 @@ def test_non_finite_json_number_exits_2(tmp_path):
     assert not out.exists()
 
 
-def test_cli_import_leaves_scipy_signal_unloaded():
-    code = "import sys, trotterlab.cli; print('scipy.signal' in sys.modules)"
+def test_package_import_and_peak_finding_load_no_scipy():
+    code = (
+        "import importlib, pkgutil, sys, numpy as np, trotterlab\n"
+        "for m in pkgutil.iter_modules(trotterlab.__path__):\n"
+        "    importlib.import_module('trotterlab.' + m.name)\n"
+        "from trotterlab.analytics import Curve, find_peaks\n"
+        "print(len(find_peaks(Curve(np.arange(5.0), np.array([0, 0.5, 0.1, 0.6, 0])))))\n"
+        "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))"
+    )
     env = dict(os.environ, PYTHONPATH=str(Path(trotterlab.__file__).parents[1]))
     run = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
     )
-    assert run.stdout.strip() == "False"
+    assert run.stdout.split("\n")[:2] == ["2", "[]"]
 
 
 @pytest.mark.parametrize(
@@ -841,4 +848,42 @@ def test_unusable_file_path_exits_2_before_the_sweep_runs(
     argv = argv if source == "output.path" else [*argv, name]
     assert main(argv) == 2
     assert f"{source} {name!r} cannot name a file" in capsys.readouterr().err
+    assert [f.name for f in tmp_path.iterdir()] == ["config.json"]
+
+
+@pytest.mark.parametrize(
+    "path, argv",
+    [
+        ("no/dir/r.csv", ["resonance", "--config", "config.json"]),
+        ("no/dir/s.csv", ["resonance", "--config", "config.json", "--out", "no/dir/s.csv"]),
+        ("no/dir/f.csv", ["figure", "4a", "--out", "no/dir/f.csv"]),
+        ("config.json/f.csv", ["figure", "4a", "--out", "config.json/f.csv"]),
+    ],
+    ids=["output.path", "resonance-out", "figure-out", "parent-is-a-file"],
+)
+def test_missing_output_directory_exits_2_before_the_sweep_runs(
+    tmp_path, capsys, monkeypatch, path, argv
+):
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("a sweep ran")
+
+    monkeypatch.setattr(cli, "run_sweep", no_sweep)
+    monkeypatch.setattr(cli, "figure_recipe", no_sweep)
+    monkeypatch.chdir(tmp_path)
+    write_config(tmp_path, dict(RESONANCE_CONFIG, output={"path": "no/dir/r.csv"}))
+    assert main(argv) == 2
+    assert f"cannot write {path!r}" in capsys.readouterr().err
+    assert [f.name for f in tmp_path.iterdir()] == ["config.json"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["resonance", "--config", "config.json", "--out", ""], ["figure", "4a", "--out", ""]],
+    ids=["resonance", "figure"],
+)
+def test_empty_out_flag_exits_2_without_writing(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    write_config(tmp_path, dict(RESONANCE_CONFIG, output={"path": "r.csv"}))
+    assert main(argv) == 2
+    assert "--out '' cannot name a file" in capsys.readouterr().err
     assert [f.name for f in tmp_path.iterdir()] == ["config.json"]
