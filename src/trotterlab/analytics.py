@@ -15,26 +15,26 @@ from .errors import ConfigurationError, InvalidStateError
 DEFAULT_PEAK_PROMINENCE = 0.02  # absolute probability
 
 
-def p01_closed_form(theta: float, phi: float, alpha: float) -> float:
+def p01_closed_form(theta, phi, alpha) -> "float | np.ndarray":
     """Excitation probability on qubit 2 of the N=2, N_T=2 circuit.
 
-    ``2 sin^2(t) cos^2(t) (1 + cos(a - p))`` with z angles (p, a).
+    ``2 sin^2(t) cos^2(t) (1 + cos(a - p))`` with z angles (p, a).  Takes
+    scalars (returns a float) or arrays that broadcast (returns an array).
     """
-    return float(
-        2 * np.sin(theta) ** 2 * np.cos(theta) ** 2 * (1 + np.cos(alpha - phi))
-    )
+    p = 2 * np.sin(theta) ** 2 * np.cos(theta) ** 2 * (1 + np.cos(np.subtract(alpha, phi)))
+    return float(p) if np.ndim(p) == 0 else p
 
 
-def p001_closed_form(theta: float, phi: float, alpha: float) -> float:
+def p001_closed_form(theta, phi, alpha) -> "float | np.ndarray":
     """Excitation probability on qubit 3 of the N=3, N_T=2 circuit.
 
     ``sin^4(t) cos^2(t) (4 + cos^2(t) + 4 cos(t) cos(a - p))`` with z angles
-    (p, a, p).
+    (p, a, p).  Takes scalars (returns a float) or arrays that broadcast
+    (returns an array).
     """
     st2, ct = np.sin(theta) ** 2, np.cos(theta)
-    return float(
-        st2**2 * ct**2 * (4 + ct**2 + 4 * ct * np.cos(alpha - phi))
-    )
+    p = st2**2 * ct**2 * (4 + ct**2 + 4 * ct * np.cos(np.subtract(alpha, phi)))
+    return float(p) if np.ndim(p) == 0 else p
 
 
 def ipr(probs) -> "float | np.ndarray":

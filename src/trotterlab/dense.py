@@ -13,7 +13,10 @@ walks one row.  All rows and steps share one bond layer, so the walker
 fuses it, once per walk, into a few 2^k x 2^k unitaries on groups of k <=
 FUSED_QUBITS qubits and applies each as one matrix product: the gate
 clustering of large state-vector simulators (Haener and Steiger, SC17,
-arXiv:1704.01127).  A CRx walk from site s walks the smaller circuit on
+arXiv:1704.01127).  Every CRx group after the first is block-diagonal on
+its first qubit, which is only a control there, so it multiplies as its two
+2^(k-1) x 2^(k-1) control blocks, and the zero blocks cost nothing.  A CRx
+walk from site s walks the smaller circuit on
 qubits s+1..N: a CRx bond's control is its lower qubit and Rz is diagonal,
 so qubits 1..s-1 stay |0>, qubit s stays |1> (bond s fires with its control
 fixed), the Rz phase of qubits 1..s is a constant per row, and only indices
@@ -28,11 +31,19 @@ walked qubits for CRx.  Every bond mixes its pair of states, whose g differ
 by one, as [[c, -is], [-is, c]]; in the frame that mixing is the real
 [[c, s], [-s, c]] or its transpose, the identity Rx(t) = S Ry(-t) S^dagger.
 So every fused group is a real orthogonal matrix, applied as a float64
-product on the stack's real view at half the flops of a complex one.  D is
-a product of one-qubit phases, so it commutes with every Rz layer.  The
+product on the stack's real view at half the flops of a complex one.  The
+group that ends on the last qubit, whose amplitudes sit next to each other
+as (re, im) pairs, multiplies each row's pairs on the right by real
+per-row factors that also apply the Rz phases of its qubits, so each step
+ends with one multiply by the phases of the qubits before it.  D is a
+product of one-qubit phases, so it commutes with every Rz layer.  The
 walk's amplitudes are D^-1 psi: each differs from the state's by a power of
 i, so |a|^2, occupations and norms are the state's exactly, and the last
 step multiplies by D to yield the state itself.
+
+``occupation_stack`` reads all N occupations of a stack and ``tail_stack``
+the summed occupation of a window of trailing qubits, each from one or two
+reductions over the squared float64 view and no 2^N temporary.
 """
 
 from __future__ import annotations
@@ -52,12 +63,16 @@ MAX_QUBITS = 24  # desk-scale cap: 2^24 complex amplitudes = 256 MiB
 # its square root); the 1e-12 floor covers every circuit below ~4.5k gates.
 NORM_DRIFT_C = 1.0
 # Qubits per fused bond group of ``iterate_stack``; a group costs 2^k
-# multiply-adds per amplitude, so wider, fewer groups trade passes for
-# flops.  k = 3/4/5/6 with real frame products on a 2-core Xeon VM, BLAS at
-# one thread, medians of 9 over 3 rounds in one session: a 2-row N = 15,
-# 80-step CRx stack 46-48/44-46/52-54/67-70 ms, the 4-step N = 20 CRx
-# circuit 62-70/57-59/66-68/78-82 ms.
+# multiply-adds per amplitude, 2^(k-1) as two control blocks, so wider,
+# fewer groups trade passes for flops.  k = 3/4/5/6 with block products on
+# a 2-core Xeon VM, BLAS at one thread, medians of 15 interleaved rounds
+# in one process (quartiles spread 10-30 %): a 2-row N = 15, 80-step CRx walk
+# with its per-step tail reads 30/20/22/30 ms, the 4-step N = 20 CRx
+# circuit 54/37/37/42 ms, panel 3c 83/56/52/77 ms.  4 and 5 tie.
 FUSED_QUBITS = 4
+# Rows per product of the last fused group: a run of rows of both control
+# blocks stays in cache between the two.
+_LAST_GROUP_ROWS = 2**9
 _I_POWERS = np.array([1, 1j, -1, -1j])  # i^c at c mod 4, exact
 
 
@@ -179,6 +194,33 @@ def _fused_groups(spec: TrotterCircuitSpec, first: int) -> list[tuple[int, int, 
     return groups[::-1]
 
 
+def _control_blocks(u: np.ndarray, c: int) -> np.ndarray:
+    """(c, 2^w/c, 2^w/c) real diagonal blocks of a frame group on its first qubit.
+
+    c = 2 splits a group whose first qubit is only a control, and whose
+    off-diagonal blocks are therefore exact zeros; c = 1 keeps it whole.
+    """
+    h = len(u) // c
+    return np.array([u[k * h : (k + 1) * h, k * h : (k + 1) * h].real for k in range(c)])
+
+
+def _right_factors(blocks: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """(B, c, 2h, 2h) real factors: each control block, then the row's diagonal ``table``.
+
+    Multiplying a row's float64 pairs (re, im) on the right by a factor
+    applies block k, U_k, and then the k-th part of the (B, c*h) diagonal
+    to its complex amplitudes: the real part of pair j feeds pair i with
+    U_k[i, j] t_i and the imaginary part with U_k[i, j] i t_i, each one
+    complex number that is a (re, im) pair of the factor's row.
+    """
+    (c, h, _), b = blocks.shape, len(table)
+    t = (table.reshape(b, c, 1, h) * np.array([[1], [1j]])).reshape(b, c, 1, 2 * h)
+    bt = blocks.transpose(0, 2, 1).astype(np.complex128)  # complex: the multiply needs no casting
+    # axes (B, k, j, (p, i)): U_k[i, j] t_i i^p
+    factors = np.multiply(np.concatenate((bt, bt), axis=-1), t, order="C")
+    return factors.view(np.float64).reshape(b, c, 2 * h, 2 * h)
+
+
 def iterate_stack(spec: TrotterCircuitSpec, phis: np.ndarray):
     """Yield (eta, amps) after each Trotter step of a stack of circuits, eta = 1..n_steps.
 
@@ -195,15 +237,20 @@ def iterate_stack(spec: TrotterCircuitSpec, phis: np.ndarray):
     is the state itself.
 
     Walks the block of m qubits that can change: all N for XY, qubits
-    s+1..N for CRx from site s (module docstring).  Each step applies each
-    of ``_fused_groups`` as one real ``np.matmul`` over the float64 view of
-    the stack, from the block into one block-sized buffer or back, and then
-    the Rz layer (every step's but the last) as two multiplies by Kronecker
-    factors of its diagonals, over the block's first floor(m/2) and last
-    ceil(m/2) qubits; the CRx constant phase is folded into the first.  The
-    last step multiplies by D's factors the same way instead.  The stack
-    stays zero outside the block.  The final stack is norm-checked before it
-    is yielded.
+    s+1..N for CRx from site s (module docstring).  Each step applies
+    ``_fused_groups`` in order, from the block into one block-sized buffer
+    or back.  Every group but the last is a real ``np.matmul`` on the
+    float64 view of the stack; a CRx group after the first, whose first
+    qubit is only a control, multiplies as its two control blocks, and its
+    zero blocks are never multiplied.  The last group, which ends on the
+    last qubit, multiplies each row's float64 pairs on the right by real
+    per-row factors that also apply the Rz diagonal of its qubits (D's on
+    the last step), in runs of at most _LAST_GROUP_ROWS rows so that both
+    control blocks of a run share the cache.  One broadcast multiply then
+    applies the Rz phases of the qubits before the last group (D's on the
+    last step), with the CRx constant phase folded in.  The stack stays
+    zero outside the block.  The final stack is norm-checked before it is
+    yielded.
     """
     n = spec.n_qubits
     _check_n(n)
@@ -219,41 +266,41 @@ def iterate_stack(spec: TrotterCircuitSpec, phis: np.ndarray):
     amps[:, 1 << (n - site)] = _I_POWERS[-site % 4] if xy else 1.0
     block = amps[:, : 2**m] if xy else amps[:, 2**m : 2 ** (m + 1)]
 
-    hi = _rz_tables(phis[:, first - 1 : first - 1 + m // 2])[:, :, None]
-    lo = _rz_tables(phis[:, first - 1 + m // 2 :])[:, None, :]
+    # m = 0 (CRx from site N): the block's one amplitude only gains phases
+    groups = _fused_groups(spec, first) or [(1, 0, np.ones((1, 1)))]
+    # a CRx group after the first splits on its first qubit, only a control there
+    blocks = [_control_blocks(u, 1 if xy or i == 0 else 2) for i, (_, _, u) in enumerate(groups)]
+    a, width, _ = groups[-1]
+    lead = a - 1  # qubits before the last group
+    z_lead = _rz_tables(phis[:, first - 1 : first - 1 + lead])
     if not xy:  # qubits 1..s-1 hold |0> and qubit s holds |1>
-        hi *= np.exp(0.5j * (phis[:, site - 1] - phis[:, : site - 1].sum(axis=1)))[:, None, None]
-    z_shape = (b, hi.shape[1], lo.shape[2])
+        z_lead *= np.exp(0.5j * (phis[:, site - 1] - phis[:, : site - 1].sum(axis=1)))[:, None]
     d = _frame_factors(np.arange(first, n + 1), xy)
-    d_hi = _kron_tables(d[:, : m // 2])[:, :, None]
-    d_lo = _kron_tables(d[:, m // 2 :])[:, None, :]
+    d_lead = _kron_tables(d[:, :lead])
 
-    # Groups alternate between the block and one buffer.  A group that ends
-    # on the last qubit is a complex (rows, 2^width) @ U.T product; any other
-    # multiplies the real and imaginary parts of its trailing qubits at once.
+    # Groups alternate between the block and one buffer, in float64 views.
     buffers = (block, np.empty_like(block))
+    floats = [x.view(np.float64) for x in buffers]
     products = []
-    for i, (a, width, u) in enumerate(_fused_groups(spec, first)):
-        src, dst = buffers[i % 2], buffers[1 - i % 2]
-        if a + width - 1 == m:
-            shape = (b, -1, 2**width)
-            products.append((src.reshape(shape), u.T, dst.reshape(shape)))
-        else:
-            shape = (b, 2 ** (a - 1), 2**width, -1)
-            src, dst = src.view(np.float64), dst.view(np.float64)
-            products.append((np.ascontiguousarray(u.real), src.reshape(shape), dst.reshape(shape)))
-    last = buffers[len(products) % 2]  # where a bond layer leaves the block
-    z_view, z_last = block.reshape(z_shape), last.reshape(z_shape)
+    for i, ((a_i, width_i, _), blk) in enumerate(zip(groups[:-1], blocks[:-1])):
+        shape = (b, 2 ** (a_i - 1), len(blk), 2**width_i // len(blk), -1)
+        products.append((blk, floats[i % 2].reshape(shape), floats[1 - i % 2].reshape(shape)))
+    # the last group: (B, runs, c, rows, 2h) floats times (B, 1, c, 2h, 2h) factors
+    j, c = len(products) % 2, len(blocks[-1])
+    shape = (b, -1, min(2**lead, _LAST_GROUP_ROWS), c, 2 ** (width + 1) // c)
+    src, dst = (x.reshape(shape).transpose(0, 1, 3, 2, 4) for x in (floats[j], floats[1 - j]))
+    last, z_view = (x.reshape(b, 2**lead, 2**width) for x in (buffers[1 - j], block))
+    z_last, d_last = _rz_tables(phis[:, first - 1 + lead :]), _kron_tables(d[:, lead:])
+    step = _right_factors(blocks[-1], z_last)[:, None], z_lead[:, :, None]
+    final = _right_factors(blocks[-1], d_last)[:, None], d_lead[:, :, None]
 
     for eta in range(1, spec.n_steps + 1):
         for x, y, out in products:
             np.matmul(x, y, out=out)
-        if eta < spec.n_steps:
-            np.multiply(z_last, hi, out=z_view)
-            z_view *= lo
-        else:  # leave the frame: exact, as every factor is a power of i
-            np.multiply(z_last, d_hi, out=z_view)
-            z_view *= d_lo
+        factors, phases = step if eta < spec.n_steps else final
+        np.matmul(src, factors, out=dst)
+        np.multiply(last, phases, out=z_view)
+        if eta == spec.n_steps:  # left the frame: exact, as every factor of D is a power of i
             check_norms(spec, amps)
         yield eta, amps
 
@@ -301,23 +348,58 @@ def occupation_stack(amps: np.ndarray, site: int | None = None) -> np.ndarray:
     """(B, N) occupations P(qubit i measures 1) of a (B, 2^N) amplitude stack.
 
     Valid for any state, including CRx outputs with several excitations.
-    Reads one |a|^2 buffer: qubit i's probability is the sum of a row's
-    upper half once qubits 1..i-1 are summed out by folding the rows in
-    half, in place.  Given a CRx stack's initial ``site`` s, it reads only
-    the block: qubits 1..s-1 read 0 and qubit s a row's norm.
+    Two reductions over the squared float64 view allocate no 2^N
+    temporary: one sums |a|^2 onto the first half of the qubits, one onto
+    the rest, and ``_bit_sums`` reads each qubit off those marginals.
+    Given a CRx stack's initial ``site`` s, it reads only the block:
+    qubits 1..s-1 read 0 and qubit s a row's norm.
     """
     b, size = amps.shape
     n = size.bit_length() - 1
     probs = np.zeros((b, n))
     if site is not None:
         amps = amps[:, size >> site : size >> (site - 1)]
-    p = np.abs(amps)
-    p *= p
-    for i in range(n - p.shape[1].bit_length() + 1, n):
-        half = p.shape[1] // 2
-        probs[:, i] = p[:, half:].sum(axis=1)
-        np.add(p[:, :half], p[:, half:], out=p[:, :half])
-        p = p[:, :half]
+    k = amps.shape[1].bit_length() - 1  # the last k qubits
+    v = amps.view(np.float64).reshape(b, 2 ** (k // 2), -1)
+    head, rest = np.einsum("bij,bij->bi", v, v), np.einsum("bij,bij->bj", v, v)
+    probs[:, n - k : n - k + k // 2] = _bit_sums(head)
+    probs[:, n - k + k // 2 :] = _bit_sums(rest[:, 0::2] + rest[:, 1::2])
     if site is not None:
-        probs[:, site - 1] = p[:, 0]
+        probs[:, site - 1] = head.sum(axis=1)
     return probs
+
+
+def tail_stack(amps: np.ndarray, site: int, start: int) -> np.ndarray:
+    """(B,) summed occupations of qubits start..N of a CRx stack walked from ``site``.
+
+    ``tail_prob(occupation_stack(amps, site))`` to rounding, from one
+    reduction over the block's squared float64 view: summed onto the t
+    window qubits at the block's end, each of the 2^t indices weighs as
+    many as it excites, plus one when qubit s, which every row holds at
+    |1>, is in the window.
+    """
+    b, size = amps.shape
+    t = size.bit_length() - max(start, site + 1)
+    v = amps[:, size >> site : size >> (site - 1)].view(np.float64).reshape(b, -1, 2 ** (t + 1))
+    return np.einsum("bij,bij->bj", v, v) @ _excitation_weights(t, int(site >= start))
+
+
+@lru_cache
+def _excitation_weights(t: int, extra: int) -> np.ndarray:
+    """Read-only (2^(t+1),) weights of (re, im) pairs: a t-bit index's set bits plus ``extra``."""
+    counts = np.zeros(1)
+    for _ in range(t):
+        counts = np.concatenate((counts, counts + 1))
+    weights = np.repeat(counts + extra, 2)
+    weights.flags.writeable = False
+    return weights
+
+
+def _bit_sums(p: np.ndarray) -> np.ndarray:
+    """(B, k) sums of a (B, 2^k) array over the indices with each bit set, the first bit first."""
+    b, size = p.shape
+    k = size.bit_length() - 1
+    sums = np.empty((b, k))
+    for i in range(k):
+        sums[:, i] = p.reshape(b, 2**i, 2, -1)[:, :, 1].sum(axis=(1, 2))
+    return sums

@@ -20,8 +20,14 @@ from math import isqrt
 import numpy as np
 
 from . import __version__
-from .analytics import ipr, tail_prob
-from .dense import MAX_QUBITS, final_stack, iterate_stack as dense_stack, occupation_stack
+from .analytics import ipr, tail_prob, tail_start
+from .dense import (
+    MAX_QUBITS,
+    final_stack,
+    iterate_stack as dense_stack,
+    occupation_stack,
+    tail_stack,
+)
 from .errors import ConfigurationError, InvalidStateError, NumericalError
 from .model import (
     ChainSpec,
@@ -46,8 +52,9 @@ from .subspace import (
 _MASK64 = (1 << 64) - 1
 # Amplitudes per stack walk.  Stacking pays where items are small (an N = 4
 # CRx scan walks its 315 circuits as one stack); N = 15 dense states walk two
-# to a stack.  Panel 3c, 2-core VM, median of 4 rounds of medians of 7, in ms,
-# BLAS at 1 thread (default): 1 a stack 176 (193), 2 169 (172), 4 166 (169), 5 161 (161).
+# to a stack.  Panel 3c with block products, 2-core VM, BLAS at 1 thread,
+# medians (quartiles) of 15 interleaved rounds in ms: 1 a stack 55 (50-73),
+# 2 56 (50-66), 4 61 (58-79), 5 73 (70-88).
 MAX_STACK_AMPLITUDES = 2**16
 # Work items per sweep (grid points x trials), checked when the spec is made
 # and so before any per-item list or array exists.  Desk scale: the largest
@@ -391,19 +398,27 @@ def _resonance_rows(circuit, phis, target: int) -> tuple[dict, dict]:
 
 
 def _localization_rows(circuit, phis, profile_eta: int) -> tuple[dict, dict]:
-    """Localization observables and per-step series of one stack, reduced step by step."""
+    """Localization observables and per-step series of one stack, reduced step by step.
+
+    An XY stack reads its N occupations at every step, for its tails and
+    IPRs.  A CRx stack reads only its tails, each step's as one
+    ``tail_stack`` reduction over the reachable block, and folds all N
+    occupations once, at ``profile_eta``.
+    """
     n, xy = circuit.n_qubits, circuit.gate_family is GateFamily.XY
+    site, start = circuit.initial_excitation_site, tail_start(n)
     # (B, steps): each item's means sum its contiguous row, as np.mean of the row does
     tails = np.empty((len(phis), circuit.n_steps))
     iprs, profile = np.empty_like(tails), np.empty((len(phis), n))
     walk, read = _walker(circuit)
     for eta, amps in walk(circuit, phis):
-        probs = read(amps)
-        tails[:, eta - 1] = tail_prob(probs)
         if xy:  # a CRx state holds several excitations and has no IPR
-            iprs[:, eta - 1] = ipr(probs)
+            probs = read(amps)
+            tails[:, eta - 1], iprs[:, eta - 1] = tail_prob(probs), ipr(probs)
+        else:
+            tails[:, eta - 1] = tail_stack(amps, site, start)
         if eta == profile_eta:
-            profile[:] = probs
+            profile[:] = read(amps)
     obs = {"mean_tail": tails.mean(axis=1), "tail_at_profile_eta": tails[:, profile_eta - 1]}
     series = {"tail_series": tails, "final_profile": profile}
     if xy:

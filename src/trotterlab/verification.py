@@ -37,10 +37,12 @@ class SuiteReport:
 def _tally(name: str, errors, ok, detail: str) -> SuiteReport:
     """Count the passed and failed checks; ``worst`` is the largest error.
 
-    ``detail`` is a format string that may show the worst error as ``{worst}``.
+    ``errors`` and ``ok`` are sequences or arrays of one entry per check.
+    ``detail`` is a format string that may show the worst error as
+    ``{worst}``.
     """
-    passed = sum(bool(x) for x in ok)
-    worst = float(max(errors, default=0.0))
+    passed = int(np.count_nonzero(ok))
+    worst = float(np.max(errors)) if len(errors) else 0.0
     return SuiteReport(name, passed, len(ok) - passed, worst, detail.format(worst=worst))
 
 
@@ -48,17 +50,19 @@ def _closed_form_suite(name: str, n: int, closed_form) -> SuiteReport:
     """Dense N=n, N_T=2 last-qubit occupation versus its closed form, to 1e-12.
 
     The z angles are (phi, alpha) or (phi, alpha, phi) over a 21 x 21 grid of
-    phi and alpha - phi; each theta section walks the grid as one stack.
+    phi and alpha - phi; each theta section walks the grid as one stack and
+    compares it as one array.
     """
     axis = np.linspace(-math.pi, math.pi, 21)
-    grid = [(phi, phi + d) for phi in axis for d in axis]
-    z = np.array([(phi, alpha, phi)[:n] for phi, alpha in grid])
+    phi, alpha = np.repeat(axis, 21), np.repeat(axis, 21) + np.tile(axis, 21)
+    z = np.stack((phi, alpha, phi)[:n], axis=1)
     errors = []
     for theta in THETA_SECTIONS:
         spec = TrotterCircuitSpec(n_qubits=n, n_steps=2, bond_angles=(theta,) * (n - 1))
         got = occupation_stack(final_stack(iterate_stack, spec, z))[:, n - 1]
-        errors += [abs(g - closed_form(theta, *pa)) for g, pa in zip(got, grid)]
-    return _tally(name, errors, [e <= 1e-12 for e in errors], "max |err|={worst:.3e}")
+        errors.append(np.abs(got - closed_form(theta, phi, alpha)))
+    errors = np.concatenate(errors)
+    return _tally(name, errors, errors <= 1e-12, "max |err|={worst:.3e}")
 
 
 def closed_form_n2_suite() -> SuiteReport:

@@ -57,6 +57,17 @@ def test_closed_forms_depend_only_on_angle_difference(formula):
         assert formula(theta, phi, alpha + 2 * math.pi) == pytest.approx(base, abs=1e-11)
 
 
+@pytest.mark.parametrize("formula", [p01_closed_form, p001_closed_form])
+def test_closed_forms_take_angle_arrays(formula):
+    # arrays of phi and alpha give an array of the scalar values; scalars a float
+    rng = np.random.default_rng(6)
+    phi, alpha = rng.uniform(-math.pi, math.pi, (2, 100))
+    got = formula(0.7, phi, alpha)
+    want = [formula(0.7, p, a) for p, a in zip(phi.tolist(), alpha.tolist())]
+    assert all(type(w) is float for w in want)
+    assert got.shape == (100,) and np.max(np.abs(got - want)) <= 1e-15
+
+
 angles = st.floats(-3 * math.pi, 3 * math.pi)
 
 

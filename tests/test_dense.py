@@ -14,6 +14,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
+from trotterlab.analytics import tail_prob, tail_start
 from trotterlab.dense import (
     StateVector,
     _fused_groups,
@@ -24,6 +25,7 @@ from trotterlab.dense import (
     occupation_probs,
     occupation_stack,
     run_circuit,
+    tail_stack,
 )
 from trotterlab.errors import ConfigurationError, InvalidStateError
 from trotterlab.model import (
@@ -450,7 +452,9 @@ def test_stack_rejects_misshapen_z_angles():
 def test_frame_groups_are_real_orthogonal_matrices(family):
     # every fused group in the frame is real up to exact zeros, so the
     # walker may drop its imaginary part; N = 2..9 with CRx sites 1, 2, N-1
-    # and N reach every group width the walker makes
+    # and N reach every group width the walker makes.  A CRx group after
+    # the first has a first qubit that is only a control, so its
+    # off-diagonal control blocks are exact zeros the walker never multiplies
     rng = np.random.default_rng(4)
     widths = set()
     for n in range(2, 10):
@@ -463,11 +467,52 @@ def test_frame_groups_are_real_orthogonal_matrices(family):
                 initial_excitation_site=site,
             )
             first = 1 if family is GateFamily.XY else site + 1
-            for _, width, u in _fused_groups(spec, first):
+            for i, (_, width, u) in enumerate(_fused_groups(spec, first)):
                 widths.add(width)
                 assert np.all(u.imag == 0.0)
                 assert np.max(np.abs(u.real @ u.real.T - np.eye(2**width))) <= 1e-14
+                if family is GateFamily.CRX and i > 0:
+                    h = 2 ** (width - 1)
+                    assert np.all(u[:h, h:] == 0.0) and np.all(u[h:, :h] == 0.0)
     assert widths == ({2, 3, 4} if family is GateFamily.XY else {1, 2, 3, 4})
+
+
+def test_crx_block_walk_matches_reference_at_every_group_width():
+    # CRx walks from sites 1, 2, N-1 and N for N = 2..10 reach every group
+    # width, block products and a last group that is also the first
+    rng = np.random.default_rng(21)
+    for n in range(2, 11):
+        for site in sorted({1, 2, n - 1, n}):
+            spec = TrotterCircuitSpec(
+                n_qubits=n,
+                n_steps=3,
+                gate_family=GateFamily.CRX,
+                bond_angles=tuple(rng.uniform(-np.pi, np.pi, n - 1)),
+                initial_excitation_site=site,
+            )
+            phis = rng.uniform(-np.pi, np.pi, (2, n))
+            got = [amps.copy() for _, amps in iterate_stack(spec, phis)]
+            for b, row in enumerate(phis):
+                for amps, ref in zip(got, walker_view(spec, reference_trajectory(spec, row))):
+                    assert np.max(np.abs(amps[b] - ref)) <= 1e-12
+
+
+@given(st.integers(3, 10), st.integers(1, 6), st.integers(0, 2**32 - 1), st.data())
+def test_tail_read_matches_the_tail_of_the_occupations(n, steps, seed, data):
+    # every site, including those inside the tail window, whose qubit s
+    # (held at |1>) adds the row's norm to the tail
+    site = data.draw(st.integers(1, n))
+    rng = np.random.default_rng(seed)
+    spec = TrotterCircuitSpec(
+        n_qubits=n,
+        n_steps=steps,
+        gate_family=GateFamily.CRX,
+        bond_angles=tuple(rng.uniform(-np.pi, np.pi, n - 1)),
+        initial_excitation_site=site,
+    )
+    for _, amps in iterate_stack(spec, rng.uniform(-np.pi, np.pi, (3, n))):
+        want = tail_prob(occupation_stack(amps, site=site))
+        assert np.max(np.abs(tail_stack(amps, site, tail_start(n)) - want)) <= 1e-13
 
 
 def test_n20_crx_walk_allocates_only_the_state_and_one_block_buffer():

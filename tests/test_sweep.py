@@ -358,6 +358,25 @@ def test_omitted_trials_give_20_rows_per_point_to_localization_only():
         assert rows_per_point(spec) == 1
 
 
+def test_n20_crx_localization_readout_allocates_only_the_state_and_one_buffer():
+    # the walk holds the 16 MiB state and one 8 MiB block buffer; the tail
+    # read of every step and the profile fold at profile_eta add nothing
+    # 2^N-sized (an |a|^2 array of the block alone would be 4 MiB)
+    from trotterlab.sweep import _localization_rows
+
+    circuit = TrotterCircuitSpec(
+        n_qubits=20, n_steps=2, gate_family=GateFamily.CRX, bond_angles=(np.pi / 2,) * 19
+    )
+    phis = np.random.default_rng(0).uniform(-np.pi, np.pi, (1, 20))
+    tracemalloc.start()
+    try:
+        _localization_rows(circuit, phis, profile_eta=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < (16 + 8 + 2) * 2**20
+
+
 def test_rejected_sweep_allocates_no_per_item_labels():
     # 2^20 items of an N = 1000 chain are rejected on n_qubits before any
     # per-item list exists (a list of (i, v, k) labels alone peaks near 96 MiB)
