@@ -117,33 +117,33 @@ def _prominent_peaks(ys: np.ndarray, min_prominence: float) -> np.ndarray:
 
     A peak is a rise followed, after any flat run, by a fall; a flat top is
     taken at its midpoint ``(left + right) // 2``.  Its prominence is its
-    height above the higher of two minima, each over the samples between
-    it and the nearest strictly higher sample (or the edge) on that side.
+    height above the higher of its two bases.  SciPy's base on a side is the
+    lowest sample back to the nearest strictly higher sample (or the end).
+    Every sample between that one and the nearest strictly higher *peak* is
+    higher still, since a dip would make another higher peak in between, so
+    the base is the lowest sample back to that peak (or the end).  One
+    monotonic stack over the peaks per side finds it from the lowest sample
+    of each gap between neighboring peaks, in O(n) time and memory.
     """
     steps = np.flatnonzero(ys[1:] != ys[:-1])
     rises = ys[steps + 1] > ys[steps]
     tops = np.flatnonzero(rises[:-1] & ~rises[1:])
     peaks = (steps[tops] + 1 + steps[tops + 1]) // 2
-    # Walk left from each peak, and from its mirror in the reversed copy behind
-    # an inf wall, over samples no higher than it: binary lifting on sparse
-    # tables of block maxima and minima (block k at i covers z[i : i + 2^k]).
-    n = ys.size
-    z = np.concatenate([ys, [np.inf], ys[::-1]])
-    height = np.tile(ys[peaks], 2)
-    lo = np.concatenate([peaks, 2 * n - peaks])
-    low = height.copy()
-    maxes, mins = [z], [z]
-    while 2 ** len(maxes) <= z.size:
-        h = 2 ** (len(maxes) - 1)
-        maxes.append(np.maximum(maxes[-1][:-h], maxes[-1][h:]))
-        mins.append(np.minimum(mins[-1][:-h], mins[-1][h:]))
-    for k in reversed(range(len(maxes))):
-        start = lo - 2**k
-        block = np.maximum(start, 0)
-        ok = (start >= 0) & (maxes[k][block] <= height)
-        lo = np.where(ok, start, lo)
-        low = np.where(ok, np.minimum(low, mins[k][block]), low)
-    prominence = height[: peaks.size] - np.maximum(low[: peaks.size], low[peaks.size :])
+    heights = ys[peaks].tolist()
+    # gaps[k] is the lowest sample from peak k - 1 (or the start) up to peak k
+    gaps = np.minimum.reduceat(ys, np.concatenate([[0], peaks])).tolist()
+    bases = []
+    for order, side in ((range(len(peaks)), 0), (reversed(range(len(peaks))), 1)):
+        # (peak height, lowest sample back to the peak below it): heights fall down the stack
+        base, stack = [0.0] * len(peaks), []
+        for k in order:
+            low = gaps[k + side]
+            while stack and stack[-1][0] <= heights[k]:
+                low = min(low, stack.pop()[1])
+            stack.append((heights[k], low))
+            base[k] = low
+        bases.append(base)
+    prominence = ys[peaks] - np.maximum(*bases)
     return peaks[prominence >= min_prominence]
 
 

@@ -84,7 +84,9 @@ def _file_path(path: str, name: str) -> str:
 
 
 def _check_output_dir(path: str) -> None:
-    """Fail before any sweep runs when ``path``'s directory does not exist."""
+    """Fail before any sweep runs when ``path`` is a directory or its directory does not exist."""
+    if Path(path).is_dir():
+        raise ConfigurationError(f"cannot write {path!r}: it is a directory")
     parent = Path(path).parent
     if not parent.is_dir():
         raise ConfigurationError(f"cannot write {path!r}: {str(parent)!r} is not a directory")
@@ -193,11 +195,10 @@ def _run_sweep_command(command: str, args) -> int:
 
 
 def _run_figure_command(args) -> int:
-    if args.out is not None:
-        _check_output_dir(args.out)
-    fig = figure_recipe(args.figure_id, master_seed=args.seed if args.seed is not None else 0)
     out_format = args.format or "csv"
-    out_path = args.out if args.out is not None else f"figure_{fig.figure_id}.{out_format}"
+    out_path = args.out if args.out is not None else f"figure_{args.figure_id.lower()}.{out_format}"
+    _check_output_dir(out_path)
+    fig = figure_recipe(args.figure_id, master_seed=args.seed if args.seed is not None else 0)
     write_figure(out_path, out_format, fig)
     print(f"wrote {out_path}")
     return 0

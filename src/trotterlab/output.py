@@ -52,7 +52,9 @@ def _write_csv(path, header: str, columns: str, lines) -> None:
 
 
 def _write_json(path: str, payload: dict) -> None:
-    Path(path).write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    with open(path, "w") as f:  # the encoder's chunks go to the file as they come
+        json.dump(payload, f, sort_keys=True, indent=2)
+        f.write("\n")
 
 
 def result_to_jsonable(result: SweepResult) -> dict:

@@ -333,10 +333,12 @@ def _eval_convergence_ladder(spec: SweepSpec, values: np.ndarray) -> dict:
     return {"distance": np.array([distance for _, distance in table])}
 
 
-def _items(spec: SweepSpec, values: np.ndarray) -> tuple[list, np.ndarray]:
+def _items(spec: SweepSpec, values: np.ndarray) -> tuple[list, np.ndarray, int]:
     """Every (point, trial) work item: its circuit without a z layer, and (items, N) z angles.
 
-    ``n_steps`` is capped by MAX_ITEM_STEPS and ``n_qubits`` by
+    Also the readout, a localization's ``profile_eta`` or a resonance's
+    ``target_qubit``, parsed before any template is resolved or z layer
+    drawn.  ``n_steps`` is capped by MAX_ITEM_STEPS and ``n_qubits`` by
     MAX_GRID_ENTRIES, over all items, for every kind.  A resonance
     point resolves its ``bond_angles`` and ``z_template`` templates.  A
     localization point's disorder radius is its grid value and its
@@ -358,12 +360,14 @@ def _items(spec: SweepSpec, values: np.ndarray) -> tuple[list, np.ndarray]:
     n = _index_field(fixed, "n_qubits", None, min(top, MAX_GRID_ENTRIES // n_items))
     n_steps = _index_field(fixed, "n_steps", None, MAX_ITEM_STEPS // n_items)
     if not localization:
+        readout = _index_field(fixed, "target_qubit", n, n)
         params = {**fixed, spec.swept: values}
         bonds = _template_grid(fixed, "bond_angles", params, len(values), n - 1).tolist()
         phis = _template_grid(fixed, "z_template", params, len(values), n)
-        return [TrotterCircuitSpec(n, n_steps, family, tuple(b)) for b in bonds], phis
+        return [TrotterCircuitSpec(n, n_steps, family, tuple(b)) for b in bonds], phis, readout
     if n < 3:
         raise ConfigurationError(f"n_qubits must be >= 3 for localization, got {n}")
+    readout = _index_field(fixed, "profile_eta", min(10, n_steps), n_steps)
     circuit = TrotterCircuitSpec(n, n_steps, family, (parse_angle(fixed["bond_angle"]),) * (n - 1))
     base_phi = parse_angle(fixed["base_phi"])
     phis = np.empty((len(values), spec.trials, n))
@@ -371,7 +375,7 @@ def _items(spec: SweepSpec, values: np.ndarray) -> tuple[list, np.ndarray]:
         z_layer = ZLayerSpec(base_phi=base_phi, disorder_radius=r)
         for k in range(spec.trials):
             phis[i, k] = realize_z_layer(z_layer, n, child_seed(spec.master_seed, i, k))
-    return [circuit] * n_items, phis.reshape(n_items, n)
+    return [circuit] * n_items, phis.reshape(n_items, n), readout
 
 
 def _walker(circuit):
@@ -458,13 +462,9 @@ def _evaluate_items(spec: SweepSpec, values: np.ndarray, verify: bool) -> tuple[
     1e-10).  Returns the (items,) observables and, for localization, the
     ``SweepResult`` series fields.
     """
-    circuits, phis = _items(spec, values)
-    n, steps = circuits[0].n_qubits, circuits[0].n_steps
-    if spec.kind is ExperimentKind.LOCALIZATION:
-        rows = _localization_rows
-        readout = _index_field(spec.fixed, "profile_eta", min(10, steps), steps)
-    else:
-        rows, readout = _resonance_rows, _index_field(spec.fixed, "target_qubit", n, n)
+    circuits, phis, readout = _items(spec, values)
+    n = circuits[0].n_qubits
+    rows = _localization_rows if spec.kind is ExperimentKind.LOCALIZATION else _resonance_rows
     xy = circuits[0].gate_family is GateFamily.XY
     parts = [rows(*stack, readout) for stack in _stacks(circuits, phis, n if xy else 2**n)]
     if verify and xy:

@@ -1,6 +1,7 @@
 """Closed forms, localization metrics, and peak detection."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from trotterlab.analytics import (
     DEFAULT_PEAK_PROMINENCE,
     Curve,
     _prominent_peaks,
+    _refine_peak,
     find_peaks,
     ipr,
     p001_closed_form,
@@ -169,6 +171,8 @@ def test_tail_plus_head_is_total():
 def test_curve_validation():
     Curve(np.array([0.0, 1.0]), np.array([0.0, 1.0]))
     with pytest.raises(ConfigurationError):
+        Curve(np.array([0.0, 1.0]), np.array([0.0, 1.0, 0.5]))
+    with pytest.raises(ConfigurationError):
         Curve(np.array([0.0, 0.0]), np.array([0.0, 1.0]))
     with pytest.raises(ConfigurationError):
         Curve(np.array([0.0, 1.0]), np.array([0.0, 1.1]))
@@ -198,6 +202,18 @@ def test_find_peaks_quadratic_refinement_recovers_offgrid_vertex():
     (pos, height), = find_peaks(Curve(xs, ys))
     assert pos == pytest.approx(vertex_x, abs=1e-12)
     assert height == pytest.approx(vertex_y, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "ys",
+    [
+        [1.0, 0.0, 1.0],  # convex: no vertex above the sample
+        [0.0, 1.5, 2.0],  # concave, but the vertex falls on the last neighbor
+    ],
+    ids=["convex", "vertex-outside"],
+)
+def test_refine_peak_keeps_the_sample_when_its_neighborhood_is_degenerate(ys):
+    assert _refine_peak(np.array([0.0, 1.0, 2.0]), np.array(ys), 1) == (1.0, ys[1])
 
 
 def test_find_peaks_prominence_filter():
@@ -259,6 +275,32 @@ def test_peak_indices_match_scipy(ys, prominence):
     ys = np.array(ys, dtype=float)
     expected = scipy_find_peaks(ys, prominence=prominence)[0]
     np.testing.assert_array_equal(_prominent_peaks(ys, prominence), expected)
+
+
+# uniform floats in [0, 1), so that ties are rare and peaks and gaps are many;
+# drawn from a seed, since hypothesis's own lists stay much shorter than 2000
+@settings(max_examples=200)
+@given(
+    size=st.integers(3, 2000),
+    seed=st.integers(0, 2**32 - 1),
+    prominence=st.floats(0.0, 0.5),
+)
+def test_peak_indices_match_scipy_on_continuous_curves(size, seed, prominence):
+    ys = np.random.default_rng(seed).random(size)
+    expected = scipy_find_peaks(ys, prominence=prominence)[0]
+    np.testing.assert_array_equal(_prominent_peaks(ys, prominence), expected)
+
+
+def test_peak_finder_memory_is_linear_in_the_samples():
+    # the finder keeps one gap minimum per peak, not a table over the samples
+    ys = np.random.default_rng(7).random(2**16)  # 512 KiB
+    tracemalloc.start()
+    try:
+        _prominent_peaks(ys, DEFAULT_PEAK_PROMINENCE)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 @pytest.mark.parametrize("figure_id", ["2a4", "2b4", "2c4", "2d4"])

@@ -385,6 +385,13 @@ def test_unwritable_output_path(tmp_path):
     assert code == 2
 
 
+def test_file_name_too_long_exits_2_with_an_io_error(tmp_path, capsys):
+    cfg = write_config(tmp_path, RESONANCE_CONFIG)
+    out = tmp_path / ("x" * 300 + ".csv")  # longer than a file system's 255-byte name limit
+    assert main(["resonance", "--config", cfg, "--out", str(out)]) == 2
+    assert "i/o error" in capsys.readouterr().err
+
+
 def test_help_exits_zero():
     assert main(["--help"]) == 0
 
@@ -469,6 +476,8 @@ def _subcommand(cfg) -> str:
         (_with_fixed(target_qubit=9), "target_qubit must be in [1, 2], got 9"),
         (_with_fixed(CONTINUOUS_CONFIG, target_site=3), "target_site must be in [1, 2], got 3"),
         (_with_fixed(n_qubits=2.5), "n_qubits must be an integer, got 2.5"),
+        # an integral float is an integer: 3.0 qubits need two bond angles
+        (_with_fixed(n_qubits=3.0), "bond_angles has length 1, expected 2"),
         (_with_fixed(n_qubits=True), "n_qubits must be an integer, got True"),
         (_with_fixed(n_steps=float("inf")), "n_steps must be an integer, got inf"),
         (_with_experiment(master_seed=float("inf")), "experiment.master_seed must be an integer"),
@@ -556,6 +565,8 @@ def _subcommand(cfg) -> str:
             _with_experiment(CONVERGENCE_CONFIG, grid=[1, 3, 5]),
             "degenerate convergence ladder [1, 1, 2, 2, 3]",
         ),
+        # the ladder [0, 1, 2, 4, 10] is increasing, but its first rung has no step
+        (_with_experiment(CONVERGENCE_CONFIG, grid=[0.3, 10, 5]), "step counts must be >= 1"),
         # a convergence ladder's rungs count against the entry cap like grid points
         (
             _with_fixed(CONVERGENCE_CONFIG, couplings=[0.5] * 999, potentials=[0.0] * 1000),
@@ -682,6 +693,35 @@ def test_walked_resonance_n_steps_is_capped_before_any_walk(
     out = tmp_path / "x.csv"
     assert main([command, "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 2
     assert "n_steps must be in [1, 699050], got 10000000000000" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "cfg, message",
+    [
+        (
+            _with_experiment(
+                _with_fixed(LOCALIZATION_CONFIG, profile_eta=5), grid=[0, 1, 64], trials=64
+            ),
+            "profile_eta must be in [1, 2], got 5",
+        ),
+        (_with_fixed(target_qubit=5), "target_qubit must be in [1, 2], got 5"),
+    ],
+    ids=["profile_eta", "target_qubit"],
+)
+def test_readout_field_is_read_before_any_z_layer_is_drawn(
+    tmp_path, capsys, monkeypatch, cfg, message
+):
+    import trotterlab.sweep as sweep
+
+    def not_yet(*args, **kwargs):
+        raise AssertionError("a z layer was drawn or a template resolved")
+
+    monkeypatch.setattr(sweep, "realize_z_layer", not_yet)
+    monkeypatch.setattr(sweep, "_template_grid", not_yet)
+    out = tmp_path / "x.csv"
+    assert main([_subcommand(cfg), "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -858,8 +898,9 @@ def test_unusable_file_path_exits_2_before_the_sweep_runs(
         ("no/dir/s.csv", ["resonance", "--config", "config.json", "--out", "no/dir/s.csv"]),
         ("no/dir/f.csv", ["figure", "4a", "--out", "no/dir/f.csv"]),
         ("config.json/f.csv", ["figure", "4a", "--out", "config.json/f.csv"]),
+        (".", ["figure", "3b", "--out", "."]),
     ],
-    ids=["output.path", "resonance-out", "figure-out", "parent-is-a-file"],
+    ids=["output.path", "resonance-out", "figure-out", "parent-is-a-file", "path-is-a-directory"],
 )
 def test_missing_output_directory_exits_2_before_the_sweep_runs(
     tmp_path, capsys, monkeypatch, path, argv
@@ -874,6 +915,17 @@ def test_missing_output_directory_exits_2_before_the_sweep_runs(
     assert main(argv) == 2
     assert f"cannot write {path!r}" in capsys.readouterr().err
     assert [f.name for f in tmp_path.iterdir()] == ["config.json"]
+
+
+def test_figure_default_path_is_checked_before_the_recipe_runs(tmp_path, capsys, monkeypatch):
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("a sweep ran")
+
+    monkeypatch.setattr(cli, "figure_recipe", no_sweep)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "figure_3b.json").mkdir()
+    assert main(["figure", "3B", "--format", "json"]) == 2
+    assert "cannot write 'figure_3b.json': it is a directory" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

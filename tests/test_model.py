@@ -30,6 +30,9 @@ def test_gateop_validation():
         GateOp(GateKind.X, (1,), 0.3)  # X takes no angle
     with pytest.raises(ConfigurationError):
         GateOp(GateKind.XY, (0, 1), 0.2)  # sites are 1-based
+    for kind, sites in ((GateKind.XY, (1, 2)), (GateKind.CRX, (1, 2)), (GateKind.RZ, (1,))):
+        with pytest.raises(ConfigurationError, match="requires an angle"):
+            GateOp(kind, sites)
 
 
 def test_realize_zero_radius_alternating():

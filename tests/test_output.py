@@ -6,6 +6,7 @@ import tracemalloc
 
 import pytest
 
+from trotterlab.errors import ConfigurationError
 from trotterlab.output import write_sweep
 from trotterlab.sweep import ExperimentKind, GridSpec, SweepSpec, run_sweep
 
@@ -124,17 +125,27 @@ def test_localization_csv_schema(tmp_path, family, main_col, companions):
             assert lines[2:] == [f"{k},{v!r}" for k, v in enumerate(values, start=1)]
 
 
+def test_write_sweep_rejects_an_unknown_format(tmp_path):
+    path = tmp_path / "r.xml"
+    with pytest.raises(ConfigurationError, match="unknown output format 'xml'"):
+        write_sweep(str(path), "xml", run_sweep(RESONANCE_SPEC))
+    assert not path.exists()
+
+
+# 64 x 64 items, for the writers' memory bounds
+MANY_ITEMS_SPEC = SweepSpec(
+    kind=ExperimentKind.LOCALIZATION,
+    swept="R",
+    grid=GridSpec(0.0, 1.0, 64),
+    fixed={"n_qubits": 3, "n_steps": 2, "bond_angle": 0.7, "base_phi": 0.3},
+    trials=64,
+    master_seed=1,
+)
+
+
 def test_csv_writer_streams_its_lines(tmp_path):
     # the main CSV is written as its lines are formatted, not built whole first
-    spec = SweepSpec(
-        kind=ExperimentKind.LOCALIZATION,
-        swept="R",
-        grid=GridSpec(0.0, 1.0, 64),
-        fixed={"n_qubits": 3, "n_steps": 2, "bond_angle": 0.7, "base_phi": 0.3},
-        trials=64,
-        master_seed=1,
-    )
-    result = run_sweep(spec)
+    result = run_sweep(MANY_ITEMS_SPEC)
     path = tmp_path / "loc.csv"
     tracemalloc.start()
     try:
@@ -143,3 +154,18 @@ def test_csv_writer_streams_its_lines(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < path.stat().st_size / 2
+
+
+def test_json_writer_streams_its_text(tmp_path):
+    # the JSON text goes to the file as it is encoded, not built whole first
+    result = run_sweep(MANY_ITEMS_SPEC)
+    # the per-item views the document is built from belong to the result: build them first
+    assert result.rows and result.traces
+    path = tmp_path / "loc.json"
+    tracemalloc.start()
+    try:
+        write_sweep(str(path), "json", result)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < path.stat().st_size, (peak, path.stat().st_size)

@@ -61,6 +61,12 @@ def test_trotter_step_length_validation():
         trotter_step(state, (0.1, 0.2), (0.0, 0.0))
 
 
+@pytest.mark.parametrize("site", [0, 4])
+def test_basis_state_rejects_a_site_out_of_range(site):
+    with pytest.raises(ConfigurationError, match=f"site {site} outside"):
+        basis_state(3, site)
+
+
 def test_run_discrete_rejects_crx():
     spec = TrotterCircuitSpec(
         n_qubits=2,
