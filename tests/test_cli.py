@@ -476,8 +476,6 @@ def _subcommand(cfg) -> str:
         (_with_fixed(target_qubit=9), "target_qubit must be in [1, 2], got 9"),
         (_with_fixed(CONTINUOUS_CONFIG, target_site=3), "target_site must be in [1, 2], got 3"),
         (_with_fixed(n_qubits=2.5), "n_qubits must be an integer, got 2.5"),
-        # an integral float is an integer: 3.0 qubits need two bond angles
-        (_with_fixed(n_qubits=3.0), "bond_angles has length 1, expected 2"),
         (_with_fixed(n_qubits=True), "n_qubits must be an integer, got True"),
         (_with_fixed(n_steps=float("inf")), "n_steps must be an integer, got inf"),
         (_with_experiment(master_seed=float("inf")), "experiment.master_seed must be an integer"),
@@ -565,8 +563,6 @@ def _subcommand(cfg) -> str:
             _with_experiment(CONVERGENCE_CONFIG, grid=[1, 3, 5]),
             "degenerate convergence ladder [1, 1, 2, 2, 3]",
         ),
-        # the ladder [0, 1, 2, 4, 10] is increasing, but its first rung has no step
-        (_with_experiment(CONVERGENCE_CONFIG, grid=[0.3, 10, 5]), "step counts must be >= 1"),
         # a convergence ladder's rungs count against the entry cap like grid points
         (
             _with_fixed(CONVERGENCE_CONFIG, couplings=[0.5] * 999, potentials=[0.0] * 1000),
@@ -577,6 +573,10 @@ def _subcommand(cfg) -> str:
         (_with_experiment(LOCALIZATION_CONFIG, grid=[True, 1, 2]), "cannot parse angle True"),
         # parsed, but too deep to echo into a provenance header
         (_with_fixed(x=json.loads("[" * 98 + "]" * 98)), "nests deeper than 100 levels"),
+        # an integral float is an integer: 3.0 qubits need two bond angles
+        (_with_fixed(n_qubits=3.0), "bond_angles has length 1, expected 2"),
+        # the ladder [0, 1, 2, 4, 10] is increasing, but its first rung has no step
+        (_with_experiment(CONVERGENCE_CONFIG, grid=[0.3, 10, 5]), "step counts must be >= 1"),
     ],
 )
 def test_malformed_config_shape_exits_2_naming_the_field(tmp_path, capsys, cfg, message):
