@@ -94,8 +94,16 @@ def _check_output_dir(path: str) -> None:
 
 def load_config(path: str, default_kind: ExperimentKind) -> RunConfig:
     too_deep = f"config file {path} nests deeper than {MAX_CONFIG_DEPTH} levels"
+
+    def finite(text: str) -> float:  # every JSON float, and NaN, Infinity and -Infinity
+        number = float(text)
+        if not abs(number) <= sys.float_info.max:
+            raise ConfigurationError(f"config file {path} holds the non-finite number {text}")
+        return number
+
     try:
-        data = json.loads(Path(_file_path(path, "config file")).read_text(encoding="utf-8"))
+        text = Path(_file_path(path, "config file")).read_text(encoding="utf-8")
+        data = json.loads(text, parse_float=finite, parse_constant=finite)
     except FileNotFoundError:
         raise ConfigurationError(f"config file not found: {path}") from None
     except ValueError as exc:  # not UTF-8, or not JSON

@@ -39,7 +39,9 @@ ends with one multiply by the phases of the qubits before it.  D is a
 product of one-qubit phases, so it commutes with every Rz layer.  The
 walk's amplitudes are D^-1 psi: each differs from the state's by a power of
 i, so |a|^2, occupations and norms are the state's exactly, and the last
-step multiplies by D to yield the state itself.
+step, which has no Rz layer, multiplies by D to yield the state itself:
+one table path takes a step's one-qubit diagonals, the Rz layer's or, at
+the last step only, D's.
 
 ``occupation_stack`` reads all N occupations of a stack and ``tail_stack``
 the summed occupation of a window of trailing qubits, each from one or two
@@ -136,12 +138,6 @@ def _kron_tables(factors: np.ndarray) -> np.ndarray:
     for f in factors.transpose(1, 0, 2):
         table = (table[:, :, None] * f[:, None, :]).reshape(b, -1)
     return table
-
-
-def _rz_tables(phis: np.ndarray) -> np.ndarray:
-    """(B, 2^k) Rz-layer diagonals on k consecutive qubits, the first one most significant."""
-    e = np.exp(0.5j * phis)
-    return _kron_tables(np.stack((e.conjugate(), e), axis=-1))
 
 
 def _frame_factors(positions: np.ndarray, xy: bool) -> np.ndarray:
@@ -244,13 +240,14 @@ def iterate_stack(spec: TrotterCircuitSpec, phis: np.ndarray):
     qubit is only a control, multiplies as its two control blocks, and its
     zero blocks are never multiplied.  The last group, which ends on the
     last qubit, multiplies each row's float64 pairs on the right by real
-    per-row factors that also apply the Rz diagonal of its qubits (D's on
-    the last step), in runs of at most _LAST_GROUP_ROWS rows so that both
-    control blocks of a run share the cache.  One broadcast multiply then
-    applies the Rz phases of the qubits before the last group (D's on the
-    last step), with the CRx constant phase folded in.  The stack stays
-    zero outside the block.  The final stack is norm-checked before it is
-    yielded.
+    per-row factors that also apply the Rz diagonal of its qubits, in runs
+    of at most _LAST_GROUP_ROWS rows so that both control blocks of a run
+    share the cache.  One broadcast multiply then applies the Rz phases of
+    the qubits before the last group, with the CRx constant phase folded
+    in.  ``step_tables`` builds both from one step's one-qubit diagonals:
+    the Rz layer's, once, for steps 1..n_steps-1, and D's for the last
+    step, built when it begins.  The stack stays zero outside the block.
+    The final stack is norm-checked before it is yielded.
     """
     n = spec.n_qubits
     _check_n(n)
@@ -272,11 +269,11 @@ def iterate_stack(spec: TrotterCircuitSpec, phis: np.ndarray):
     blocks = [_control_blocks(u, 1 if xy or i == 0 else 2) for i, (_, _, u) in enumerate(groups)]
     a, width, _ = groups[-1]
     lead = a - 1  # qubits before the last group
-    z_lead = _rz_tables(phis[:, first - 1 : first - 1 + lead])
-    if not xy:  # qubits 1..s-1 hold |0> and qubit s holds |1>
-        z_lead *= np.exp(0.5j * (phis[:, site - 1] - phis[:, : site - 1].sum(axis=1)))[:, None]
-    d = _frame_factors(np.arange(first, n + 1), xy)
-    d_lead = _kron_tables(d[:, :lead])
+
+    def step_tables(diagonals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The last group's per-row factors and the lead phases of (B, m, 2) qubit diagonals."""
+        factors = _right_factors(blocks[-1], _kron_tables(diagonals[:, lead:]))
+        return factors[:, None], _kron_tables(diagonals[:, :lead])[:, :, None]
 
     # Groups alternate between the block and one buffer, in float64 views.
     buffers = (block, np.empty_like(block))
@@ -290,17 +287,20 @@ def iterate_stack(spec: TrotterCircuitSpec, phis: np.ndarray):
     shape = (b, -1, min(2**lead, _LAST_GROUP_ROWS), c, 2 ** (width + 1) // c)
     src, dst = (x.reshape(shape).transpose(0, 1, 3, 2, 4) for x in (floats[j], floats[1 - j]))
     last, z_view = (x.reshape(b, 2**lead, 2**width) for x in (buffers[1 - j], block))
-    z_last, d_last = _rz_tables(phis[:, first - 1 + lead :]), _kron_tables(d[:, lead:])
-    step = _right_factors(blocks[-1], z_last)[:, None], z_lead[:, :, None]
-    final = _right_factors(blocks[-1], d_last)[:, None], d_lead[:, :, None]
+    e = np.exp(0.5j * phis[:, first - 1 :])
+    factors, phases = step_tables(np.stack((e.conjugate(), e), axis=-1))  # the Rz layer
+    if not xy:  # qubits 1..s-1 hold |0> and qubit s holds |1>
+        outside = phis[:, site - 1] - phis[:, : site - 1].sum(axis=1)
+        phases *= np.exp(0.5j * outside)[:, None, None]
 
     for eta in range(1, spec.n_steps + 1):
+        if eta == spec.n_steps:  # D in place of the dropped Rz layer leaves the frame
+            factors, phases = step_tables(_frame_factors(np.arange(first, n + 1), xy))
         for x, y, out in products:
             np.matmul(x, y, out=out)
-        factors, phases = step if eta < spec.n_steps else final
         np.matmul(src, factors, out=dst)
         np.multiply(last, phases, out=z_view)
-        if eta == spec.n_steps:  # left the frame: exact, as every factor of D is a power of i
+        if eta == spec.n_steps:  # exact, as every factor of D is a power of i
             check_norms(spec, amps)
         yield eta, amps
 
@@ -328,6 +328,7 @@ def check_norms(spec: TrotterCircuitSpec, amps: np.ndarray) -> None:
     allocates no 2^N temporary.
     """
     n, steps = spec.n_qubits, spec.n_steps
+    # the X gate, n - 1 bonds every step, and n Rz gates every step but the last
     gates = 1 + steps * (n - 1) + (steps - 1) * n
     bound = max(1e-12, NORM_DRIFT_C * np.finfo(float).eps * gates)
     # np.max propagates a NaN row, and a NaN error fails ``err <= bound``

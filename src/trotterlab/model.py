@@ -210,7 +210,10 @@ def parse_angle(value: float | int | str) -> float:
     decimal number.  Booleans, NaN and infinite values are rejected.
     """
     if isinstance(value, numbers.Real) and not isinstance(value, bool):
-        angle = float(value)
+        try:
+            angle = float(value)
+        except OverflowError:  # an integer beyond the float range
+            angle = math.inf
     elif isinstance(value, str):
         angle = _parse_angle_text(value)
     else:

@@ -16,9 +16,11 @@ a state, and every XY sweep walks here.  States are plain complex arrays:
 ``iterate_stack`` is the circuit walker: it steps a (B, N) stack of circuits
 that differ only in their z angles, one matrix product per Trotter step, and
 norm-checks the final stack; ``dense.final_stack`` runs it to the end.
-``trotter_step`` applies one step bond by bond, the walker's reference, and
-is the only code that spells out the XY rotation: its bond loop on eye(N)
-builds ``bond_layer_matrix``.
+``trotter_step`` applies one step bond by bond and then its z phases on
+the site axis, axis 0, so an (N, M) array steps each column.  It is the
+walker's reference and the only code that spells out the XY rotation:
+``step_matrix`` is it on eye(N), and ``bond_layer_matrix``, the walker's
+product, is a step with zero z angles.
 
 ``evolve_chains`` is the exact oracle: it applies ``exp(-iHt)`` to a stack
 of tight-binding chains via one eigendecomposition call instead of
@@ -55,11 +57,12 @@ def trotter_step(
     amps: np.ndarray,
     bond_angles: "np.ndarray | tuple[float, ...]",
     z_angles: "np.ndarray | tuple[float, ...]",
-    include_z: bool = True,
 ) -> np.ndarray:
-    """One Trotter step on (N,) amplitudes, in place: ascending bond rotations, then z phases.
+    """One Trotter step in place: ascending bond rotations, then z phases.
 
-    The bond-by-bond reference for ``iterate_stack``; on an (N, M) array it steps the rows.
+    The bond-by-bond reference for ``iterate_stack``.  Axis 0 of ``amps`` is
+    the site axis: (N,) amplitudes are one state, and an (N, M) array steps
+    each of its M columns.
     """
     n = len(amps)
     if len(bond_angles) != n - 1 or len(z_angles) != n:
@@ -72,8 +75,7 @@ def trotter_step(
         aj, aj1 = amps[[j, j + 1]]
         amps[j] = c * aj - 1j * s * aj1
         amps[j + 1] = -1j * s * aj + c * aj1
-    if include_z:
-        amps *= np.exp(-1j * np.asarray(z_angles))
+    amps *= np.exp(-1j * np.asarray(z_angles)).reshape((n,) + (1,) * (amps.ndim - 1))
     return amps
 
 
@@ -110,22 +112,20 @@ def iterate_stack(spec: TrotterCircuitSpec, phis: np.ndarray):
         yield eta, amps
 
 
-def bond_layer_matrix(bond_angles: "np.ndarray | tuple[float, ...]") -> np.ndarray:
-    """The N x N matrix of one bond layer: ``trotter_step``'s bonds on the rows of eye(N)."""
-    n = len(bond_angles) + 1
-    return trotter_step(np.eye(n, dtype=np.complex128), bond_angles, (0.0,) * n, include_z=False)
-
-
 def step_matrix(
     bond_angles: "np.ndarray | tuple[float, ...]",
     z_angles: "np.ndarray | tuple[float, ...]",
 ) -> np.ndarray:
-    """The N x N matrix of one Trotter step (bond layer then z layer).
+    """The N x N matrix of one Trotter step (bond layer then z layer): ``trotter_step`` on eye(N).
 
-    Algebraically identical to ``trotter_step``; used where applying the
-    step a huge number of times is needed (binary powering).
+    Used where applying the step a huge number of times is needed (binary powering).
     """
-    return np.exp(-1j * np.asarray(z_angles))[:, None] * bond_layer_matrix(bond_angles)
+    return trotter_step(np.eye(len(z_angles), dtype=np.complex128), bond_angles, z_angles)
+
+
+def bond_layer_matrix(bond_angles: "np.ndarray | tuple[float, ...]") -> np.ndarray:
+    """The N x N matrix of one bond layer: a step whose z angles are all zero."""
+    return step_matrix(bond_angles, np.zeros(len(bond_angles) + 1))
 
 
 def chain_hamiltonians(couplings: np.ndarray, potentials: np.ndarray) -> np.ndarray:
@@ -138,13 +138,6 @@ def chain_hamiltonians(couplings: np.ndarray, potentials: np.ndarray) -> np.ndar
     h[:, sites, sites] = potentials
     h[:, sites[:-1], sites[1:]] = h[:, sites[1:], sites[:-1]] = couplings
     return h
-
-
-def chain_hamiltonian(chain: ChainSpec) -> np.ndarray:
-    return chain_hamiltonians(
-        np.asarray([chain.couplings], dtype=float),
-        np.asarray([chain.potentials], dtype=float),
-    )[0]
 
 
 def evolve_chains(hams: np.ndarray, t: float, init: np.ndarray) -> np.ndarray:
@@ -191,4 +184,5 @@ def continuous_evolve(
         init = basis_state(n)
     elif np.shape(init) != (n,):
         raise ConfigurationError(f"init has shape {np.shape(init)}, expected ({n},)")
-    return evolve_chains(chain_hamiltonian(chain)[None], t, init)[0]
+    hams = chain_hamiltonians(np.array([chain.couplings]), np.array([chain.potentials]))
+    return evolve_chains(hams, t, init)[0]

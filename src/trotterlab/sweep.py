@@ -121,8 +121,13 @@ class GridSpec:
             raise ConfigurationError(
                 "convergence grids need 0 < start < stop (geometric ladder)"
             )
-        ratio = (self.stop / self.start) ** (1 / (self.count - 1))
-        vals = [int(round(self.start * ratio**i)) for i in range(self.count)]
+        try:  # a rung beyond the float range overflows the power or the rounding
+            ratio = (self.stop / self.start) ** (1 / (self.count - 1))
+            vals = [int(round(self.start * ratio**i)) for i in range(self.count)]
+        except OverflowError:
+            raise ConfigurationError(
+                f"convergence ladder from {self.start} to {self.stop} overflows"
+            ) from None
         if sorted(set(vals)) != vals:
             raise ConfigurationError(f"degenerate convergence ladder {vals}")
         return vals
@@ -292,10 +297,13 @@ def _template_grid(fixed: dict, name: str, params: dict, count: int, length: int
     return out
 
 
-def _chain_grid(spec: SweepSpec, params: dict, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """(count, N - 1) couplings and (count, N) potentials of a chain kind, N = len(potentials).
+def _chain_grid(spec: SweepSpec, params: dict, count: int) -> tuple[np.ndarray, np.ndarray, float]:
+    """(count, N - 1) couplings, (count, N) potentials and the time t of a chain kind.
 
-    N is capped by MAX_GRID_ENTRIES before either template is resolved.
+    N = len(potentials) is capped by MAX_GRID_ENTRIES before either template
+    is resolved.  ``|t| * (max|V| + 2 max|J|)`` must be finite: it bounds
+    every ``|lambda t|`` (Gershgorin) and every step angle ``J t / N_T`` and
+    ``V t / N_T``, so no eigenphase or rung of a finite chain overflows.
     """
     fixed = spec.fixed
     _require(fixed, ["couplings", "potentials", "t"], spec.kind)
@@ -307,17 +315,24 @@ def _chain_grid(spec: SweepSpec, params: dict, count: int) -> tuple[np.ndarray, 
             f" (at most {MAX_GRID_ENTRIES} Hamiltonian entries), got {n}"
         )
     couplings = _template_grid(fixed, "couplings", params, count, n - 1)
-    return couplings, _template_grid(fixed, "potentials", params, count, n)
+    potentials = _template_grid(fixed, "potentials", params, count, n)
+    t = parse_angle(fixed["t"])
+    scale = float(np.max(np.abs(potentials))) + 2 * float(np.max(np.abs(couplings)))
+    if not np.isfinite(abs(t) * scale):  # Python floats overflow to inf without a warning
+        raise ConfigurationError(
+            f"t {t!r} overflows: |t| * (max|potential| + 2 max|coupling|) must be finite"
+        )
+    return couplings, potentials, t
 
 
 def _eval_resonance_continuous(spec: SweepSpec, values: np.ndarray) -> dict:
     """Observables at every grid value, from one stacked oracle call."""
     fixed = spec.fixed
-    couplings, potentials = _chain_grid(spec, {**fixed, spec.swept: values}, len(values))
+    couplings, potentials, t = _chain_grid(spec, {**fixed, spec.swept: values}, len(values))
     n = potentials.shape[1]
     target = _index_field(fixed, "target_site", n, n)
     init = basis_state(n, _index_field(fixed, "init_site", 1, n))
-    amps = evolve_chains(chain_hamiltonians(couplings, potentials), parse_angle(fixed["t"]), init)
+    amps = evolve_chains(chain_hamiltonians(couplings, potentials), t, init)
     return {"probability": np.abs(amps[:, target - 1]) ** 2}
 
 
@@ -327,9 +342,9 @@ def _eval_convergence_ladder(spec: SweepSpec, values: np.ndarray) -> dict:
     Each rung builds an N x N step matrix, so the ladder's length counts
     against MAX_GRID_ENTRIES as a grid's point count does.
     """
-    couplings, potentials = _chain_grid(spec, {}, len(values))
+    couplings, potentials, t = _chain_grid(spec, {}, len(values))
     chain = ChainSpec(tuple(couplings[0].tolist()), tuple(potentials[0].tolist()))
-    table = convergence_study(chain, parse_angle(spec.fixed["t"]), values)
+    table = convergence_study(chain, t, values)
     return {"distance": np.array([distance for _, distance in table])}
 
 

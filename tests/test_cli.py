@@ -1,13 +1,17 @@
 """CLI end to end: configs, overrides, exit codes, file schemas."""
 
 import json
+import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import trotterlab
 from trotterlab import cli
@@ -477,12 +481,12 @@ def _subcommand(cfg) -> str:
         (_with_fixed(CONTINUOUS_CONFIG, target_site=3), "target_site must be in [1, 2], got 3"),
         (_with_fixed(n_qubits=2.5), "n_qubits must be an integer, got 2.5"),
         (_with_fixed(n_qubits=True), "n_qubits must be an integer, got True"),
-        (_with_fixed(n_steps=float("inf")), "n_steps must be an integer, got inf"),
-        (_with_experiment(master_seed=float("inf")), "experiment.master_seed must be an integer"),
+        (_with_fixed(n_steps="inf"), "n_steps must be an integer, got 'inf'"),
+        (_with_experiment(master_seed="inf"), "experiment.master_seed must be an integer"),
         (_with_experiment(master_seed=True), "experiment.master_seed must be an integer"),
-        (_with_experiment(trials=float("inf")), "experiment.trials must be an integer"),
+        (_with_experiment(trials="inf"), "experiment.trials must be an integer"),
         (_with_experiment(trials=2.5), "experiment.trials must be an integer, got 2.5"),
-        (_with_experiment(grid=[0, 1, float("inf")]), "grid count must be an integer"),
+        (_with_experiment(grid=[0, 1, "inf"]), "grid count must be an integer"),
         (_with_experiment(grid="1:2"), "grid must be 'start:stop:count', got '1:2'"),
         (
             dict(RESONANCE_CONFIG, engine={"verification_mode": "false"}),
@@ -577,9 +581,34 @@ def _subcommand(cfg) -> str:
         (_with_fixed(n_qubits=3.0), "bond_angles has length 1, expected 2"),
         # the ladder [0, 1, 2, 4, 10] is increasing, but its first rung has no step
         (_with_experiment(CONVERGENCE_CONFIG, grid=[0.3, 10, 5]), "step counts must be >= 1"),
+        # JSON integers beyond the float range, where an angle is read
+        (_with_fixed(CONTINUOUS_CONFIG, t=10**400), "is not finite"),
+        (_with_experiment(grid=[0, 10**400, 3]), "is not finite"),
+        # |t| (max|V| + 2 max|J|) overflows: eigenphases and step angles would be inf or NaN
+        (
+            _with_fixed(CONTINUOUS_CONFIG, potentials=["V1", 10.0], t=1e308),
+            "t 1e+308 overflows: |t| * (max|potential| + 2 max|coupling|) must be finite",
+        ),
+        (
+            _with_fixed(CONVERGENCE_CONFIG, couplings=[1e300], potentials=[1e300, 0.0], t=1e10),
+            "t 10000000000.0 overflows",
+        ),
+        (
+            _with_experiment(CONVERGENCE_CONFIG, grid=[10, 1.7976931348623157e308, 3]),
+            "convergence ladder from 10.0 to 1.7976931348623157e+308 overflows",
+        ),
     ],
 )
-def test_malformed_config_shape_exits_2_naming_the_field(tmp_path, capsys, cfg, message):
+def test_malformed_config_shape_exits_2_naming_the_field(
+    tmp_path, capsys, monkeypatch, cfg, message
+):
+    import trotterlab.sweep as sweep
+
+    def not_called(*args, **kwargs):
+        raise AssertionError("a walker or the chain oracle ran")
+
+    for name in ("dense_stack", "subspace_stack", "evolve_chains", "continuous_evolve"):
+        monkeypatch.setattr(sweep, name, not_called)
     out = tmp_path / "m.csv"
     argv = [_subcommand(cfg), "--config", write_config(tmp_path, cfg), "--out", str(out)]
     assert main(argv) == 2
@@ -764,7 +793,7 @@ def test_removed_walker_settings_are_ignored(tmp_path, monkeypatch):
     assert len(plain) == 7  # the main CSV and three companions per grid point
     old = run("old", {"backend": "dense"}, {"drop_final_z": False})
     assert data_lines(old) == data_lines(plain)
-    for i, threads in enumerate([-3, float("inf"), "x", 2]):
+    for i, threads in enumerate([-3, 10**400, "x", 2]):
         assert run(f"threads{i}", {"threads": threads}, {}) == plain
     monkeypatch.setenv("TROTTERLAB_THREADS", "banana")
     assert run("env", {}, {}) == plain
@@ -851,8 +880,12 @@ def test_package_import_and_peak_finding_load_no_scipy():
     [
         (b'{"experiment": {"swept": "\xff"}}', "is not valid JSON: 'utf-8' codec can't decode"),
         (b"[" * 100000 + b"]" * 100000, "nests deeper than 100 levels"),
+        # standard JSON has no non-finite number; an ignored key must not echo one
+        (b'{"experiment": {"fixed": {"note": 1e400}}}', "holds the non-finite number 1e400"),
+        (b'{"experiment": {"fixed": {"note": NaN}}}', "holds the non-finite number NaN"),
+        (b'{"output": {"x": [-Infinity]}}', "holds the non-finite number -Infinity"),
     ],
-    ids=["not-utf8", "nested-100000"],
+    ids=["not-utf8", "nested-100000", "float-1e400", "nan", "minus-infinity"],
 )
 def test_unreadable_config_exits_2_naming_the_file(tmp_path, capsys, text, message):
     path = tmp_path / "config.json"
@@ -939,3 +972,155 @@ def test_empty_out_flag_exits_2_without_writing(tmp_path, capsys, monkeypatch, a
     assert main(argv) == 2
     assert "--out '' cannot name a file" in capsys.readouterr().err
     assert [f.name for f in tmp_path.iterdir()] == ["config.json"]
+
+
+CRX_CONFIG = {
+    "experiment": {
+        "kind": "crx_resonance",
+        "swept": "phi",
+        "grid": ["-pi", "pi", 5],
+        "fixed": {
+            "n_qubits": 3,
+            "n_steps": 2,
+            "bond_angles": ["pi/1.5", "pi/1.5"],
+            "z_template": ["phi", "alpha", "phi"],
+            "alpha": "pi/4",
+        },
+    }
+}
+# keys a mutation may add, by the path of the object that holds them
+_KNOWN_KEYS = {
+    ("experiment", "fixed"): [
+        "note", "n_qubits", "n_steps", "bond_angles", "z_template", "target_qubit",
+        "bond_angle", "base_phi", "gate_family", "profile_eta", "couplings", "potentials",
+        "t", "target_site", "init_site", "alpha", "V1",
+    ],
+    ("experiment",): ["trials", "master_seed", "kind", "swept", "grid", "fixed"],
+    ("engine",): ["verification_mode", "threads"],
+    ("output",): ["path", "format"],
+    (): ["engine", "output", "experiment"],
+}
+_EXTREMES = st.one_of(
+    st.integers(10**308, 10**320) | st.integers(-(10**320), -(10**308)),  # beyond the float range
+    st.floats(1e307, sys.float_info.max) | st.floats(-sys.float_info.max, -1e307),
+    st.sampled_from([math.inf, -math.inf, math.nan]),
+    st.integers(2**40, 2**80) | st.integers(-(2**80), -(2**40)),
+)
+_SCALARS = st.one_of(
+    _EXTREMES,
+    _EXTREMES,
+    st.integers(-3, 12) | st.floats(-10, 10),
+    st.sampled_from(["pi/0", "NaN", "\ud800", "pi", "-pi/2", "phi", "-alpha", "V1", "1e400"]),
+    st.sampled_from(["xy", "crx", "", "localization", "csv", "json", "out.json"]),
+    st.booleans() | st.none(),
+)
+_VALUES = st.one_of(
+    _SCALARS,
+    _SCALARS,
+    _SCALARS,
+    st.lists(_SCALARS, max_size=3)
+    | st.dictionaries(st.sampled_from(["a", "kind", "path"]), _SCALARS, max_size=2),
+)
+
+
+def _section(cfg, path):
+    for key in path:
+        cfg = cfg.get(key) if isinstance(cfg, dict) else None
+    return cfg
+
+
+def _slots(node):
+    """(container, key) of every value below ``node``, the deepest first."""
+    keys = node if isinstance(node, dict) else range(len(node))
+    for key in reversed(list(keys)):
+        if isinstance(node[key], (dict, list)):
+            yield from _slots(node[key])
+        yield node, key
+
+
+def _mutate(data, cfg) -> None:
+    """Add a known key with a drawn value, replace a value with a drawn one, or delete it.
+
+    The draws shrink toward the first choice of each list, so the lists
+    open with the change that leaves the most of the config to run.
+    """
+    slots = list(_slots(cfg))
+    op = data.draw(st.sampled_from(["add", "replace", "delete"] if slots else ["add"]))
+    if op == "add":
+        paths = [path for path in _KNOWN_KEYS if isinstance(_section(cfg, path), dict)]
+        path = data.draw(st.sampled_from(paths))
+        _section(cfg, path)[data.draw(st.sampled_from(_KNOWN_KEYS[path]))] = data.draw(_VALUES)
+        return
+    container, key = data.draw(st.sampled_from(slots))
+    if op == "delete":
+        del container[key]
+    else:
+        container[key] = data.draw(_VALUES)
+
+
+def _strict_json(text: str):
+    """``text`` parsed as standard JSON whose floats are all finite."""
+
+    def finite(token: str) -> float:
+        assert math.isfinite(float(token)), f"non-finite number {token} written"
+        return float(token)
+
+    def non_standard(token: str):
+        raise AssertionError(f"non-standard JSON token {token} written")
+
+    return json.loads(text, parse_float=finite, parse_constant=non_standard)
+
+
+@settings(max_examples=400, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_no_config_reaches_a_traceback(tmp_path, monkeypatch, capsys, data):
+    # Exit 0 writes standard JSON numbers only, every float finite (an integer
+    # echoed from the config parses exactly).  Exit 2 names a configuration
+    # or i/o error, writes nothing and runs no walker or oracle.
+    import trotterlab.sweep as sweep
+
+    bases = [RESONANCE_CONFIG, LOCALIZATION_CONFIG, CONTINUOUS_CONFIG, CONVERGENCE_CONFIG]
+    cfg = json.loads(json.dumps(data.draw(st.sampled_from([*bases, CRX_CONFIG]))))
+    for _ in range(data.draw(st.integers(1, 3))):
+        _mutate(data, cfg)
+    command = _subcommand(cfg)
+    argv = [data.draw(st.sampled_from([command] * 8 + list(cli._SUBCOMMAND_KINDS)))]
+    argv += ["--config", "config.json"]
+    if (fmt := data.draw(st.sampled_from([None, "csv", "json"]))) is not None:
+        argv += ["--format", fmt]
+    if (seed := data.draw(st.none() | st.integers(-3, 3) | st.integers(2**63, 2**70))) is not None:
+        argv.append(f"--seed={seed}")
+    out = data.draw(st.sampled_from([None] * 6 + ["o.csv", "o.json", "missing/o.csv", "adir", ""]))
+    if out is not None:
+        argv += ["--out", out]
+
+    work = Path(tempfile.mkdtemp(dir=tmp_path))
+    (work / "adir").mkdir()
+    (work / "config.json").write_text(json.dumps(cfg))
+    before = set(work.rglob("*"))
+    calls = []
+    with monkeypatch.context() as patch:  # undone after every example
+        for name in ("dense_stack", "subspace_stack", "evolve_chains", "continuous_evolve"):
+            real = getattr(sweep, name)
+            spy = lambda *a, _f=real, _n=name, **k: calls.append(_n) or _f(*a, **k)  # noqa: E731
+            patch.setattr(sweep, name, spy)
+        patch.chdir(work)
+        code = main(argv)
+    err = capsys.readouterr().err
+    written = sorted(set(work.rglob("*")) - before)
+    assert code in (0, 2), err
+    if code == 2:
+        assert err.startswith(("configuration error:", "i/o error:")), err
+        assert not written and not calls
+        return
+    assert written
+    for path in written:
+        text = path.read_text()
+        if not text.startswith("# provenance: "):
+            _strict_json(text)
+            continue
+        header, _, *rows = text.splitlines()
+        _strict_json(header.removeprefix("# provenance: "))
+        for cell in ",".join(rows).split(","):
+            if cell and cell != "series0":
+                _strict_json(cell)

@@ -16,6 +16,7 @@ from scipy.linalg import expm
 
 from trotterlab.analytics import tail_prob, tail_start
 from trotterlab.dense import (
+    NORM_DRIFT_C,
     StateVector,
     _fused_groups,
     apply_gate,
@@ -263,6 +264,21 @@ def test_check_norms_flags_any_drifted_row_of_a_stack():
     for bad, err in ((amps, "2.000e-09"), (nan_row, "nan"), (np.full((1, 8), np.nan), "nan")):
         with pytest.raises(InvalidStateError, match=f"norm drifted by {err}"):
             check_norms(spec, bad)
+
+
+def test_check_norms_bound_counts_every_gate_of_the_circuit():
+    # 5691 gates lift the bound eps * 5691 = 1.26e-12 above the 1e-12 floor, so
+    # a drift 0.1 % either side of it pins the gate count, one gate in 600
+    spec = TrotterCircuitSpec(n_qubits=10, n_steps=300, bond_angles=(0.3,) * 9)
+    gates = len(build_circuit(spec))
+    assert gates == 5691
+    bound = NORM_DRIFT_C * np.finfo(float).eps * gates
+    amps = np.zeros((1, 10), dtype=np.complex128)
+    amps[0, 0] = np.sqrt(1 + 0.999 * bound)
+    check_norms(spec, amps)
+    amps[0, 0] = np.sqrt(1 + 1.001 * bound)
+    with pytest.raises(InvalidStateError, match="after 5691 gates"):
+        check_norms(spec, amps)
 
 
 def reference_trajectory(spec: TrotterCircuitSpec, phis: np.ndarray) -> list[np.ndarray]:

@@ -18,7 +18,6 @@ from trotterlab.model import (
 )
 from trotterlab.subspace import (
     basis_state,
-    chain_hamiltonian,
     chain_hamiltonians,
     continuous_evolve,
     evolve_chains,
@@ -46,8 +45,8 @@ def test_trotter_step_two_steps_give_p001():
     # two steps with explicit (phi, alpha, phi) reproduce the closed form
     theta, phi, alpha = 0.65, 0.4, -1.1
     state = basis_state(3, 1)
-    trotter_step(state, (theta, theta), (phi, alpha, phi), include_z=True)
-    trotter_step(state, (theta, theta), (phi, alpha, phi), include_z=False)
+    trotter_step(state, (theta, theta), (phi, alpha, phi))
+    trotter_step(state, (theta, theta), (0.0, 0.0, 0.0))  # the last step has no z layer
     from trotterlab.analytics import p001_closed_form
 
     assert abs(abs(state[2]) ** 2 - p001_closed_form(theta, phi, alpha)) < 1e-12
@@ -122,7 +121,7 @@ def test_run_discrete_partial_steps_keep_z_layer():
     partial = next(amps[0].copy() for eta, amps in iterate_stack(spec, phis) if eta == 2)
     state = basis_state(3, 1)
     for _ in range(2):
-        trotter_step(state, (0.4, 0.4), (0.3, -0.2, 0.1), include_z=True)
+        trotter_step(state, (0.4, 0.4), (0.3, -0.2, 0.1))
     assert np.max(np.abs(partial - state)) < 1e-15
 
 
@@ -150,19 +149,29 @@ def test_step_matrix_equals_sequential_step():
         assert np.max(np.abs(u[:, site - 1] - state)) < 1e-14
 
 
+@pytest.mark.parametrize("m", [3, 5], ids=["square", "wide"])
+def test_trotter_step_steps_each_column(m):
+    # axis 0 is the site axis, so an (N, M) array steps as M states
+    rng = np.random.default_rng(m)
+    thetas, phis = rng.uniform(-np.pi, np.pi, 2), rng.uniform(-np.pi, np.pi, 3)
+    columns = rng.normal(size=(3, m)) + 1j * rng.normal(size=(3, m))
+    stepped = trotter_step(columns.copy(), thetas, phis)
+    for column, state in zip(stepped.T, columns.T):
+        assert np.max(np.abs(column - trotter_step(state.copy(), thetas, phis))) <= 1e-15
+
+
 def test_continuous_evolve_matches_expm_oracle():
     rng = np.random.default_rng(17)
     for _ in range(8):
         n = int(rng.integers(2, 9))
-        chain = ChainSpec(
-            tuple(rng.uniform(-2, 2, n - 1)), tuple(rng.uniform(-5, 5, n))
-        )
+        couplings, potentials = rng.uniform(-2, 2, (1, n - 1)), rng.uniform(-5, 5, (1, n))
+        chain = ChainSpec(tuple(couplings[0]), tuple(potentials[0]))
         t = float(rng.uniform(0, 25))
         init = int(rng.integers(1, n + 1))
         got = continuous_evolve(chain, t, basis_state(n, init))
         e = np.zeros(n)
         e[init - 1] = 1.0
-        expected = expm(-1j * chain_hamiltonian(chain) * t) @ e
+        expected = expm(-1j * chain_hamiltonians(couplings, potentials)[0] * t) @ e
         assert np.max(np.abs(got - expected)) < 1e-12
 
 
@@ -180,9 +189,9 @@ def test_continuous_evolve_t0_exact():
 
 
 def test_continuous_evolve_time_reversal():
-    chain = ChainSpec((1.0, -0.4, 0.9), (2.0, -1.0, 0.0, 0.5))
-    fwd = continuous_evolve(chain, 13.0)
-    evals, evecs = np.linalg.eigh(chain_hamiltonian(chain))
+    couplings, potentials = np.array([[1.0, -0.4, 0.9]]), np.array([[2.0, -1.0, 0.0, 0.5]])
+    fwd = continuous_evolve(ChainSpec(tuple(couplings[0]), tuple(potentials[0])), 13.0)
+    evals, evecs = np.linalg.eigh(chain_hamiltonians(couplings, potentials)[0])
     back = evecs @ (np.exp(1j * evals * 13.0) * (evecs.T @ fwd))
     assert np.linalg.norm(back - basis_state(4)) < 1e-9
 
@@ -253,9 +262,10 @@ def test_trotter_error_shrinks_with_step_count():
 
 def test_residual_bound_scales_with_hamiltonian_norm():
     # ||H|| ~ 1e6: the residual (3.5e-10) is rounding, not a wrong eigenpair
-    chain = ChainSpec((1.0, 1.0, 1.0, 1.0), (1e6, -1e6, 0.0, 1e6, -1e6))
-    state = continuous_evolve(chain, 0.3)
-    expected = expm(-1j * chain_hamiltonian(chain) * 0.3)[:, 0]
+    couplings = np.array([[1.0, 1.0, 1.0, 1.0]])
+    potentials = np.array([[1e6, -1e6, 0.0, 1e6, -1e6]])
+    state = continuous_evolve(ChainSpec(tuple(couplings[0]), tuple(potentials[0])), 0.3)
+    expected = expm(-1j * chain_hamiltonians(couplings, potentials)[0] * 0.3)[:, 0]
     # both routes round at about eps * ||H|| t = 7e-11
     assert np.max(np.abs(state - expected)) < 1e-9
 
@@ -306,7 +316,7 @@ def test_stacked_oracle_rows_match_single_chain_and_expm(case):
     for row, c, v in zip(amps, couplings, potentials):
         chain = ChainSpec(tuple(c), tuple(v))
         assert np.array_equal(row, continuous_evolve(chain, t, basis_state(n, init)))
-        expected = expm(-1j * chain_hamiltonian(chain) * t)[:, init - 1]
+        expected = expm(-1j * chain_hamiltonians(c[None], v[None])[0] * t)[:, init - 1]
         assert np.max(np.abs(row - expected)) <= 1e-11
 
 
@@ -346,7 +356,7 @@ def test_stacked_walker_rows_match_per_bond_steps(case):
     refs = [basis_state(spec.n_qubits, spec.initial_excitation_site) for _ in phis]
     for eta, amps in iterate_stack(spec, phis):
         for row, ref, z in zip(amps, refs, phis):
-            trotter_step(ref, spec.bond_angles, z, include_z=eta < spec.n_steps)
+            trotter_step(ref, spec.bond_angles, z if eta < spec.n_steps else 0 * z)
             assert np.max(np.abs(row - ref)) <= 1e-12
     assert eta == spec.n_steps
 

@@ -21,7 +21,7 @@ from trotterlab.model import (
     ZLayerSpec,
     realize_z_layer,
 )
-from trotterlab.subspace import chain_hamiltonian, continuous_evolve
+from trotterlab.subspace import chain_hamiltonians, continuous_evolve
 from trotterlab.subspace import iterate_stack as subspace_stack
 from trotterlab.sweep import (
     ExperimentKind,
@@ -432,7 +432,8 @@ def test_grid_validation():
 def test_resonance_peaks_sit_on_barrier_spectrum():
     # the transmission maxima of the 4-site chain line up with the
     # eigenvalues of its isolated middle dimer
-    dimer_levels = np.linalg.eigvalsh(chain_hamiltonian(ChainSpec((20.0,), (10.0, -10.0))))
+    dimer = chain_hamiltonians(np.array([[20.0]]), np.array([[10.0, -10.0]]))[0]
+    dimer_levels = np.linalg.eigvalsh(dimer)
     spec = SweepSpec(
         kind=ExperimentKind.RESONANCE_CONTINUOUS,
         swept="V1",
