@@ -8,7 +8,6 @@ deterministic sweep harness with a CLI front end.
 __version__ = "0.1.0"
 
 from .model import (  # noqa: F401
-    ChainSpec,
     GateFamily,
     GateKind,
     GateOp,

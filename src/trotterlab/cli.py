@@ -70,7 +70,8 @@ def _parse_grid_triplet(raw) -> GridSpec:
         raw = parts
     if not isinstance(raw, (list, tuple)) or len(raw) != 3:
         raise ConfigurationError(f"grid needs exactly (start, stop, count), got {raw!r}")
-    return GridSpec(parse_angle(raw[0]), parse_angle(raw[1]), parse_int(raw[2], "grid count"))
+    start, stop = parse_angle(raw[0], "grid start"), parse_angle(raw[1], "grid stop")
+    return GridSpec(start, stop, parse_int(raw[2], "grid count"))
 
 
 def _file_path(path: str, name: str) -> str:

@@ -22,8 +22,10 @@ so qubits 1..s-1 stay |0>, qubit s stays |1> (bond s fires with its control
 fixed), the Rz phase of qubits 1..s is a constant per row, and only indices
 [2^(N-s), 2^(N-s+1)) can be non-zero.  ``apply_gate`` on
 ``build_circuit``'s gate list is the gate-by-gate reference the walker is
-tested against, and the only code that spells out a gate; the walker builds
-its group unitaries with it.
+tested against, and the only code that spells out a gate.  ``_mix_bond`` is
+the one spelling of a bond: ``apply_gate`` calls it for every XY or CRx
+gate, and the walker calls it on the identity to build its group
+unitaries, with no gate objects.
 
 The walker runs in the fixed phase frame D = diag(i^g(x)), g(x) the sum of
 the positions of x's excited qubits for XY and the count of its excited
@@ -119,16 +121,24 @@ def apply_gate(state: StateVector, gate: GateOp) -> StateVector:
         v[:, 0, :] *= np.exp(-0.5j * gate.angle)
         v[:, 1, :] *= np.exp(+0.5j * gate.angle)
     elif gate.kind in (GateKind.XY, GateKind.CRX):
-        # the pair's |01>,|10> (XY) or |10>,|11> (CRx) parts mix as [[c, -is], [-is, c]]
         v = a.reshape(2 ** (gate.sites[0] - 1), 4, -1)
-        i, k, t = (1, 2, gate.angle) if gate.kind is GateKind.XY else (2, 3, gate.angle / 2)
-        c, s = np.cos(t), np.sin(t)
-        x, y = v[:, i, :].copy(), v[:, k, :]
-        v[:, i, :] = c * x - 1j * s * y
-        v[:, k, :] = -1j * s * x + c * y
+        _mix_bond(v, gate.kind is GateKind.XY, gate.angle)
     else:  # pragma: no cover - enum is closed
         raise ConfigurationError(f"unknown gate kind {gate.kind}")
     return state
+
+
+def _mix_bond(v: np.ndarray, xy: bool, angle: float) -> None:
+    """Mix one bond's pair of states as [[c, -is], [-is, c]], in place.
+
+    ``v`` is a (before, 4, after) view whose axis 1 holds the bond's four
+    states: XY mixes |01> and |10> by ``angle``, CRx |10> and |11> by half.
+    """
+    i, k, t = (1, 2, angle) if xy else (2, 3, angle / 2)
+    c, s = np.cos(t), np.sin(t)
+    x, y = v[:, i, :].copy(), v[:, k, :]
+    v[:, i, :] = c * x - 1j * s * y
+    v[:, k, :] = -1j * s * x + c * y
 
 
 def _kron_tables(factors: np.ndarray) -> np.ndarray:
@@ -164,15 +174,14 @@ def _fused_groups(spec: TrotterCircuitSpec, first: int) -> list[tuple[int, int, 
     A group is a run of bonds on at most FUSED_QUBITS walked qubits [a, a +
     width), walked qubit w being qubit first + w - 1; runs are cut from the
     right, so the last one ends on qubit N.  Bond first - 1 of a CRx walk
-    joins the first run with its control held at |1>.  ``apply_gate`` builds
-    each unitary on eye(2^q) as a 2q-qubit state, its rows the first q
-    qubits, and multiplies it entrywise by the exact frame phases, which
+    joins the first run with its control held at |1>.  ``_mix_bond`` mixes
+    each bond of a run into the row index of eye(2^q), the run's q qubits,
+    and the unitary is multiplied entrywise by the exact frame phases, which
     leave an orthogonal matrix with an imaginary part of exact zeros (module
     docstring).  XY conserves the excitation count, so a group's frame needs
     only its local positions 1..width.
     """
     xy = spec.gate_family is GateFamily.XY
-    kind = GateKind.XY if xy else GateKind.CRX
     groups = []
     j1 = spec.n_qubits - 1  # the run's last bond
     while j1 >= max(first - 1, 1):
@@ -180,11 +189,11 @@ def _fused_groups(spec: TrotterCircuitSpec, first: int) -> list[tuple[int, int, 
         if j0 <= first:
             j0 = max(first - 1, 1)
         q = j1 + 2 - j0
-        state = StateVector(2 * q, np.eye(2**q, dtype=np.complex128).ravel())
+        u = np.eye(2**q, dtype=np.complex128)
         for j in range(j0, j1 + 1):
-            apply_gate(state, GateOp(kind, (j - j0 + 1, j - j0 + 2), spec.bond_angles[j - 1]))
+            _mix_bond(u.reshape(2 ** (j - j0), 4, -1), xy, spec.bond_angles[j - 1])
         width = j1 + 2 - max(j0, first)
-        u = state.amplitudes.reshape(2**q, 2**q)[-(2**width) :, -(2**width) :]
+        u = u[-(2**width) :, -(2**width) :]
         groups.append((max(j0, first) - first + 1, width, u * _frame_phases(width, xy)))
         j1 = j0 - 1
     return groups[::-1]

@@ -176,54 +176,33 @@ def build_circuit(spec: TrotterCircuitSpec, seed: int | None = None) -> list[Gat
     return [x] + (bonds + z_layer) * (spec.n_steps - 1) + bonds
 
 
-@dataclass(frozen=True)
-class ChainSpec:
-    """Tight-binding chain: nearest-neighbor couplings and on-site potentials.
-
-    The chain Hamiltonian is ``sum_j J_j (|j><j+1| + h.c.) + sum_j V_j |j><j|``;
-    it is the continuous-time equivalent of an XY-family circuit in the
-    single-excitation subspace.
-    """
-
-    couplings: tuple[float, ...]
-    potentials: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.couplings) != len(self.potentials) - 1:
-            raise ConfigurationError(
-                f"need len(couplings) == len(potentials) - 1, got "
-                f"{len(self.couplings)} and {len(self.potentials)}"
-            )
-        if len(self.potentials) < 2:
-            raise ConfigurationError("a chain needs at least 2 sites")
-
-    @property
-    def n_sites(self) -> int:
-        return len(self.potentials)
-
-
-def parse_angle(value: float | int | str) -> float:
-    """Parse an angle given as a number or a 'pi' literal like ``-pi/1.5``.
+def parse_angle(value: float | int | str, name: str = "angle") -> float:
+    """Parse the angle field ``name``, a number or a 'pi' literal like ``-pi/1.5``.
 
     Accepted string forms: ``pi``, ``pi/k``, ``a*pi``, ``a*pi/b``, ``api/b``
     (with a, b, k decimal numbers), an optional leading sign, or a plain
-    decimal number.  Booleans, NaN and infinite values are rejected.
+    decimal number.  Booleans, NaN and infinite values are rejected with an
+    error that names ``name`` and echoes at most 40 characters of the value.
     """
     if isinstance(value, numbers.Real) and not isinstance(value, bool):
         try:
             angle = float(value)
         except OverflowError:  # an integer beyond the float range
             angle = math.inf
-    elif isinstance(value, str):
-        angle = _parse_angle_text(value)
     else:
-        raise ConfigurationError(f"cannot parse angle {value!r}")
-    if not math.isfinite(angle):
-        raise ConfigurationError(f"angle {value!r} is not finite")
+        angle = _parse_angle_text(value) if isinstance(value, str) else None
+    if angle is None or not math.isfinite(angle):
+        shown = repr(value)
+        if len(shown) > 40:
+            shown = shown[:37] + "..."
+        if angle is None:
+            raise ConfigurationError(f"{name}: cannot parse angle {shown}")
+        raise ConfigurationError(f"{name}: angle {shown} is not finite")
     return angle
 
 
-def _parse_angle_text(value: str) -> float:
+def _parse_angle_text(value: str) -> float | None:
+    """The angle a string spells, or None if it spells none."""
     text = value.strip().lower().replace(" ", "")
     sign = 1.0
     if text.startswith(("+", "-")):
@@ -233,7 +212,7 @@ def _parse_angle_text(value: str) -> float:
         try:
             return sign * float(text)
         except ValueError:
-            raise ConfigurationError(f"cannot parse angle {value!r}") from None
+            return None
     head, _, denom = text.partition("pi")
     head = head.rstrip("*")
     try:
@@ -243,7 +222,7 @@ def _parse_angle_text(value: str) -> float:
                 raise ValueError
             coeff /= float(denom[1:])
     except (ValueError, ZeroDivisionError):
-        raise ConfigurationError(f"cannot parse angle {value!r}") from None
+        return None
     return sign * coeff * math.pi
 
 

@@ -19,13 +19,14 @@ norm-checks the final stack; ``dense.final_stack`` runs it to the end.
 ``trotter_step`` applies one step bond by bond and then its z phases on
 the site axis, axis 0, so an (N, M) array steps each column.  It is the
 walker's reference and the only code that spells out the XY rotation:
-``step_matrix`` is it on eye(N), and ``bond_layer_matrix``, the walker's
-product, is a step with zero z angles.
+``step_matrix`` is it on eye(N), and the walker's bond-layer product is
+``step_matrix`` with zero z angles.
 
-``evolve_chains`` is the exact oracle: it applies ``exp(-iHt)`` to a stack
-of tight-binding chains via one eigendecomposition call instead of
-approximating continuous time with a large step count.
-``continuous_evolve`` is the same oracle for one chain and one start vector.
+``evolve_chains`` is the exact oracle and its only entry point: it applies
+``exp(-iHt)`` to a (B, N, N) stack of tight-binding chains, built from
+plain coupling and potential arrays by ``chain_hamiltonians``, via one
+eigendecomposition call instead of approximating continuous time with a
+large step count.  One chain is a stack of one.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ import numpy as np
 
 from .dense import check_norms
 from .errors import ConfigurationError, NumericalError
-from .model import ChainSpec, GateFamily, TrotterCircuitSpec
+from .model import GateFamily, TrotterCircuitSpec
 
 MAX_CHAIN_SITES = 1000  # also caps N of the walker: its bond-layer matrix is N x N
 # Eigen-residual bound: max|H v - lambda v| <= EIGH_RESIDUAL_C * eps * N * max|lambda|.
@@ -97,7 +98,7 @@ def iterate_stack(spec: TrotterCircuitSpec, phis: np.ndarray):
     phis = np.asarray(phis, dtype=float)
     if phis.ndim != 2 or phis.shape[1] != n:
         raise ConfigurationError(f"z angles have shape {phis.shape}, expected (B, {n})")
-    bond_t = bond_layer_matrix(spec.bond_angles).T
+    bond_t = step_matrix(spec.bond_angles, np.zeros(n)).T
     z_phases = np.exp(-1j * phis)
     amps = np.zeros(phis.shape, dtype=np.complex128)
     amps[:, spec.initial_excitation_site - 1] = 1.0
@@ -123,11 +124,6 @@ def step_matrix(
     return trotter_step(np.eye(len(z_angles), dtype=np.complex128), bond_angles, z_angles)
 
 
-def bond_layer_matrix(bond_angles: "np.ndarray | tuple[float, ...]") -> np.ndarray:
-    """The N x N matrix of one bond layer: a step whose z angles are all zero."""
-    return step_matrix(bond_angles, np.zeros(len(bond_angles) + 1))
-
-
 def chain_hamiltonians(couplings: np.ndarray, potentials: np.ndarray) -> np.ndarray:
     """(B, N, N) stack of chain Hamiltonians from (B, N-1) couplings and (B, N) potentials."""
     b, n = potentials.shape
@@ -143,12 +139,17 @@ def chain_hamiltonians(couplings: np.ndarray, potentials: np.ndarray) -> np.ndar
 def evolve_chains(hams: np.ndarray, t: float, init: np.ndarray) -> np.ndarray:
     """Exact ``exp(-iHt) @ init`` for each H of a (B, N, N) stack; returns (B, N).
 
-    ``init`` is one N-vector shared by every chain, or a (B, N) stack.  One
-    ``eigh`` call diagonalizes the whole stack.  Raises NumericalError if the
-    eigensolver fails or any chain's eigenpair residual ``max|Hv - lambda v|``
-    exceeds ``EIGH_RESIDUAL_C * eps * N * max|lambda|``.
+    ``init`` is one (N,) vector shared by every chain, or a (B, N) stack;
+    any other shape raises ConfigurationError.  One ``eigh`` call
+    diagonalizes the whole stack.  Raises NumericalError if the eigensolver
+    fails or any chain's eigenpair residual ``max|Hv - lambda v|`` exceeds
+    ``EIGH_RESIDUAL_C * eps * N * max|lambda|``.
     """
     b, n, _ = hams.shape
+    if np.shape(init) not in ((n,), (b, n)):
+        raise ConfigurationError(
+            f"init has shape {np.shape(init)}, expected ({n},) or ({b}, {n})"
+        )
     init = np.broadcast_to(np.asarray(init, dtype=np.complex128), (b, n))
     if t == 0:
         return init.copy()
@@ -170,19 +171,3 @@ def evolve_chains(hams: np.ndarray, t: float, init: np.ndarray) -> np.ndarray:
         np.swapaxes(evecs, 1, 2) @ init[:, :, None]
     )
     return (evecs @ coeffs)[:, :, 0]
-
-
-def continuous_evolve(
-    chain: ChainSpec, t: float, init: np.ndarray | None = None
-) -> np.ndarray:
-    """Exact ``exp(-iHt) @ init`` for one chain: ``evolve_chains`` on a stack of one.
-
-    ``init`` is an (N,) start vector, ``|e_1>`` by default; returns (N,).
-    """
-    n = chain.n_sites
-    if init is None:
-        init = basis_state(n)
-    elif np.shape(init) != (n,):
-        raise ConfigurationError(f"init has shape {np.shape(init)}, expected ({n},)")
-    hams = chain_hamiltonians(np.array([chain.couplings]), np.array([chain.potentials]))
-    return evolve_chains(hams, t, init)[0]

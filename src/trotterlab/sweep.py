@@ -30,7 +30,6 @@ from .dense import (
 )
 from .errors import ConfigurationError, InvalidStateError, NumericalError
 from .model import (
-    ChainSpec,
     GateFamily,
     TrotterCircuitSpec,
     ZLayerSpec,
@@ -43,7 +42,6 @@ from .subspace import (
     MAX_CHAIN_SITES,
     basis_state,
     chain_hamiltonians,
-    continuous_evolve,
     evolve_chains,
     iterate_stack as subspace_stack,
     step_matrix,
@@ -287,13 +285,13 @@ def _template_grid(fixed: dict, name: str, params: dict, count: int, length: int
     out = np.empty((count, length))
     for col, e in enumerate(entries):
         if not isinstance(e, str):
-            out[:, col] = parse_angle(e)
+            out[:, col] = parse_angle(e, name)
             continue
         key, sign = e.strip(), 1.0
         if key.startswith("-"):
             sign, key = -1.0, key[1:]
         value = params.get(key, key)
-        out[:, col] = sign * (value if isinstance(value, np.ndarray) else parse_angle(value))
+        out[:, col] = sign * (value if isinstance(value, np.ndarray) else parse_angle(value, name))
     return out
 
 
@@ -316,7 +314,7 @@ def _chain_grid(spec: SweepSpec, params: dict, count: int) -> tuple[np.ndarray, 
         )
     couplings = _template_grid(fixed, "couplings", params, count, n - 1)
     potentials = _template_grid(fixed, "potentials", params, count, n)
-    t = parse_angle(fixed["t"])
+    t = parse_angle(fixed["t"], "t")
     scale = float(np.max(np.abs(potentials))) + 2 * float(np.max(np.abs(couplings)))
     if not np.isfinite(abs(t) * scale):  # Python floats overflow to inf without a warning
         raise ConfigurationError(
@@ -343,8 +341,7 @@ def _eval_convergence_ladder(spec: SweepSpec, values: np.ndarray) -> dict:
     against MAX_GRID_ENTRIES as a grid's point count does.
     """
     couplings, potentials, t = _chain_grid(spec, {}, len(values))
-    chain = ChainSpec(tuple(couplings[0].tolist()), tuple(potentials[0].tolist()))
-    table = convergence_study(chain, t, values)
+    table = convergence_study(couplings[0], potentials[0], t, values)
     return {"distance": np.array([distance for _, distance in table])}
 
 
@@ -383,8 +380,9 @@ def _items(spec: SweepSpec, values: np.ndarray) -> tuple[list, np.ndarray, int]:
     if n < 3:
         raise ConfigurationError(f"n_qubits must be >= 3 for localization, got {n}")
     readout = _index_field(fixed, "profile_eta", min(10, n_steps), n_steps)
-    circuit = TrotterCircuitSpec(n, n_steps, family, (parse_angle(fixed["bond_angle"]),) * (n - 1))
-    base_phi = parse_angle(fixed["base_phi"])
+    bond = parse_angle(fixed["bond_angle"], "bond_angle")
+    circuit = TrotterCircuitSpec(n, n_steps, family, (bond,) * (n - 1))
+    base_phi = parse_angle(fixed["base_phi"], "base_phi")
     phis = np.empty((len(values), spec.trials, n))
     for i, r in enumerate(values.tolist()):
         z_layer = ZLayerSpec(base_phi=base_phi, disorder_radius=r)
@@ -531,31 +529,30 @@ def run_sweep(
 
 
 def convergence_study(
-    chain: ChainSpec, t: float, n_t_list
+    couplings: np.ndarray, potentials: np.ndarray, t: float, n_t_list
 ) -> list[tuple[int, float]]:
     """(N_T, ||psi_discrete - psi_continuous||_2) for each step count.
 
-    The discrete state is the chain's circuit, ``theta_j = J_j tau`` and
-    ``phi_j = V_j tau`` with ``tau = t / N_T``: its single Trotter-step
-    matrix raised to the N_T-th power by binary powering, which is
-    algebraically the same product as N_T sequential steps (all z layers
-    included) but runs in O(log N_T) matrix multiplies, so step counts in
-    the millions stay cheap.
+    The chain has (N - 1,) ``couplings`` J and (N,) ``potentials`` V, and
+    both states start at site 1.  The exact state is ``evolve_chains`` on a
+    stack of one.  The discrete state is the chain's circuit, ``theta_j =
+    J_j tau`` and ``phi_j = V_j tau`` with ``tau = t / N_T``: its single
+    Trotter-step matrix raised to the N_T-th power by binary powering,
+    which is algebraically the same product as N_T sequential steps (all z
+    layers included) but runs in O(log N_T) matrix multiplies, so step
+    counts in the millions stay cheap.
     """
     n_t_list = [int(n) for n in n_t_list]
     if any(b <= a for a, b in zip(n_t_list, n_t_list[1:])):
         raise ConfigurationError(f"n_t_list must be increasing, got {n_t_list}")
     if any(n < 1 for n in n_t_list):
         raise ConfigurationError("step counts must be >= 1")
-    exact = continuous_evolve(chain, t)
-    init = basis_state(chain.n_sites)
+    init = basis_state(len(potentials))
+    exact = evolve_chains(chain_hamiltonians(couplings[None], potentials[None]), t, init)[0]
     out = []
     for n_t in n_t_list:
         tau = t / n_t
-        u = step_matrix(
-            [j * tau for j in chain.couplings],
-            [v * tau for v in chain.potentials],
-        )
+        u = step_matrix(couplings * tau, potentials * tau)
         disc = np.linalg.matrix_power(u, n_t) @ init
         out.append((n_t, float(np.linalg.norm(disc - exact))))
     return out

@@ -14,8 +14,8 @@ import numpy as np
 
 from .analytics import p001_closed_form, p01_closed_form
 from .dense import final_stack, iterate_stack, occupation_stack
-from .model import ChainSpec, GateFamily, TrotterCircuitSpec, ZLayerSpec, realize_z_layer
-from .subspace import basis_state, continuous_evolve
+from .model import GateFamily, TrotterCircuitSpec, ZLayerSpec, realize_z_layer
+from .subspace import basis_state, chain_hamiltonians, evolve_chains
 from .sweep import backend_gap, convergence_study
 
 THETA_SECTIONS = (math.pi / 8, math.pi / 4, 3 * math.pi / 8, math.pi / 2, 5 * math.pi / 8)
@@ -127,25 +127,23 @@ def continuous_oracle_suite() -> SuiteReport:
         coupling = float(rng.uniform(0.05, 2.0))
         v = float(rng.uniform(-3, 3))
         t = float(rng.uniform(0, 20))
-        chain = ChainSpec((coupling,), (v, v))
-        p2 = abs(continuous_evolve(chain, t)[1]) ** 2
+        hams = chain_hamiltonians(np.array([[coupling]]), np.array([[v, v]]))
+        p2 = abs(evolve_chains(hams, t, basis_state(2))[0, 1]) ** 2
         errors.append(abs(p2 - math.sin(coupling * t) ** 2))
         ok.append(errors[-1] <= 1e-12)
     # forward by t then backward by t returns the initial basis state
     for _ in range(10):
         n = int(rng.integers(2, 8))
-        chain = ChainSpec(
-            tuple(rng.uniform(-2, 2, n - 1)), tuple(rng.uniform(-3, 3, n))
-        )
+        hams = chain_hamiltonians(rng.uniform(-2, 2, (1, n - 1)), rng.uniform(-3, 3, (1, n)))
         t = float(rng.uniform(0, 30))
-        fwd = continuous_evolve(chain, t)
-        roundtrip = continuous_evolve(chain, -t, fwd)
+        fwd = evolve_chains(hams, t, basis_state(n))
+        roundtrip = evolve_chains(hams, -t, fwd)[0]
         errors.append(float(np.linalg.norm(roundtrip - basis_state(n))))
         ok.append(errors[-1] <= 1e-9)
     # t=0 identity
-    chain = ChainSpec((1.0, 2.0), (0.5, -0.5, 1.5))
+    hams = chain_hamiltonians(np.array([[1.0, 2.0]]), np.array([[0.5, -0.5, 1.5]]))
     errors.append(
-        float(np.linalg.norm(continuous_evolve(chain, 0.0) - np.array([1, 0, 0])))
+        float(np.linalg.norm(evolve_chains(hams, 0.0, basis_state(3))[0] - np.array([1, 0, 0])))
     )
     ok.append(errors[-1] == 0.0)
     return _tally("continuous-oracle", errors, ok, "max err={worst:.3e}")
@@ -153,8 +151,8 @@ def continuous_oracle_suite() -> SuiteReport:
 
 def trotter_convergence_suite() -> SuiteReport:
     """First-order error halving on a mild 5-site chain."""
-    chain = ChainSpec((0.5, 0.5, 0.5, 0.5), (1.0, 0.5, 0.0, -0.5, 1.0))
-    table = convergence_study(chain, 3.0, [10, 20, 40, 80])
+    couplings, potentials = np.full(4, 0.5), np.array([1.0, 0.5, 0.0, -0.5, 1.0])
+    table = convergence_study(couplings, potentials, 3.0, [10, 20, 40, 80])
     dists = [d for _, d in table]
     ratios = [a / b for a, b in zip(dists, dists[1:])]
     return _tally(

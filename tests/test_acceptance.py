@@ -296,11 +296,11 @@ def test_criterion_11_backend_equivalence():
 
 
 def test_criterion_12_trotter_convergence_to_oracle():
-    from trotterlab.model import ChainSpec
     from trotterlab.sweep import convergence_study
 
-    chain = ChainSpec((0.1, 20.0, 20.0, 0.1), (30.0, 10.0, 0.0, -10.0, 30.0))
-    table = convergence_study(chain, 40.0, [200_000, 400_000, 800_000, 1_600_000])
+    couplings = np.array([0.1, 20.0, 20.0, 0.1])
+    potentials = np.array([30.0, 10.0, 0.0, -10.0, 30.0])
+    table = convergence_study(couplings, potentials, 40.0, [200_000, 400_000, 800_000, 1_600_000])
     dists = [d for _, d in table]
     ratios = [a / b for a, b in zip(dists, dists[1:])]
     assert all(1.5 <= r <= 2.5 for r in ratios), f"ratios {ratios}"

@@ -597,6 +597,27 @@ def _subcommand(cfg) -> str:
             _with_experiment(CONVERGENCE_CONFIG, grid=[10, 1.7976931348623157e308, 3]),
             "convergence ladder from 10.0 to 1.7976931348623157e+308 overflows",
         ),
+        # an angle error names its field and echoes at most 40 characters of the value
+        (_with_fixed(CONTINUOUS_CONFIG, t=10**400), f"t: angle 1{'0' * 36}... is not finite"),
+        (_with_fixed(CONTINUOUS_CONFIG, t="pi/0"), "t: cannot parse angle 'pi/0'"),
+        (_with_experiment(grid=[0, 10**400, 3]), f"grid stop: angle 1{'0' * 36}... is not finite"),
+        (_with_experiment(grid=["pi/0", 1, 3]), "grid start: cannot parse angle 'pi/0'"),
+        (_with_fixed(LOCALIZATION_CONFIG, base_phi="pie"), "base_phi: cannot parse angle 'pie'"),
+        (
+            _with_fixed(LOCALIZATION_CONFIG, bond_angle="2pi/x"),
+            "bond_angle: cannot parse angle '2pi/x'",
+        ),
+        (_with_fixed(z_template=["phi", "pi/0"]), "z_template: cannot parse angle 'pi/0'"),
+        (_with_fixed(bond_angles=["x" * 400]), f"bond_angles: cannot parse angle '{'x' * 36}...\n"),
+        # a chain of one site, and a coupling template of the wrong length
+        (
+            _with_fixed(CONTINUOUS_CONFIG, couplings=[], potentials=["V1"]),
+            "potentials must have [2, 836] entries for 3 grid points",
+        ),
+        (
+            _with_fixed(CONVERGENCE_CONFIG, couplings=[0.5, 0.5]),
+            "couplings has length 2, expected 1",
+        ),
     ],
 )
 def test_malformed_config_shape_exits_2_naming_the_field(
@@ -607,7 +628,7 @@ def test_malformed_config_shape_exits_2_naming_the_field(
     def not_called(*args, **kwargs):
         raise AssertionError("a walker or the chain oracle ran")
 
-    for name in ("dense_stack", "subspace_stack", "evolve_chains", "continuous_evolve"):
+    for name in ("dense_stack", "subspace_stack", "evolve_chains"):
         monkeypatch.setattr(sweep, name, not_called)
     out = tmp_path / "m.csv"
     argv = [_subcommand(cfg), "--config", write_config(tmp_path, cfg), "--out", str(out)]
@@ -1100,7 +1121,7 @@ def test_no_config_reaches_a_traceback(tmp_path, monkeypatch, capsys, data):
     before = set(work.rglob("*"))
     calls = []
     with monkeypatch.context() as patch:  # undone after every example
-        for name in ("dense_stack", "subspace_stack", "evolve_chains", "continuous_evolve"):
+        for name in ("dense_stack", "subspace_stack", "evolve_chains"):
             real = getattr(sweep, name)
             spy = lambda *a, _f=real, _n=name, **k: calls.append(_n) or _f(*a, **k)  # noqa: E731
             patch.setattr(sweep, name, spy)

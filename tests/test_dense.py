@@ -18,6 +18,7 @@ from trotterlab.analytics import tail_prob, tail_start
 from trotterlab.dense import (
     NORM_DRIFT_C,
     StateVector,
+    _frame_phases,
     _fused_groups,
     apply_gate,
     check_norms,
@@ -491,6 +492,33 @@ def test_frame_groups_are_real_orthogonal_matrices(family):
                     h = 2 ** (width - 1)
                     assert np.all(u[:h, h:] == 0.0) and np.all(u[h:, :h] == 0.0)
     assert widths == ({2, 3, 4} if family is GateFamily.XY else {1, 2, 3, 4})
+
+
+@pytest.mark.parametrize("family", GateFamily)
+def test_fused_groups_are_the_gate_by_gate_groups_bit_for_bit(family):
+    # each group as it was built gate by gate: apply_gate on eye(2^q), read
+    # as a 2q-qubit state whose first q qubits index the rows, one GateOp per
+    # bond of the run (bond first - 1 joins the first run), then the frame
+    # phases; N = 2..20 from every first walked qubit
+    kind = GateKind.XY if family is GateFamily.XY else GateKind.CRX
+    rng = np.random.default_rng(27)
+    count = 0
+    for n in range(2, 21):
+        spec = TrotterCircuitSpec(n, 1, family, tuple(rng.uniform(-np.pi, np.pi, n - 1)))
+        for first in range(1, n + 2):
+            for a, width, u in _fused_groups(spec, first):
+                # the run's bonds j0..j1 act on qubits j0..j1 + 1
+                j0 = first - 1 if a == 1 and first > 1 else first + a - 1
+                j1 = first + a + width - 3
+                q = j1 + 2 - j0
+                state = StateVector(2 * q, np.eye(2**q, dtype=np.complex128).ravel())
+                for j in range(j0, j1 + 1):
+                    bond = GateOp(kind, (j - j0 + 1, j - j0 + 2), spec.bond_angles[j - 1])
+                    apply_gate(state, bond)
+                ref = state.amplitudes.reshape(2**q, 2**q)[-(2**width) :, -(2**width) :]
+                assert np.array_equal(u, ref * _frame_phases(width, family is GateFamily.XY))
+                count += 1
+    assert count > 500  # 530 groups per family at FUSED_QUBITS = 4
 
 
 def test_crx_block_walk_matches_reference_at_every_group_width():

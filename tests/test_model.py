@@ -7,7 +7,6 @@ import pytest
 
 from trotterlab.errors import ConfigurationError
 from trotterlab.model import (
-    ChainSpec,
     GateKind,
     GateOp,
     TrotterCircuitSpec,
@@ -152,13 +151,6 @@ def test_circuit_spec_validation():
         TrotterCircuitSpec(
             n_qubits=3, n_steps=1, bond_angles=(0.1, 0.2), initial_excitation_site=4
         )
-
-
-def test_chain_spec_validation():
-    with pytest.raises(ConfigurationError):
-        ChainSpec((1.0,), (1.0,))
-    with pytest.raises(ConfigurationError):
-        ChainSpec((), (1.0,))
 
 
 @pytest.mark.parametrize(

@@ -10,7 +10,6 @@ from trotterlab.dense import iterate_stack as dense_stack
 from trotterlab.dense import final_stack, occupation_stack
 from trotterlab.errors import ConfigurationError, InvalidStateError, NumericalError
 from trotterlab.model import (
-    ChainSpec,
     GateFamily,
     TrotterCircuitSpec,
     ZLayerSpec,
@@ -19,7 +18,6 @@ from trotterlab.model import (
 from trotterlab.subspace import (
     basis_state,
     chain_hamiltonians,
-    continuous_evolve,
     evolve_chains,
     iterate_stack,
     step_matrix,
@@ -165,53 +163,55 @@ def test_continuous_evolve_matches_expm_oracle():
     for _ in range(8):
         n = int(rng.integers(2, 9))
         couplings, potentials = rng.uniform(-2, 2, (1, n - 1)), rng.uniform(-5, 5, (1, n))
-        chain = ChainSpec(tuple(couplings[0]), tuple(potentials[0]))
+        hams = chain_hamiltonians(couplings, potentials)
         t = float(rng.uniform(0, 25))
         init = int(rng.integers(1, n + 1))
-        got = continuous_evolve(chain, t, basis_state(n, init))
+        got = evolve_chains(hams, t, basis_state(n, init))[0]
         e = np.zeros(n)
         e[init - 1] = 1.0
-        expected = expm(-1j * chain_hamiltonians(couplings, potentials)[0] * t) @ e
+        expected = expm(-1j * hams[0] * t) @ e
         assert np.max(np.abs(got - expected)) < 1e-12
 
 
 def test_continuous_evolve_two_level_formula():
-    chain = ChainSpec((0.1,), (0.7, 0.7))
+    hams = chain_hamiltonians(np.array([[0.1]]), np.array([[0.7, 0.7]]))
     for t in (0.3, 5.0, 15.0):
-        p2 = abs(continuous_evolve(chain, t)[1]) ** 2
+        p2 = abs(evolve_chains(hams, t, basis_state(2))[0, 1]) ** 2
         assert abs(p2 - np.sin(0.1 * t) ** 2) < 1e-12
 
 
 def test_continuous_evolve_t0_exact():
-    chain = ChainSpec((1.0, 2.0, 0.5), (0.1, 0.2, 0.3, 0.4))
-    state = continuous_evolve(chain, 0.0, basis_state(4, 3))
-    assert np.array_equal(state, [0, 0, 1, 0])
+    hams = chain_hamiltonians(np.array([[1.0, 2.0, 0.5]]), np.array([[0.1, 0.2, 0.3, 0.4]]))
+    state = evolve_chains(hams, 0.0, basis_state(4, 3))
+    assert np.array_equal(state, [[0, 0, 1, 0]])
 
 
 def test_continuous_evolve_time_reversal():
     couplings, potentials = np.array([[1.0, -0.4, 0.9]]), np.array([[2.0, -1.0, 0.0, 0.5]])
-    fwd = continuous_evolve(ChainSpec(tuple(couplings[0]), tuple(potentials[0])), 13.0)
-    evals, evecs = np.linalg.eigh(chain_hamiltonians(couplings, potentials)[0])
+    hams = chain_hamiltonians(couplings, potentials)
+    fwd = evolve_chains(hams, 13.0, basis_state(4))[0]
+    evals, evecs = np.linalg.eigh(hams[0])
     back = evecs @ (np.exp(1j * evals * 13.0) * (evecs.T @ fwd))
     assert np.linalg.norm(back - basis_state(4)) < 1e-9
 
 
 def test_continuous_evolve_norm_and_size_limits():
-    chain = ChainSpec((1.0,) * 999, (0.0,) * 1000)
-    state = continuous_evolve(chain, 1.0)
-    assert state.shape == (1000,)
+    hams = chain_hamiltonians(np.ones((1, 999)), np.zeros((1, 1000)))
+    state = evolve_chains(hams, 1.0, basis_state(1000))
+    assert state.shape == (1, 1000)
     assert abs(np.sum(np.abs(state) ** 2) - 1.0) < 1e-12
-    big = ChainSpec((1.0,) * 1000, (0.0,) * 1001)
     with pytest.raises(ConfigurationError):
-        continuous_evolve(big, 1.0)
+        chain_hamiltonians(np.ones((1, 1000)), np.zeros((1, 1001)))
 
 
 def test_n4_resonance_peak_positions_near_dimer_levels():
     # P4(V1) sweep peaks near +-sqrt(J2^2 + V2^2) for the 4-site chain
     target = np.sqrt(20.0**2 + 10.0**2)
     v1s = np.linspace(-30, 30, 601)
-    chains = [ChainSpec((1.0, 20.0, 1.0), (v, 10.0, -10.0, v)) for v in v1s]
-    probs = [abs(continuous_evolve(chain, 3.0)[3]) ** 2 for chain in chains]
+    couplings = np.tile([1.0, 20.0, 1.0], (len(v1s), 1))
+    potentials = np.stack((v1s, np.full_like(v1s, 10.0), np.full_like(v1s, -10.0), v1s), axis=1)
+    amps = evolve_chains(chain_hamiltonians(couplings, potentials), 3.0, basis_state(4))
+    probs = abs(amps[:, 3]) ** 2
     top = v1s[np.argsort(probs)[-2:]]
     assert {round(abs(x) / target, 1) for x in top} == {1.0}
 
@@ -242,19 +242,16 @@ def test_half_pi_hop_angle_is_deterministic_shuttle():
 
 
 def test_trotter_error_shrinks_with_step_count():
-    chain = ChainSpec((0.5, 0.5, 0.5, 0.5), (1.0, 0.5, 0.0, -0.5, 1.0))
+    couplings, potentials = np.full(4, 0.5), np.array([1.0, 0.5, 0.0, -0.5, 1.0])
     t = 3.0
-    exact = continuous_evolve(chain, t)
+    hams = chain_hamiltonians(couplings[None], potentials[None])
+    exact = evolve_chains(hams, t, basis_state(5))[0]
     dists = []
     for n_t in (10, 20, 40, 80):
         tau = t / n_t
         state = basis_state(5)
         for _ in range(n_t):
-            trotter_step(
-                state,
-                tuple(j * tau for j in chain.couplings),
-                tuple(v * tau for v in chain.potentials),
-            )
+            trotter_step(state, couplings * tau, potentials * tau)
         dists.append(np.linalg.norm(state - exact))
     ratios = [a / b for a, b in zip(dists, dists[1:])]
     assert all(1.5 <= r <= 2.5 for r in ratios)
@@ -264,8 +261,9 @@ def test_residual_bound_scales_with_hamiltonian_norm():
     # ||H|| ~ 1e6: the residual (3.5e-10) is rounding, not a wrong eigenpair
     couplings = np.array([[1.0, 1.0, 1.0, 1.0]])
     potentials = np.array([[1e6, -1e6, 0.0, 1e6, -1e6]])
-    state = continuous_evolve(ChainSpec(tuple(couplings[0]), tuple(potentials[0])), 0.3)
-    expected = expm(-1j * chain_hamiltonians(couplings, potentials)[0] * 0.3)[:, 0]
+    hams = chain_hamiltonians(couplings, potentials)
+    state = evolve_chains(hams, 0.3, basis_state(5))[0]
+    expected = expm(-1j * hams[0] * 0.3)[:, 0]
     # both routes round at about eps * ||H|| t = 7e-11
     assert np.max(np.abs(state - expected)) < 1e-9
 
@@ -288,12 +286,22 @@ def test_each_chain_of_a_stack_has_its_own_residual_check(monkeypatch):
 
 
 def test_continuous_evolve_from_amplitudes_runs_backwards():
-    chain = ChainSpec((1.0, -0.4, 0.9), (2.0, -1.0, 0.0, 0.5))
-    fwd = continuous_evolve(chain, 13.0, basis_state(4, 2))
-    back = continuous_evolve(chain, -13.0, fwd)
+    hams = chain_hamiltonians(np.array([[1.0, -0.4, 0.9]]), np.array([[2.0, -1.0, 0.0, 0.5]]))
+    fwd = evolve_chains(hams, 13.0, basis_state(4, 2))
+    back = evolve_chains(hams, -13.0, fwd)
     assert np.linalg.norm(back - basis_state(4, 2)) < 1e-9
     with pytest.raises(ConfigurationError, match=r"init has shape \(3,\), expected \(4,\)"):
-        continuous_evolve(chain, 1.0, np.ones(3))
+        evolve_chains(hams, 1.0, np.ones(3))
+
+
+@pytest.mark.parametrize("shape", [(3,), (5,), (2, 4), (1, 1, 4), (4, 1), ()])
+def test_evolve_chains_rejects_a_misshapen_init(shape):
+    # (N,) or (B, N) only: a bare broadcast raises ValueError, or spreads a
+    # scalar over every site
+    hams = chain_hamiltonians(np.zeros((1, 3)), np.zeros((1, 4)))
+    for t in (0.0, 1.0):
+        with pytest.raises(ConfigurationError, match=r"expected \(4,\) or \(1, 4\)"):
+            evolve_chains(hams, t, np.ones(shape))
 
 
 @st.composite
@@ -314,9 +322,9 @@ def test_stacked_oracle_rows_match_single_chain_and_expm(case):
         chain_hamiltonians(couplings, potentials), t, basis_state(n, init)
     )
     for row, c, v in zip(amps, couplings, potentials):
-        chain = ChainSpec(tuple(c), tuple(v))
-        assert np.array_equal(row, continuous_evolve(chain, t, basis_state(n, init)))
-        expected = expm(-1j * chain_hamiltonians(c[None], v[None])[0] * t)[:, init - 1]
+        hams = chain_hamiltonians(c[None], v[None])
+        assert np.array_equal(row, evolve_chains(hams, t, basis_state(n, init))[0])
+        expected = expm(-1j * hams[0] * t)[:, init - 1]
         assert np.max(np.abs(row - expected)) <= 1e-11
 
 
@@ -381,8 +389,8 @@ def test_iterate_stack_rejects_misshapen_z_angles():
 def test_run_discrete_checks_the_final_norm(monkeypatch):
     import trotterlab.subspace as subspace
 
-    real = subspace.bond_layer_matrix
-    monkeypatch.setattr(subspace, "bond_layer_matrix", lambda angles: real(angles) * (1 + 1e-11))
+    real = subspace.step_matrix
+    monkeypatch.setattr(subspace, "step_matrix", lambda b, z: real(b, z) * (1 + 1e-11))
     spec = TrotterCircuitSpec(n_qubits=4, n_steps=3, bond_angles=(0.4, 0.9, -0.3))
     with pytest.raises(InvalidStateError, match="norm drifted"):
         final_stack(iterate_stack, spec, np.zeros((1, 4)))
@@ -391,10 +399,10 @@ def test_run_discrete_checks_the_final_norm(monkeypatch):
 def test_iterate_stack_caps_the_chain_size_before_allocating(monkeypatch):
     import trotterlab.subspace as subspace
 
-    def no_matrix(bond_angles):
-        raise AssertionError("bond_layer_matrix called for an oversized chain")
+    def no_matrix(bond_angles, z_angles):
+        raise AssertionError("step_matrix called for an oversized chain")
 
-    monkeypatch.setattr(subspace, "bond_layer_matrix", no_matrix)
+    monkeypatch.setattr(subspace, "step_matrix", no_matrix)
     spec = TrotterCircuitSpec(n_qubits=1001, n_steps=1, bond_angles=(0.1,) * 1000)
     with pytest.raises(ConfigurationError, match="n_qubits 1001 exceeds 1000"):
         next(iterate_stack(spec, np.zeros((1, 1001))))

@@ -15,13 +15,12 @@ from trotterlab.analytics import ipr, tail_prob
 from trotterlab.dense import final_stack, occupation_stack
 from trotterlab.dense import iterate_stack as dense_stack
 from trotterlab.model import (
-    ChainSpec,
     GateFamily,
     TrotterCircuitSpec,
     ZLayerSpec,
     realize_z_layer,
 )
-from trotterlab.subspace import chain_hamiltonians, continuous_evolve
+from trotterlab.subspace import basis_state, chain_hamiltonians, evolve_chains
 from trotterlab.subspace import iterate_stack as subspace_stack
 from trotterlab.sweep import (
     ExperimentKind,
@@ -266,31 +265,29 @@ def test_out_of_range_ipr_raises(monkeypatch, value):
 
 
 def test_convergence_study_first_order_ratios():
-    chain = ChainSpec((0.5, 0.5, 0.5, 0.5), (1.0, 0.5, 0.0, -0.5, 1.0))
-    table = convergence_study(chain, 3.0, [10, 20, 40, 80])
+    couplings, potentials = np.full(4, 0.5), np.array([1.0, 0.5, 0.0, -0.5, 1.0])
+    table = convergence_study(couplings, potentials, 3.0, [10, 20, 40, 80])
     assert [n for n, _ in table] == [10, 20, 40, 80]
     ratios = [table[i][1] / table[i + 1][1] for i in range(3)]
     assert all(1.5 <= r <= 2.5 for r in ratios)
 
 
 def test_convergence_study_commuting_limit_is_exact():
-    chain = ChainSpec((0.0, 0.0), (1.0, -0.5, 2.0))
-    for _, dist in convergence_study(chain, 7.0, [1, 2, 4]):
+    for _, dist in convergence_study(np.zeros(2), np.array([1.0, -0.5, 2.0]), 7.0, [1, 2, 4]):
         assert dist < 1e-13
 
 
 def test_convergence_study_t0():
-    chain = ChainSpec((0.4,), (0.2, -0.2))
-    for _, dist in convergence_study(chain, 0.0, [1, 5]):
+    for _, dist in convergence_study(np.array([0.4]), np.array([0.2, -0.2]), 0.0, [1, 5]):
         assert dist == 0.0
 
 
 def test_convergence_study_requires_increasing_steps():
-    chain = ChainSpec((0.4,), (0.2, -0.2))
+    couplings, potentials = np.array([0.4]), np.array([0.2, -0.2])
     with pytest.raises(ConfigurationError):
-        convergence_study(chain, 1.0, [10, 10])
+        convergence_study(couplings, potentials, 1.0, [10, 10])
     with pytest.raises(ConfigurationError):
-        convergence_study(chain, 1.0, [20, 10])
+        convergence_study(couplings, potentials, 1.0, [20, 10])
 
 
 @pytest.mark.parametrize("n_t", [1, 3, 7])
@@ -300,16 +297,17 @@ def test_convergence_study_walks_the_mapped_circuit(n_t):
     # sits at convergence_study's distance from the exact evolution
     rng = np.random.default_rng(n_t)
     n = int(rng.integers(4, 6))
-    chain = ChainSpec(tuple(rng.uniform(-2, 2, n - 1)), tuple(rng.uniform(-3, 3, n)))
+    couplings, potentials = rng.uniform(-2, 2, n - 1), rng.uniform(-3, 3, n)
     t = 2.5
     tau = t / n_t
     circuit = TrotterCircuitSpec(
-        n_qubits=n, n_steps=n_t, bond_angles=tuple(j * tau for j in chain.couplings)
+        n_qubits=n, n_steps=n_t, bond_angles=tuple(j * tau for j in couplings)
     )
-    phis = np.array([[v * tau for v in chain.potentials]])
+    phis = np.array([[v * tau for v in potentials]])
     disc = final_stack(subspace_stack, circuit, phis)[0] * np.exp(-1j * phis[0])
-    dist = float(np.linalg.norm(disc - continuous_evolve(chain, t)))
-    assert abs(dist - convergence_study(chain, t, [n_t])[0][1]) <= 1e-12
+    hams = chain_hamiltonians(couplings[None], potentials[None])
+    dist = float(np.linalg.norm(disc - evolve_chains(hams, t, basis_state(n))[0]))
+    assert abs(dist - convergence_study(couplings, potentials, t, [n_t])[0][1]) <= 1e-12
 
 
 def test_convergence_sweep_uses_geometric_grid():
@@ -327,8 +325,8 @@ def test_convergence_sweep_uses_geometric_grid():
     assert [int(r.swept_value) for r in result.rows] == [10, 20, 40, 80]
     dists = [r.observables["distance"] for r in result.rows]
     assert all(b < a for a, b in zip(dists, dists[1:]))
-    chain = ChainSpec((0.5, 0.5, 0.5, 0.5), (1.0, 0.5, 0.0, -0.5, 1.0))
-    assert convergence_study(chain, 3.0, [10, 20, 40, 80]) == [
+    couplings, potentials = np.full(4, 0.5), np.array([1.0, 0.5, 0.0, -0.5, 1.0])
+    assert convergence_study(couplings, potentials, 3.0, [10, 20, 40, 80]) == [
         (int(r.swept_value), r.observables["distance"]) for r in result.rows
     ]
 
