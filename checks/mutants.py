@@ -129,6 +129,21 @@ MUTANTS = (
         ("tests/test_dense.py",),
     ),
     Mutant(
+        "low chunks take the first rows' lead phases", "dense.py",
+        "phases[r0 : r0 + q, s * runs : (s + 1) * runs]", "phases[:q, s * runs : (s + 1) * runs]",
+        ("tests/test_dense.py",),
+    ),
+    Mutant(
+        "high/low split lets in a group that starts a qubit early", "dense.py",
+        "if a_i > m - k)", "if a_i >= m - k)",
+        ("tests/test_dense.py",),
+    ),
+    Mutant(
+        "high chunks all read the first columns", "dense.py",
+        "sub[r, :, c0 : c0 + cols]", "sub[r, :, :cols]",
+        ("tests/test_dense.py",),
+    ),
+    Mutant(
         "chain oracle skips its start-vector check", "subspace.py",
         "    if np.shape(init) not in ((n,), (b, n)):", "    if False:",
         ("tests/test_subspace.py",),

@@ -15,8 +15,15 @@ FUSED_QUBITS qubits and applies each as one matrix product: the gate
 clustering of large state-vector simulators (Haener and Steiger, SC17,
 arXiv:1704.01127).  Every CRx group after the first is block-diagonal on
 its first qubit, which is only a control there, so it multiplies as its two
-2^(k-1) x 2^(k-1) control blocks, and the zero blocks cost nothing.  A CRx
-walk from site s walks the smaller circuit on
+2^(k-1) x 2^(k-1) control blocks, and the zero blocks cost nothing.  Each
+step updates the stack in place in two passes over memory, through
+cache-sized chunks and scratch buffers of at most _SCRATCH_AMPS amplitudes:
+the cache blocking of the same simulators and of qHiPSTER (Smelyanskiy et
+al., arXiv:1601.07195).  The high pass applies the groups on the leading
+qubits to chunks of the stack's columns, the low pass the others to slices
+of contiguous amplitudes.  So a walk allocates no second buffer of the
+stack's size, and a stack that fits one chunk is walked with the products
+of an unchunked walk.  A CRx walk from site s walks the smaller circuit on
 qubits s+1..N: a CRx bond's control is its lower qubit and Rz is diagonal,
 so qubits 1..s-1 stay |0>, qubit s stays |1> (bond s fires with its control
 fixed), the Rz phase of qubits 1..s is a constant per row, and only indices
@@ -60,7 +67,10 @@ import numpy as np
 from .errors import ConfigurationError, InvalidStateError
 from .model import GateFamily, GateKind, GateOp, TrotterCircuitSpec, realize_z_layer
 
-MAX_QUBITS = 24  # desk-scale cap: 2^24 complex amplitudes = 256 MiB
+# Desk-scale cap: 2^24 complex amplitudes = 256 MiB a row.  A walk holds its
+# (B, 2^N) stack, per-row phase tables of 1/16 its size, and at most 1 MiB of
+# scratch.
+MAX_QUBITS = 24
 # Norm-drift bound of check_norms: max(1e-12, NORM_DRIFT_C * eps * gates).
 # Each gate rounds every amplitude it touches about once, so the drift of a
 # long circuit grows at most linearly in the gate count (in practice like
@@ -74,9 +84,12 @@ NORM_DRIFT_C = 1.0
 # with its per-step tail reads 30/20/22/30 ms, the 4-step N = 20 CRx
 # circuit 54/37/37/42 ms, panel 3c 83/56/52/77 ms.  4 and 5 tie.
 FUSED_QUBITS = 4
-# Rows per product of the last fused group: a run of rows of both control
-# blocks stays in cache between the two.
-_LAST_GROUP_ROWS = 2**9
+# Amplitudes per scratch buffer of ``iterate_stack``: its two buffers (1 MiB)
+# and a chunk of the block fit the 2 MiB L2 of a core.  2^13/14/15/16/17 on a
+# 2-core Xeon VM, BLAS at one thread, medians of 15 interleaved rounds in one
+# process: the 4-step N = 20 CRx circuit reads 36/32/33/44/54 ms, a 4-step
+# N = 20 XY walk 90/83/79/98/115 ms, panel 3c 70/59/58/58/58 ms.
+_SCRATCH_AMPS = 2**15
 _I_POWERS = np.array([1, 1j, -1, -1j])  # i^c at c mod 4, exact
 
 
@@ -243,26 +256,34 @@ def iterate_stack(spec: TrotterCircuitSpec, phis: np.ndarray):
 
     Walks the block of m qubits that can change: all N for XY, qubits
     s+1..N for CRx from site s (module docstring).  Each step applies
-    ``_fused_groups`` in order, from the block into one block-sized buffer
-    or back.  Every group but the last is a real ``np.matmul`` on the
-    float64 view of the stack; a CRx group after the first, whose first
-    qubit is only a control, multiplies as its two control blocks, and its
-    zero blocks are never multiplied.  The last group, which ends on the
-    last qubit, multiplies each row's float64 pairs on the right by real
-    per-row factors that also apply the Rz diagonal of its qubits, in runs
-    of at most _LAST_GROUP_ROWS rows so that both control blocks of a run
-    share the cache.  One broadcast multiply then applies the Rz phases of
-    the qubits before the last group, with the CRx constant phase folded
-    in.  ``step_tables`` builds both from one step's one-qubit diagonals:
-    the Rz layer's, once, for steps 1..n_steps-1, and D's for the last
-    step, built when it begins.  The stack stays zero outside the block.
-    The final stack is norm-checked before it is yielded.
+    ``_fused_groups`` in order, in place, in two passes over the block.
+    The low groups, from the first that lies wholly inside the last k
+    walked qubits on, act inside slices of 2^k amplitudes, 2^k at most
+    _SCRATCH_AMPS unless two rows of the last group need more; the high
+    groups before them act on the first ``top`` walked qubits.  The high
+    pass copies one row's (2^top, cols) sub-block, a chunk of its columns,
+    into a scratch, alternates its groups between two scratches and has the
+    last write the chunk back.  The low pass takes a chunk of rows and one slice: its
+    first group reads the chunk, and its groups alternate between a scratch
+    and the chunk, as an unchunked walk alternates between the block and a
+    buffer of its size.  Every group but the last is a real ``np.matmul``
+    on float64 views; a CRx group after the first, whose first qubit is
+    only a control, multiplies as its two control blocks, and its zero
+    blocks are never multiplied.  The last group, which ends on the last
+    qubit, multiplies each row's float64 pairs on the right by real per-row
+    factors that also apply the Rz diagonal of its qubits, and one
+    broadcast multiply then applies the Rz phases of the qubits before it,
+    with the CRx constant phase folded in, and writes the chunk back.
+    ``step_tables`` builds both from one step's one-qubit diagonals: the Rz
+    layer's, once, for steps 1..n_steps-1, and D's, written over them when
+    the last step begins.  The stack stays zero outside the block.  The
+    final stack is norm-checked before it is yielded.
     """
     n = spec.n_qubits
     _check_n(n)
     phis = np.asarray(phis, dtype=float)
-    if phis.ndim != 2 or phis.shape[1] != n:
-        raise ConfigurationError(f"z angles have shape {phis.shape}, expected (B, {n})")
+    if phis.ndim != 2 or phis.shape[1] != n or not len(phis):
+        raise ConfigurationError(f"z angles have shape {phis.shape}, expected (B, {n}) with B >= 1")
     b, site = len(phis), spec.initial_excitation_site
     xy = spec.gate_family is GateFamily.XY
     first = 1 if xy else site + 1  # the block's first qubit
@@ -282,33 +303,73 @@ def iterate_stack(spec: TrotterCircuitSpec, phis: np.ndarray):
     def step_tables(diagonals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The last group's per-row factors and the lead phases of (B, m, 2) qubit diagonals."""
         factors = _right_factors(blocks[-1], _kron_tables(diagonals[:, lead:]))
-        return factors[:, None], _kron_tables(diagonals[:, :lead])[:, :, None]
+        return factors, _kron_tables(diagonals[:, :lead])[:, :, None]
 
-    # Groups alternate between the block and one buffer, in float64 views.
-    buffers = (block, np.empty_like(block))
-    floats = [x.view(np.float64) for x in buffers]
-    products = []
-    for i, ((a_i, width_i, _), blk) in enumerate(zip(groups[:-1], blocks[:-1])):
-        shape = (b, 2 ** (a_i - 1), len(blk), 2**width_i // len(blk), -1)
-        products.append((blk, floats[i % 2].reshape(shape), floats[1 - i % 2].reshape(shape)))
-    # the last group: (B, runs, c, rows, 2h) floats times (B, 1, c, 2h, 2h) factors
-    j, c = len(products) % 2, len(blocks[-1])
-    shape = (b, -1, min(2**lead, _LAST_GROUP_ROWS), c, 2 ** (width + 1) // c)
-    src, dst = (x.reshape(shape).transpose(0, 1, 3, 2, 4) for x in (floats[j], floats[1 - j]))
-    last, z_view = (x.reshape(b, 2**lead, 2**width) for x in (buffers[1 - j], block))
+    # The plan: the groups from the first that lies wholly inside the last k
+    # walked qubits on act inside slices of 2^k amplitudes, `rows` rows at a
+    # time, which is more than one only when k = m.  A slice holds two rows
+    # of the last group's product and a high chunk four columns: a narrower
+    # product takes another BLAS kernel, which rounds differently, and the
+    # walk's numbers must not depend on its chunks.
+    k = min(m, max(_SCRATCH_AMPS.bit_length() - 1, width + 1))
+    split = next(i for i, (a_i, _, _) in enumerate(groups) if a_i > m - k)
+    rows = min(b, max(1, _SCRATCH_AMPS >> k))
     e = np.exp(0.5j * phis[:, first - 1 :])
     factors, phases = step_tables(np.stack((e.conjugate(), e), axis=-1))  # the Rz layer
     if not xy:  # qubits 1..s-1 hold |0> and qubit s holds |1>
         outside = phis[:, site - 1] - phis[:, : site - 1].sum(axis=1)
         phases *= np.exp(0.5j * outside)[:, None, None]
 
+    high = []  # (block chunk, scratch, products) of one row's columns
+    if split:  # k < m: a row outgrows the scratch
+        a_h, w_h, _ = groups[split - 1]
+        top = a_h + w_h - 1  # the high groups act on walked qubits 1..top
+        cols = min(2 ** (m - top), max(4, _SCRATCH_AMPS >> top))
+        pair = [np.empty(max(2**k, cols << top), np.complex128) for _ in range(min(split, 2))]
+        scratch = pair[0][: 2**k].reshape(1, -1)  # the low pass's, as rows = 1
+        pair = [x[: cols << top].view(np.float64) for x in pair]
+        sub = block.reshape(b, 2**top, -1)
+        for r in range(b):
+            for c0 in range(0, 2 ** (m - top), cols):
+                chunk = sub[r, :, c0 : c0 + cols].view(np.float64)
+                products = []
+                for i, ((a_i, width_i, _), blk) in enumerate(zip(groups[:split], blocks)):
+                    shape = (2 ** (a_i - 1), len(blk), 2**width_i // len(blk), -1)
+                    out = chunk if i == split - 1 else pair[1 - i % 2]
+                    products.append((blk, pair[i % 2].reshape(shape), out.reshape(shape)))
+                high.append((chunk, pair[0].reshape(chunk.shape), products))
+    else:
+        scratch = np.empty((rows, 2**k), dtype=np.complex128)
+    low = []  # (products, last product, lead phases, block chunk) of rows x one slice
+    c, runs = len(blocks[-1]), 2 ** (k - width)  # runs: a slice's rows of the last group
+    for r0 in range(0, b, rows):
+        for s in range(2 ** (m - k)):
+            buffers = (block[r0 : r0 + rows, s << k : (s + 1) << k], scratch[: b - r0])
+            floats = [x.view(np.float64) for x in buffers]
+            q = len(floats[0])
+            products = []
+            for i, ((a_i, width_i, _), blk) in enumerate(zip(groups[split:-1], blocks[split:])):
+                shape = (q, 2 ** (a_i - 1 - m + k), len(blk), 2**width_i // len(blk), -1)
+                x, y = floats[i % 2], floats[1 - i % 2]
+                products.append((blk, x.reshape(shape), y.reshape(shape)))
+            # the last group: (q, c, runs, 2h) floats times (q, c, 2h, 2h) factors
+            j, shape = len(products) % 2, (q, runs, c, 2 ** (width + 1) // c)
+            src, dst = (x.reshape(shape).transpose(0, 2, 1, 3) for x in (floats[j], floats[1 - j]))
+            products.append((src, factors[r0 : r0 + q], dst))
+            last, back = (x.reshape(q, runs, 2**width) for x in (buffers[1 - j], buffers[0]))
+            low.append((products, last, phases[r0 : r0 + q, s * runs : (s + 1) * runs], back))
+
     for eta in range(1, spec.n_steps + 1):
         if eta == spec.n_steps:  # D in place of the dropped Rz layer leaves the frame
-            factors, phases = step_tables(_frame_factors(np.arange(first, n + 1), xy))
-        for x, y, out in products:
-            np.matmul(x, y, out=out)
-        np.matmul(src, factors, out=dst)
-        np.multiply(last, phases, out=z_view)
+            factors[...], phases[...] = step_tables(_frame_factors(np.arange(first, n + 1), xy))
+        for chunk, copy, products in high:
+            np.copyto(copy, chunk)
+            for x, y, out in products:
+                np.matmul(x, y, out=out)
+        for products, last, lead_phases, back in low:
+            for x, y, out in products:
+                np.matmul(x, y, out=out)
+            np.multiply(last, lead_phases, out=back)
         if eta == spec.n_steps:  # exact, as every factor of D is a power of i
             check_norms(spec, amps)
         yield eta, amps

@@ -96,8 +96,8 @@ def iterate_stack(spec: TrotterCircuitSpec, phis: np.ndarray):
     if n > MAX_CHAIN_SITES:
         raise ConfigurationError(f"n_qubits {n} exceeds {MAX_CHAIN_SITES}")
     phis = np.asarray(phis, dtype=float)
-    if phis.ndim != 2 or phis.shape[1] != n:
-        raise ConfigurationError(f"z angles have shape {phis.shape}, expected (B, {n})")
+    if phis.ndim != 2 or phis.shape[1] != n or not len(phis):
+        raise ConfigurationError(f"z angles have shape {phis.shape}, expected (B, {n}) with B >= 1")
     bond_t = step_matrix(spec.bond_angles, np.zeros(n)).T
     z_phases = np.exp(-1j * phis)
     amps = np.zeros(phis.shape, dtype=np.complex128)

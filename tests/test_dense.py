@@ -14,6 +14,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
+from trotterlab import dense
 from trotterlab.analytics import tail_prob, tail_start
 from trotterlab.dense import (
     NORM_DRIFT_C,
@@ -39,6 +40,7 @@ from trotterlab.model import (
     build_circuit,
     realize_z_layer,
 )
+from trotterlab.subspace import iterate_stack as subspace_stack
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -559,13 +561,17 @@ def test_tail_read_matches_the_tail_of_the_occupations(n, steps, seed, data):
         assert np.max(np.abs(tail_stack(amps, site, tail_start(n)) - want)) <= 1e-13
 
 
-def test_n20_crx_walk_allocates_only_the_state_and_one_block_buffer():
-    # the state is 16 MiB and the block buffer 8 MiB; no table or index of
-    # the walk's set-up may grow with 2^N
+@pytest.mark.parametrize(
+    ("family", "steps"), [(GateFamily.CRX, 1), (GateFamily.XY, 2)], ids=["crx", "xy"]
+)
+def test_n20_walk_allocates_only_the_state_and_scratch(family, steps):
+    # the state is 16 MiB and the scratch at most 1 MiB; no buffer, table or
+    # index of the walk may grow to the block's size, which is 8 MiB for the
+    # CRx walk from site 1 and the whole 16 MiB stack for XY
     spec = TrotterCircuitSpec(
         n_qubits=20,
-        n_steps=1,
-        gate_family=GateFamily.CRX,
+        n_steps=steps,
+        gate_family=family,
         bond_angles=(np.pi / 2,) * 19,
         z_layer=ZLayerSpec(base_phi=np.pi / 2, disorder_radius=np.pi / 4),
     )
@@ -575,4 +581,55 @@ def test_n20_crx_walk_allocates_only_the_state_and_one_block_buffer():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 40 * 2**20
+    assert peak < (16 + 4) * 2**20
+
+
+@pytest.mark.parametrize("scratch", [2**3, 2**5])
+@pytest.mark.parametrize("family", GateFamily)
+def test_chunked_walks_match_the_default_walk_bit_for_bit(monkeypatch, family, scratch):
+    # a scratch this small cuts a stack of m <= 5 walked qubits into chunks
+    # of one or two rows, and runs a step of m >= 6 as both passes, each of
+    # many chunks; every chunk must run the products of the default walk,
+    # where each of these stacks is one chunk
+    rng = np.random.default_rng(28)
+    for n in range(2, 13):
+        for site in sorted({1, 2, n - 1, n}):
+            spec = TrotterCircuitSpec(
+                n_qubits=n,
+                n_steps=3,
+                gate_family=family,
+                bond_angles=tuple(rng.uniform(-np.pi, np.pi, n - 1)),
+                initial_excitation_site=site,
+            )
+            phis = rng.uniform(-np.pi, np.pi, (3, n))
+            expected = [amps.copy() for _, amps in iterate_stack(spec, phis)]
+            with monkeypatch.context() as patch:
+                patch.setattr(dense, "_SCRATCH_AMPS", scratch)
+                got = [amps.copy() for _, amps in iterate_stack(spec, phis)]
+            assert len(got) == len(expected) == 3
+            for amps, ref in zip(got, expected):
+                assert np.array_equal(amps, ref)
+
+
+def test_n18_crx_walk_through_both_passes_matches_the_reference():
+    # from site 1 the walk steps m = 17 qubits, more than the default
+    # scratch holds, so every step runs the high pass and the low pass
+    rng = np.random.default_rng(18)
+    spec = TrotterCircuitSpec(
+        n_qubits=18,
+        n_steps=2,
+        gate_family=GateFamily.CRX,
+        bond_angles=tuple(rng.uniform(-np.pi, np.pi, 17)),
+        initial_excitation_site=1,
+    )
+    phis = rng.uniform(-np.pi, np.pi, (1, 18))
+    got = [amps[0].copy() for _, amps in iterate_stack(spec, phis)]
+    for amps, ref in zip(got, walker_view(spec, reference_trajectory(spec, phis[0]))):
+        assert np.max(np.abs(amps - ref)) <= 1e-12
+
+
+@pytest.mark.parametrize("walk", [iterate_stack, subspace_stack], ids=["dense", "subspace"])
+def test_walkers_reject_an_empty_stack(walk):
+    spec = TrotterCircuitSpec(n_qubits=3, n_steps=1, bond_angles=(0.1, 0.2))
+    with pytest.raises(ConfigurationError, match=r"shape \(0, 3\), expected \(B, 3\) with B >= 1"):
+        next(walk(spec, np.zeros((0, 3))))

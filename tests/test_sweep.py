@@ -357,7 +357,7 @@ def test_omitted_trials_give_20_rows_per_point_to_localization_only():
 
 
 def test_n20_crx_localization_readout_allocates_only_the_state_and_one_buffer():
-    # the walk holds the 16 MiB state and one 8 MiB block buffer; the tail
+    # the walk holds the 16 MiB state and at most 1 MiB of scratch; the tail
     # read of every step and the profile fold at profile_eta add nothing
     # 2^N-sized (an |a|^2 array of the block alone would be 4 MiB)
     from trotterlab.sweep import _localization_rows
@@ -372,7 +372,7 @@ def test_n20_crx_localization_readout_allocates_only_the_state_and_one_buffer():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < (16 + 8 + 2) * 2**20
+    assert peak < (16 + 1 + 2) * 2**20
 
 
 def test_rejected_sweep_allocates_no_per_item_labels():
