@@ -115,7 +115,7 @@ MUTANTS = (
     ),
     Mutant(
         "every row takes row 0's Rz table", "dense.py",
-        "e = np.exp(0.5j * phis[:, first - 1 :])", "e = np.exp(0.5j * phis[[0] * b, first - 1 :])",
+        "np.exp(0.5j * phis[:, first - 1 :].T,", "np.exp(0.5j * phis[[0] * b, first - 1 :].T,",
         ("tests/test_dense.py",),
     ),
     Mutant(
@@ -130,7 +130,28 @@ MUTANTS = (
     ),
     Mutant(
         "low chunks take the first rows' lead phases", "dense.py",
-        "phases[r0 : r0 + q, s * runs : (s + 1) * runs]", "phases[:q, s * runs : (s + 1) * runs]",
+        "phases[r0:r1, s * runs : (s + 1) * runs]", "phases[: r1 - r0, s * runs : (s + 1) * runs]",
+        ("tests/test_dense.py",),
+    ),
+    Mutant(
+        "the last group always folds its phases into per-row factors", "dense.py",
+        "fold = 2 ** (2 * width + 1) < c << m", "fold = True",
+        ("tests/test_dense.py",),
+    ),
+    Mutant(
+        "the last group never folds its phases into per-row factors", "dense.py",
+        "fold = 2 ** (2 * width + 1) < c << m", "fold = False",
+        ("tests/test_dense.py",),
+    ),
+    Mutant(
+        "the shared path keeps the Rz table at the last step", "dense.py",
+        "                phases.reshape(b, -1)[...] = _frame_table(m, xy)\n", "                pass\n",
+        ("tests/test_dense.py",),
+    ),
+    Mutant(
+        "the shared path's phase table gives every row row 0's phases", "dense.py",
+        "phases = _kron_tables(diagonals[:cut])",
+        "phases = _kron_tables(diagonals[:cut] if fold else diagonals[:cut, :, [0] * b])",
         ("tests/test_dense.py",),
     ),
     Mutant(

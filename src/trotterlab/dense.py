@@ -42,15 +42,22 @@ by one, as [[c, -is], [-is, c]]; in the frame that mixing is the real
 So every fused group is a real orthogonal matrix, applied as a float64
 product on the stack's real view at half the flops of a complex one.  The
 group that ends on the last qubit, whose amplitudes sit next to each other
-as (re, im) pairs, multiplies each row's pairs on the right by real
-per-row factors that also apply the Rz phases of its qubits, so each step
-ends with one multiply by the phases of the qubits before it.  D is a
-product of one-qubit phases, so it commutes with every Rz layer.  The
-walk's amplitudes are D^-1 psi: each differs from the state's by a power of
-i, so |a|^2, occupations and norms are the state's exactly, and the last
-step, which has no Rz layer, multiplies by D to yield the state itself:
-one table path takes a step's one-qubit diagonals, the Rz layer's or, at
-the last step only, D's.
+as (re, im) pairs, multiplies the rows' pairs on the right by real
+factors, and each step ends with one multiply by a table of phases.  A
+group of width w with c control blocks folds the Rz phases of its qubits
+into per-row factors, of 2^(2w+2)/c floats a row, only where they take
+fewer bytes than a row of the m walked qubits, 2w + 1 - log2(c) < m; the
+table then holds the phases of the qubits before it, 1/16 of the block.
+Below that threshold, blocks of at most 9 qubits, one shared factor
+serves every row and the table holds the phases of all m qubits, the
+stack's size: the trade-off of the gate clustering above, which folds a
+diagonal into a product only where that pays.  D is a product of
+one-qubit phases, so it commutes with every Rz layer.  The walk's
+amplitudes are D^-1 psi: each differs from the state's by a power of i,
+so |a|^2, occupations and norms are the state's exactly, and the last
+step, which has no Rz layer, multiplies by D to yield the state itself.
+D's tables are written over the Rz layer's in place, exactly, as every
+factor of D is a power of i.
 
 ``occupation_stack`` reads all N occupations of a stack and ``tail_stack``
 the summed occupation of a window of trailing qubits, each from one or two
@@ -68,8 +75,9 @@ from .errors import ConfigurationError, InvalidStateError
 from .model import GateFamily, GateKind, GateOp, TrotterCircuitSpec, realize_z_layer
 
 # Desk-scale cap: 2^24 complex amplitudes = 256 MiB a row.  A walk holds its
-# (B, 2^N) stack, per-row phase tables of 1/16 its size, and at most 1 MiB of
-# scratch.
+# (B, 2^N) stack, at most 1 MiB of scratch, and per-row phase tables of 1/16
+# its size, or of its size where the block is below the fold threshold of
+# ``iterate_stack``, which only blocks of at most 9 qubits are.
 MAX_QUBITS = 24
 # Norm-drift bound of check_norms: max(1e-12, NORM_DRIFT_C * eps * gates).
 # Each gate rounds every amplitude it touches about once, so the drift of a
@@ -155,29 +163,68 @@ def _mix_bond(v: np.ndarray, xy: bool, angle: float) -> None:
 
 
 def _kron_tables(factors: np.ndarray) -> np.ndarray:
-    """(B, 2^k) Kronecker products of (B, k, 2) one-qubit diagonals, the first most significant."""
-    b = len(factors)
-    table = np.ones((b, 1), dtype=np.complex128)
-    for f in factors.transpose(1, 0, 2):
-        table = (table[:, :, None] * f[:, None, :]).reshape(b, -1)
-    return table
+    """(B, 2^k) Kronecker products of (k, 2, B) one-qubit diagonals, the first most significant.
+
+    Built with the rows last, so that every product runs along them; a
+    level's entry 2x + bit is the last level's entry x times one factor,
+    the order ``_fill_kron_table`` keeps.
+    """
+    b = factors.shape[2]
+    cols = np.ones((1, b), dtype=np.complex128)
+    for f in factors:
+        cols = (cols[:, None] * f).reshape(-1, b)
+    return np.ascontiguousarray(cols.T)
+
+
+def _fill_kron_table(table: np.ndarray, factors: np.ndarray) -> None:
+    """Write ``_kron_tables`` of one-row (k, 2, 1) factors into every row of (B, 2^k) ``table``.
+
+    The same products in the same order, so the same bits, zero signs
+    included, with no second table: level j turns the first 2^j entries of
+    row 0 into the first 2^(j+1).  A level above 1024 entries runs from the
+    top down in halves, reading [lo, hi) and writing [2 lo, 2 hi), which
+    holds only entries already read, down to a piece of 1024 entries, which
+    numpy copies before it overwrites it.
+    """
+    row, small = table[0], min(len(factors), 10)  # the first 1024 entries are built aside
+    row[: 2**small] = _kron_tables(factors[:small])[0]
+    for j in range(small, len(factors)):
+        hi = 2**j
+        while hi:
+            lo = hi // 2 if hi > 1024 else 0
+            pairs = row[2 * lo : 2 * hi].reshape(-1, 2)
+            np.multiply(row[lo:hi, None], factors[j, :, 0], out=pairs)
+            hi = lo
+    table[1:] = row
 
 
 def _frame_factors(positions: np.ndarray, xy: bool) -> np.ndarray:
-    """(1, k, 2) factors [1, i^c] of the walk frame D on qubits at ``positions``.
+    """(k, 2, 1) factors [1, i^c] of the walk frame D on qubits at ``positions``.
 
     c is a qubit's position for XY and 1 for CRx, so D = diag(i^g(x)) with
     g(x) the sum of the excited qubits' positions or their count; powers of
     i are exact, and so is every product of them.
     """
     powers = positions % 4 if xy else np.ones_like(positions)
-    return np.stack((np.ones(len(powers)), _I_POWERS[powers]), axis=-1)[None]
+    return np.stack((np.ones(len(powers)), _I_POWERS[powers]), axis=-1)[:, :, None]
+
+
+@lru_cache
+def _frame_table(k: int, xy: bool) -> np.ndarray:
+    """Read-only (2^k,) exact diagonal of D on a walk's first k walked qubits.
+
+    An XY walk's first walked qubit is qubit 1, and a CRx factor does not
+    depend on its qubit's position, so the table is every walk's.
+    """
+    d = _kron_tables(_frame_factors(np.arange(1, k + 1), xy))[0]
+    d.flags.writeable = False
+    return d
 
 
 @lru_cache
 def _frame_phases(width: int, xy: bool) -> np.ndarray:
     """The exact 2^width x 2^width matrix i^(g(col) - g(row)) that turns a group into the frame."""
-    d = _kron_tables(_frame_factors(np.arange(1, width + 1), xy))[0]
+    d = _frame_table(width, xy)
     return np.outer(d.conjugate(), d)
 
 
@@ -239,6 +286,20 @@ def _right_factors(blocks: np.ndarray, table: np.ndarray) -> np.ndarray:
     return factors.view(np.float64).reshape(b, c, 2 * h, 2 * h)
 
 
+def _pair_factors(blocks: np.ndarray) -> np.ndarray:
+    """(1, c, 2h, 2h) real factors: each control block, applied to a row's (re, im) pairs.
+
+    ``_right_factors`` with a table of ones: pair j feeds pair i with
+    U_k[i, j], its real part the real part and its imaginary part the
+    imaginary part, so the factor is U_k transposed with each entry a 2 x 2
+    identity.
+    """
+    c, h, _ = blocks.shape
+    factors = np.zeros((1, c, h, 2, h, 2))
+    factors[0, :, :, 0, :, 0] = factors[0, :, :, 1, :, 1] = blocks.transpose(0, 2, 1)
+    return factors.reshape(1, c, 2 * h, 2 * h)
+
+
 def iterate_stack(spec: TrotterCircuitSpec, phis: np.ndarray):
     """Yield (eta, amps) after each Trotter step of a stack of circuits, eta = 1..n_steps.
 
@@ -270,14 +331,20 @@ def iterate_stack(spec: TrotterCircuitSpec, phis: np.ndarray):
     on float64 views; a CRx group after the first, whose first qubit is
     only a control, multiplies as its two control blocks, and its zero
     blocks are never multiplied.  The last group, which ends on the last
-    qubit, multiplies each row's float64 pairs on the right by real per-row
-    factors that also apply the Rz diagonal of its qubits, and one
-    broadcast multiply then applies the Rz phases of the qubits before it,
-    with the CRx constant phase folded in, and writes the chunk back.
-    ``step_tables`` builds both from one step's one-qubit diagonals: the Rz
-    layer's, once, for steps 1..n_steps-1, and D's, written over them when
-    the last step begins.  The stack stays zero outside the block.  The
-    final stack is norm-checked before it is yielded.
+    qubit, multiplies the chunk's float64 pairs on the right, and one
+    broadcast multiply by a phase table, with the CRx constant phase folded
+    in, writes the chunk back.  Where a row's factors take fewer bytes than
+    the row, 2 width + 1 - log2(c) < m, each row has its own factors, which
+    also apply the Rz diagonal of the group's qubits, and the table holds
+    the phases of the qubits before it.  Otherwise one shared factor runs
+    as c products over every row of the chunk, which keeps at least two rows
+    where the stack has them, and the table holds the phases of all m
+    qubits.  The Rz layer's tables are built once, for steps 1..n_steps-1,
+    and D's are written over them when the last step begins: per-row
+    factors and lead phases as ``_kron_tables`` builds them, a shared
+    path's table from ``_frame_table``'s one row.  The stack stays zero
+    outside the block.  The final stack is norm-checked before it is
+    yielded.
     """
     n = spec.n_qubits
     _check_n(n)
@@ -298,27 +365,39 @@ def iterate_stack(spec: TrotterCircuitSpec, phis: np.ndarray):
     # a CRx group after the first splits on its first qubit, only a control there
     blocks = [_control_blocks(u, 1 if xy or i == 0 else 2) for i, (_, _, u) in enumerate(groups)]
     a, width, _ = groups[-1]
-    lead = a - 1  # qubits before the last group
-
-    def step_tables(diagonals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The last group's per-row factors and the lead phases of (B, m, 2) qubit diagonals."""
-        factors = _right_factors(blocks[-1], _kron_tables(diagonals[:, lead:]))
-        return factors, _kron_tables(diagonals[:, :lead])[:, :, None]
-
-    # The plan: the groups from the first that lies wholly inside the last k
-    # walked qubits on act inside slices of 2^k amplitudes, `rows` rows at a
-    # time, which is more than one only when k = m.  A slice holds two rows
-    # of the last group's product and a high chunk four columns: a narrower
-    # product takes another BLAS kernel, which rounds differently, and the
-    # walk's numbers must not depend on its chunks.
-    k = min(m, max(_SCRATCH_AMPS.bit_length() - 1, width + 1))
-    split = next(i for i, (a_i, _, _) in enumerate(groups) if a_i > m - k)
-    rows = min(b, max(1, _SCRATCH_AMPS >> k))
-    e = np.exp(0.5j * phis[:, first - 1 :])
-    factors, phases = step_tables(np.stack((e.conjugate(), e), axis=-1))  # the Rz layer
+    lead, c = a - 1, len(blocks[-1])  # qubits before the last group; its control blocks
+    # Fold the last group's Rz phases into per-row factors only where a row's
+    # factors, 2^(2 width + 2) / c floats, take fewer bytes than the row
+    # itself; else one shared factor applies the group, and the closing
+    # multiply the phases of all m qubits.
+    fold = 2 ** (2 * width + 1) < c << m
+    cut = lead if fold else m  # the qubits whose phases the closing multiply applies
+    diagonals = np.empty((m, 2, b), dtype=np.complex128)  # the Rz layer's
+    np.exp(0.5j * phis[:, first - 1 :].T, out=diagonals[:, 1])
+    np.conjugate(diagonals[:, 1], out=diagonals[:, 0])
+    phases = _kron_tables(diagonals[:cut]).reshape(b, 2**lead, -1)
+    if fold:
+        factors = _right_factors(blocks[-1], _kron_tables(diagonals[lead:]))
+    else:
+        factors = _pair_factors(blocks[-1])
     if not xy:  # qubits 1..s-1 hold |0> and qubit s holds |1>
         outside = phis[:, site - 1] - phis[:, : site - 1].sum(axis=1)
         phases *= np.exp(0.5j * outside)[:, None, None]
+
+    # The plan: the groups from the first that lies wholly inside the last k
+    # walked qubits on act inside slices of 2^k amplitudes, in chunks of
+    # rows, which have more than one row only when k = m.  A slice holds two
+    # runs of the last group's product, a high chunk four columns, and a
+    # chunk two rows where the stack has them if those rows are the shared
+    # product's: a narrower product takes another BLAS kernel, which rounds
+    # differently, and the walk's numbers must not depend on its chunks.
+    k = min(m, max(_SCRATCH_AMPS.bit_length() - 1, width + 1))
+    split = next(i for i, (a_i, _, _) in enumerate(groups) if a_i > m - k)
+    runs = 2 ** (k - width)  # a slice's runs of the last group
+    chunks = -(-b // max(1, _SCRATCH_AMPS >> k))
+    if runs == 1:  # one group, shared: its product's rows are the stack's
+        chunks = max(1, min(chunks, b // 2))
+    bounds = [b * i // chunks for i in range(chunks + 1)]
 
     high = []  # (block chunk, scratch, products) of one row's columns
     if split:  # k < m: a row outgrows the scratch
@@ -326,7 +405,7 @@ def iterate_stack(spec: TrotterCircuitSpec, phis: np.ndarray):
         top = a_h + w_h - 1  # the high groups act on walked qubits 1..top
         cols = min(2 ** (m - top), max(4, _SCRATCH_AMPS >> top))
         pair = [np.empty(max(2**k, cols << top), np.complex128) for _ in range(min(split, 2))]
-        scratch = pair[0][: 2**k].reshape(1, -1)  # the low pass's, as rows = 1
+        scratch = pair[0][: 2**k].reshape(1, -1)  # the low pass's, one row a chunk
         pair = [x[: cols << top].view(np.float64) for x in pair]
         sub = block.reshape(b, 2**top, -1)
         for r in range(b):
@@ -339,37 +418,50 @@ def iterate_stack(spec: TrotterCircuitSpec, phis: np.ndarray):
                     products.append((blk, pair[i % 2].reshape(shape), out.reshape(shape)))
                 high.append((chunk, pair[0].reshape(chunk.shape), products))
     else:
-        scratch = np.empty((rows, 2**k), dtype=np.complex128)
-    low = []  # (products, last product, lead phases, block chunk) of rows x one slice
-    c, runs = len(blocks[-1]), 2 ** (k - width)  # runs: a slice's rows of the last group
-    for r0 in range(0, b, rows):
+        scratch = np.empty((-(-b // chunks), 2**k), dtype=np.complex128)
+    low = []  # (products, last product, phase table, block chunk) of rows x one slice
+    # the last group's (q, c, runs, 2h) floats times per-row (q, c, 2h, 2h)
+    # factors or the shared (1, c, 2h, 2h) one; with one run a row, the
+    # floats are (1, 1, q, 2h), so one product takes all the chunk's rows
+    order = (1, 2, 0, 3) if runs == 1 else (0, 2, 1, 3)
+    whole = chunks == 1 and k == m  # one chunk: the block, scratch and tables whole
+    for r0, r1 in zip(bounds, bounds[1:]):
         for s in range(2 ** (m - k)):
-            buffers = (block[r0 : r0 + rows, s << k : (s + 1) << k], scratch[: b - r0])
+            if whole:
+                buffers, right, table = (block, scratch), factors, phases
+            else:
+                buffers = (block[r0:r1, s << k : (s + 1) << k], scratch[: r1 - r0])
+                right = factors[r0:r1] if fold else factors
+                table = phases[r0:r1, s * runs : (s + 1) * runs]
             floats = [x.view(np.float64) for x in buffers]
-            q = len(floats[0])
+            q = r1 - r0
             products = []
             for i, ((a_i, width_i, _), blk) in enumerate(zip(groups[split:-1], blocks[split:])):
                 shape = (q, 2 ** (a_i - 1 - m + k), len(blk), 2**width_i // len(blk), -1)
                 x, y = floats[i % 2], floats[1 - i % 2]
                 products.append((blk, x.reshape(shape), y.reshape(shape)))
-            # the last group: (q, c, runs, 2h) floats times (q, c, 2h, 2h) factors
             j, shape = len(products) % 2, (q, runs, c, 2 ** (width + 1) // c)
-            src, dst = (x.reshape(shape).transpose(0, 2, 1, 3) for x in (floats[j], floats[1 - j]))
-            products.append((src, factors[r0 : r0 + q], dst))
+            src, dst = (x.reshape(shape).transpose(order) for x in (floats[j], floats[1 - j]))
+            products.append((src, right, dst))
             last, back = (x.reshape(q, runs, 2**width) for x in (buffers[1 - j], buffers[0]))
-            low.append((products, last, phases[r0 : r0 + q, s * runs : (s + 1) * runs], back))
+            low.append((products, last, table, back))
 
     for eta in range(1, spec.n_steps + 1):
         if eta == spec.n_steps:  # D in place of the dropped Rz layer leaves the frame
-            factors[...], phases[...] = step_tables(_frame_factors(np.arange(first, n + 1), xy))
+            if fold:
+                d = _frame_factors(np.arange(first, n + 1), xy)
+                _fill_kron_table(phases.reshape(b, -1), d[:lead])
+                factors[...] = _right_factors(blocks[-1], _kron_tables(d[lead:]))
+            else:
+                phases.reshape(b, -1)[...] = _frame_table(m, xy)
         for chunk, copy, products in high:
             np.copyto(copy, chunk)
             for x, y, out in products:
                 np.matmul(x, y, out=out)
-        for products, last, lead_phases, back in low:
+        for products, last, table, back in low:
             for x, y, out in products:
                 np.matmul(x, y, out=out)
-            np.multiply(last, lead_phases, out=back)
+            np.multiply(last, table, out=back)
         if eta == spec.n_steps:  # exact, as every factor of D is a power of i
             check_norms(spec, amps)
         yield eta, amps

@@ -23,6 +23,7 @@ from trotterlab.dense import (
     _fused_groups,
     apply_gate,
     check_norms,
+    final_stack,
     init_basis,
     iterate_stack,
     occupation_probs,
@@ -565,9 +566,10 @@ def test_tail_read_matches_the_tail_of_the_occupations(n, steps, seed, data):
     ("family", "steps"), [(GateFamily.CRX, 1), (GateFamily.XY, 2)], ids=["crx", "xy"]
 )
 def test_n20_walk_allocates_only_the_state_and_scratch(family, steps):
-    # the state is 16 MiB and the scratch at most 1 MiB; no buffer, table or
-    # index of the walk may grow to the block's size, which is 8 MiB for the
-    # CRx walk from site 1 and the whole 16 MiB stack for XY
+    # the state is 16 MiB, the scratch at most 1 MiB and the lead-phase table
+    # 1/16 of the block, which D's table at the last step is written over; no
+    # buffer, table or index of the walk may grow to the block's size, which
+    # is 8 MiB for the CRx walk from site 1 and the whole 16 MiB stack for XY
     spec = TrotterCircuitSpec(
         n_qubits=20,
         n_steps=steps,
@@ -581,7 +583,26 @@ def test_n20_walk_allocates_only_the_state_and_scratch(family, steps):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < (16 + 4) * 2**20
+    assert peak < (16 + 3) * 2**20
+
+
+def test_closed_form_stack_walk_allocates_a_few_stacks():
+    # the closed-form suites' stack: 441 rows of N = 3, 56 KiB.  Its last
+    # group is its only one, so the walk takes one shared factor, a phase
+    # table and a scratch of the stack's size, and no per-row factor of
+    # 2 KiB a row.  The peak comes as the table's last level is built, whose
+    # broadcast product takes numpy buffers of twice its size
+    axis = np.linspace(-np.pi, np.pi, 21)
+    phis = np.stack((np.repeat(axis, 21), np.repeat(axis, 21) + np.tile(axis, 21)), axis=1)
+    phis = np.concatenate((phis, phis[:, :1]), axis=1)
+    spec = TrotterCircuitSpec(n_qubits=3, n_steps=2, bond_angles=(np.pi / 4,) * 2)
+    tracemalloc.start()
+    try:
+        final_stack(iterate_stack, spec, phis)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 320 * 2**10
 
 
 @pytest.mark.parametrize("scratch", [2**3, 2**5])
@@ -626,6 +647,32 @@ def test_n18_crx_walk_through_both_passes_matches_the_reference():
     got = [amps[0].copy() for _, amps in iterate_stack(spec, phis)]
     for amps, ref in zip(got, walker_view(spec, reference_trajectory(spec, phis[0]))):
         assert np.max(np.abs(amps - ref)) <= 1e-12
+
+
+@pytest.mark.parametrize("family", GateFamily)
+def test_shared_factor_walks_match_the_reference(family):
+    # N <= 9 walks at most 9 qubits, whose last group's per-row factors
+    # would outweigh a row, so every walk here takes the shared factor and
+    # the stack-sized phase table.  441 rows, cut into 2, 4 or 7 chunks
+    # where 7, 8 or 9 qubits are walked, repeat six z rows, so that no chunk
+    # after the first starts on row 0's angles
+    rng = np.random.default_rng(29)
+    for n in range(2, 10):
+        for site in range(1, n + 1):
+            spec = TrotterCircuitSpec(
+                n_qubits=n,
+                n_steps=3,
+                gate_family=family,
+                bond_angles=tuple(rng.uniform(-np.pi, np.pi, n - 1)),
+                initial_excitation_site=site,
+            )
+            rows = rng.uniform(-np.pi, np.pi, (6, n))
+            expected = [walker_view(spec, reference_trajectory(spec, row)) for row in rows]
+            for b in (1, 2, 3, 441):
+                got = [amps.copy() for _, amps in iterate_stack(spec, rows[np.arange(b) % 6])]
+                for step, amps in enumerate(got):
+                    want = np.array([expected[r % 6][step] for r in range(b)])
+                    assert np.max(np.abs(amps - want)) <= 1e-12
 
 
 @pytest.mark.parametrize("walk", [iterate_stack, subspace_stack], ids=["dense", "subspace"])
