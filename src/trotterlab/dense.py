@@ -286,20 +286,6 @@ def _right_factors(blocks: np.ndarray, table: np.ndarray) -> np.ndarray:
     return factors.view(np.float64).reshape(b, c, 2 * h, 2 * h)
 
 
-def _pair_factors(blocks: np.ndarray) -> np.ndarray:
-    """(1, c, 2h, 2h) real factors: each control block, applied to a row's (re, im) pairs.
-
-    ``_right_factors`` with a table of ones: pair j feeds pair i with
-    U_k[i, j], its real part the real part and its imaginary part the
-    imaginary part, so the factor is U_k transposed with each entry a 2 x 2
-    identity.
-    """
-    c, h, _ = blocks.shape
-    factors = np.zeros((1, c, h, 2, h, 2))
-    factors[0, :, :, 0, :, 0] = factors[0, :, :, 1, :, 1] = blocks.transpose(0, 2, 1)
-    return factors.reshape(1, c, 2 * h, 2 * h)
-
-
 def iterate_stack(spec: TrotterCircuitSpec, phis: np.ndarray):
     """Yield (eta, amps) after each Trotter step of a stack of circuits, eta = 1..n_steps.
 
@@ -369,7 +355,12 @@ def iterate_stack(spec: TrotterCircuitSpec, phis: np.ndarray):
     # Fold the last group's Rz phases into per-row factors only where a row's
     # factors, 2^(2 width + 2) / c floats, take fewer bytes than the row
     # itself; else one shared factor applies the group, and the closing
-    # multiply the phases of all m qubits.
+    # multiply the phases of all m qubits.  Each path forced, 4-step walks on
+    # a 2-core Xeon VM, BLAS at one thread, medians of 30 interleaved rounds in
+    # one process: at 128 rows the times cross at this cut (shared 10-13 %
+    # faster at XY m = 9 and 5 % at CRx m = 8, folded 20-48 % faster at XY m =
+    # 10 and 6 % at CRx m = 9), at 32 rows one qubit above it, and one row
+    # runs 45-82 us faster shared up to m = 12.
     fold = 2 ** (2 * width + 1) < c << m
     cut = lead if fold else m  # the qubits whose phases the closing multiply applies
     diagonals = np.empty((m, 2, b), dtype=np.complex128)  # the Rz layer's
@@ -378,8 +369,8 @@ def iterate_stack(spec: TrotterCircuitSpec, phis: np.ndarray):
     phases = _kron_tables(diagonals[:cut]).reshape(b, 2**lead, -1)
     if fold:
         factors = _right_factors(blocks[-1], _kron_tables(diagonals[lead:]))
-    else:
-        factors = _pair_factors(blocks[-1])
+    else:  # one shared (1, c, 2h, 2h) factor: the control blocks alone
+        factors = _right_factors(blocks[-1], np.ones((1, 2**width)))
     if not xy:  # qubits 1..s-1 hold |0> and qubit s holds |1>
         outside = phis[:, site - 1] - phis[:, : site - 1].sum(axis=1)
         phases *= np.exp(0.5j * outside)[:, None, None]
@@ -424,15 +415,11 @@ def iterate_stack(spec: TrotterCircuitSpec, phis: np.ndarray):
     # factors or the shared (1, c, 2h, 2h) one; with one run a row, the
     # floats are (1, 1, q, 2h), so one product takes all the chunk's rows
     order = (1, 2, 0, 3) if runs == 1 else (0, 2, 1, 3)
-    whole = chunks == 1 and k == m  # one chunk: the block, scratch and tables whole
     for r0, r1 in zip(bounds, bounds[1:]):
         for s in range(2 ** (m - k)):
-            if whole:
-                buffers, right, table = (block, scratch), factors, phases
-            else:
-                buffers = (block[r0:r1, s << k : (s + 1) << k], scratch[: r1 - r0])
-                right = factors[r0:r1] if fold else factors
-                table = phases[r0:r1, s * runs : (s + 1) * runs]
+            buffers = (block[r0:r1, s << k : (s + 1) << k], scratch[: r1 - r0])
+            right = factors[r0:r1] if fold else factors
+            table = phases[r0:r1, s * runs : (s + 1) * runs]
             floats = [x.view(np.float64) for x in buffers]
             q = r1 - r0
             products = []
