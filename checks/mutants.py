@@ -144,8 +144,13 @@ MUTANTS = (
         ("tests/test_dense.py",),
     ),
     Mutant(
-        "the shared path keeps the Rz table at the last step", "dense.py",
-        "                phases.reshape(b, -1)[...] = _frame_table(m, xy)\n", "                pass\n",
+        "the last step keeps its Rz phase table", "dense.py",
+        "            phases[...] = 1.0\n", "            pass\n",
+        ("tests/test_dense.py",),
+    ),
+    Mutant(
+        "the fold path keeps its Rz factors at the last step", "dense.py",
+        "            factors[...] = shared\n", "            pass\n",
         ("tests/test_dense.py",),
     ),
     Mutant(

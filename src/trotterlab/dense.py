@@ -17,22 +17,26 @@ arXiv:1704.01127).  Every CRx group after the first is block-diagonal on
 its first qubit, which is only a control there, so it multiplies as its two
 2^(k-1) x 2^(k-1) control blocks, and the zero blocks cost nothing.  Each
 step updates the stack in place in two passes over memory, through
-cache-sized chunks and scratch buffers of at most _SCRATCH_AMPS amplitudes:
-the cache blocking of the same simulators and of qHiPSTER (Smelyanskiy et
-al., arXiv:1601.07195).  The high pass applies the groups on the leading
-qubits to chunks of the stack's columns, the low pass the others to slices
-of contiguous amplitudes.  So a walk allocates no second buffer of the
-stack's size, and a stack that fits one chunk is walked with the products
-of an unchunked walk.  A CRx walk from site s walks the smaller circuit on
-qubits s+1..N: a CRx bond's control is its lower qubit and Rz is diagonal,
-so qubits 1..s-1 stay |0>, qubit s stays |1> (bond s fires with its control
-fixed), the Rz phase of qubits 1..s is a constant per row, and only indices
-[2^(N-s), 2^(N-s+1)) can be non-zero.  ``apply_gate`` on
-``build_circuit``'s gate list is the gate-by-gate reference the walker is
-tested against, and the only code that spells out a gate.  ``_mix_bond`` is
-the one spelling of a bond: ``apply_gate`` calls it for every XY or CRx
-gate, and the walker calls it on the identity to build its group
-unitaries, with no gate objects.
+cache-sized chunks and two scratch buffers of at most _SCRATCH_AMPS
+amplitudes: the cache blocking of the same simulators and of qHiPSTER
+(Smelyanskiy et al., arXiv:1601.07195).  The high pass, which runs where a
+row outgrows the scratch, copies a chunk of a row's columns into a scratch,
+applies the groups on the leading qubits there, alternating between the
+scratches, and writes it back.  The low pass applies the others, from the
+first that lies wholly inside the last k walked qubits on, to slices of 2^k
+contiguous amplitudes of a chunk of rows, alternating between the chunk and
+a scratch.  So a walk allocates no second buffer of the stack's size, a
+stack that fits one chunk is walked with the products of an unchunked walk,
+and a step is one list of kernel calls, built once per walk.  A CRx walk
+from site s walks the smaller circuit on qubits s+1..N: a CRx bond's
+control is its lower qubit and Rz is diagonal, so qubits 1..s-1 stay |0>,
+qubit s stays |1> (bond s fires with its control fixed), the Rz phase of
+qubits 1..s is a constant per row, and only indices [2^(N-s), 2^(N-s+1))
+can be non-zero.  ``apply_gate`` on ``build_circuit``'s gate list is the
+gate-by-gate reference the walker is tested against, and the only code that
+spells out a gate.  ``_mix_bond`` is the one spelling of a bond:
+``apply_gate`` calls it for every XY or CRx gate, and the walker calls it
+on the identity to build its group unitaries, with no gate objects.
 
 The walker runs in the fixed phase frame D = diag(i^g(x)), g(x) the sum of
 the positions of x's excited qubits for XY and the count of its excited
@@ -40,24 +44,24 @@ walked qubits for CRx.  Every bond mixes its pair of states, whose g differ
 by one, as [[c, -is], [-is, c]]; in the frame that mixing is the real
 [[c, s], [-s, c]] or its transpose, the identity Rx(t) = S Ry(-t) S^dagger.
 So every fused group is a real orthogonal matrix, applied as a float64
-product on the stack's real view at half the flops of a complex one.  The
-group that ends on the last qubit, whose amplitudes sit next to each other
-as (re, im) pairs, multiplies the rows' pairs on the right by real
-factors, and each step ends with one multiply by a table of phases.  A
-group of width w with c control blocks folds the Rz phases of its qubits
-into per-row factors, of 2^(2w+2)/c floats a row, only where they take
-fewer bytes than a row of the m walked qubits, 2w + 1 - log2(c) < m; the
-table then holds the phases of the qubits before it, 1/16 of the block.
-Below that threshold, blocks of at most 9 qubits, one shared factor
-serves every row and the table holds the phases of all m qubits, the
-stack's size: the trade-off of the gate clustering above, which folds a
-diagonal into a product only where that pays.  D is a product of
-one-qubit phases, so it commutes with every Rz layer.  The walk's
-amplitudes are D^-1 psi: each differs from the state's by a power of i,
-so |a|^2, occupations and norms are the state's exactly, and the last
-step, which has no Rz layer, multiplies by D to yield the state itself.
-D's tables are written over the Rz layer's in place, exactly, as every
-factor of D is a power of i.
+product on the stack's real view at half the flops of a complex one.  D is
+a product of one-qubit phases, so it commutes with every Rz layer, and the
+walk never leaves the frame: every amplitude it yields, the last step's
+included, is a = D^-1 psi, so psi = D a.  Each differs from the state's by
+a power of i, so |a|^2, occupations and norms are the state's exactly, and
+they are all that any caller reads.  The group that ends on the last
+qubit, whose amplitudes sit next to each other as (re, im) pairs,
+multiplies the rows' pairs on the right by real factors, and each step ends
+with one multiply by a table of phases.  A group of width w with c control
+blocks folds the Rz phases of its qubits into per-row factors, of
+2^(2w+2)/c floats a row, only where they take fewer bytes than a row of the
+m walked qubits, 2w + 1 - log2(c) < m; the table then holds the phases of
+the qubits before it, 1/16 of the block.  Below that threshold, blocks of
+at most 9 qubits, one shared factor serves every row and the table holds
+the phases of all m qubits, the stack's size: the trade-off of the gate
+clustering above, which folds a diagonal into a product only where that
+pays.  The last step has no Rz layer: its table is all ones, and the
+shared factor takes the place of the per-row ones.
 
 ``occupation_stack`` reads all N occupations of a stack and ``tail_stack``
 the summed occupation of a window of trailing qubits, each from one or two
@@ -67,7 +71,7 @@ reductions over the squared float64 view and no 2^N temporary.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -75,9 +79,10 @@ from .errors import ConfigurationError, InvalidStateError
 from .model import GateFamily, GateKind, GateOp, TrotterCircuitSpec, realize_z_layer
 
 # Desk-scale cap: 2^24 complex amplitudes = 256 MiB a row.  A walk holds its
-# (B, 2^N) stack, at most 1 MiB of scratch, and per-row phase tables of 1/16
-# its size, or of its size where the block is below the fold threshold of
-# ``iterate_stack``, which only blocks of at most 9 qubits are.
+# (B, 2^N) stack of frame amplitudes, each the state's up to a power of i, at
+# most 1 MiB of scratch, and per-row phase tables of 1/16 its size, or of its
+# size where the block is below the fold threshold of ``iterate_stack``,
+# which only blocks of at most 9 qubits are.
 MAX_QUBITS = 24
 # Norm-drift bound of check_norms: max(1e-12, NORM_DRIFT_C * eps * gates).
 # Each gate rounds every amplitude it touches about once, so the drift of a
@@ -103,7 +108,10 @@ _I_POWERS = np.array([1, 1j, -1, -1j])  # i^c at c mod 4, exact
 
 @dataclass
 class StateVector:
-    """2^N complex amplitudes, mutated in place by gate application."""
+    """2^N complex amplitudes, mutated in place by gate application.
+
+    ``run_circuit``'s are the walker's frame amplitudes a, psi = D a.
+    """
 
     n_qubits: int
     amplitudes: np.ndarray
@@ -166,8 +174,7 @@ def _kron_tables(factors: np.ndarray) -> np.ndarray:
     """(B, 2^k) Kronecker products of (k, 2, B) one-qubit diagonals, the first most significant.
 
     Built with the rows last, so that every product runs along them; a
-    level's entry 2x + bit is the last level's entry x times one factor,
-    the order ``_fill_kron_table`` keeps.
+    level's entry 2x + bit is the last level's entry x times one factor.
     """
     b = factors.shape[2]
     cols = np.ones((1, b), dtype=np.complex128)
@@ -176,70 +183,35 @@ def _kron_tables(factors: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(cols.T)
 
 
-def _fill_kron_table(table: np.ndarray, factors: np.ndarray) -> None:
-    """Write ``_kron_tables`` of one-row (k, 2, 1) factors into every row of (B, 2^k) ``table``.
-
-    The same products in the same order, so the same bits, zero signs
-    included, with no second table: level j turns the first 2^j entries of
-    row 0 into the first 2^(j+1).  A level above 1024 entries runs from the
-    top down in halves, reading [lo, hi) and writing [2 lo, 2 hi), which
-    holds only entries already read, down to a piece of 1024 entries, which
-    numpy copies before it overwrites it.
-    """
-    row, small = table[0], min(len(factors), 10)  # the first 1024 entries are built aside
-    row[: 2**small] = _kron_tables(factors[:small])[0]
-    for j in range(small, len(factors)):
-        hi = 2**j
-        while hi:
-            lo = hi // 2 if hi > 1024 else 0
-            pairs = row[2 * lo : 2 * hi].reshape(-1, 2)
-            np.multiply(row[lo:hi, None], factors[j, :, 0], out=pairs)
-            hi = lo
-    table[1:] = row
-
-
-def _frame_factors(positions: np.ndarray, xy: bool) -> np.ndarray:
-    """(k, 2, 1) factors [1, i^c] of the walk frame D on qubits at ``positions``.
-
-    c is a qubit's position for XY and 1 for CRx, so D = diag(i^g(x)) with
-    g(x) the sum of the excited qubits' positions or their count; powers of
-    i are exact, and so is every product of them.
-    """
-    powers = positions % 4 if xy else np.ones_like(positions)
-    return np.stack((np.ones(len(powers)), _I_POWERS[powers]), axis=-1)[:, :, None]
-
-
-@lru_cache
-def _frame_table(k: int, xy: bool) -> np.ndarray:
-    """Read-only (2^k,) exact diagonal of D on a walk's first k walked qubits.
-
-    An XY walk's first walked qubit is qubit 1, and a CRx factor does not
-    depend on its qubit's position, so the table is every walk's.
-    """
-    d = _kron_tables(_frame_factors(np.arange(1, k + 1), xy))[0]
-    d.flags.writeable = False
-    return d
-
-
 @lru_cache
 def _frame_phases(width: int, xy: bool) -> np.ndarray:
-    """The exact 2^width x 2^width matrix i^(g(col) - g(row)) that turns a group into the frame."""
-    d = _frame_table(width, xy)
-    return np.outer(d.conjugate(), d)
+    """The read-only exact matrix i^(g(col) - g(row)) that takes a width-qubit group to the frame.
+
+    D's factor on local qubit j is [1, i^j] for XY and [1, i] for CRx;
+    powers of i are exact, and so is every product of them.
+    """
+    powers = np.arange(1, width + 1) % 4 if xy else np.ones(width, dtype=int)
+    d = _kron_tables(np.stack((np.ones(width), _I_POWERS[powers]), axis=-1)[:, :, None])[0]
+    phases = np.outer(d.conjugate(), d)
+    phases.flags.writeable = False
+    return phases
 
 
 def _fused_groups(spec: TrotterCircuitSpec, first: int) -> list[tuple[int, int, np.ndarray]]:
-    """The bond layer on qubits first..N as (a, width, frame matrix) groups, in gate order.
+    """The bond layer on qubits first..N as (a, width, control blocks) groups, in gate order.
 
     A group is a run of bonds on at most FUSED_QUBITS walked qubits [a, a +
     width), walked qubit w being qubit first + w - 1; runs are cut from the
     right, so the last one ends on qubit N.  Bond first - 1 of a CRx walk
     joins the first run with its control held at |1>.  ``_mix_bond`` mixes
     each bond of a run into the row index of eye(2^q), the run's q qubits,
-    and the unitary is multiplied entrywise by the exact frame phases, which
-    leave an orthogonal matrix with an imaginary part of exact zeros (module
-    docstring).  XY conserves the excitation count, so a group's frame needs
-    only its local positions 1..width.
+    and the unitary times the exact frame phases is orthogonal, with an
+    imaginary part of exact zeros (module docstring).  A group keeps the
+    real (c, 2^width/c, 2^width/c) diagonal blocks on its first qubit: c = 2
+    where that qubit is only a control, in every CRx run but one that holds
+    bond first - 1, and the off-diagonal blocks are exact zeros; else c = 1.
+    XY conserves the excitation count, so a group's frame needs only its
+    local positions 1..width.
     """
     xy = spec.gate_family is GateFamily.XY
     groups = []
@@ -253,20 +225,12 @@ def _fused_groups(spec: TrotterCircuitSpec, first: int) -> list[tuple[int, int, 
         for j in range(j0, j1 + 1):
             _mix_bond(u.reshape(2 ** (j - j0), 4, -1), xy, spec.bond_angles[j - 1])
         width = j1 + 2 - max(j0, first)
-        u = u[-(2**width) :, -(2**width) :]
-        groups.append((max(j0, first) - first + 1, width, u * _frame_phases(width, xy)))
+        u = (u[-(2**width) :, -(2**width) :] * _frame_phases(width, xy)).real
+        h = 2**width // (2 if not xy and j0 >= first else 1)
+        blocks = np.array([u[i : i + h, i : i + h] for i in range(0, 2**width, h)])
+        groups.append((max(j0, first) - first + 1, width, blocks))
         j1 = j0 - 1
     return groups[::-1]
-
-
-def _control_blocks(u: np.ndarray, c: int) -> np.ndarray:
-    """(c, 2^w/c, 2^w/c) real diagonal blocks of a frame group on its first qubit.
-
-    c = 2 splits a group whose first qubit is only a control, and whose
-    off-diagonal blocks are therefore exact zeros; c = 1 keeps it whole.
-    """
-    h = len(u) // c
-    return np.array([u[k * h : (k + 1) * h, k * h : (k + 1) * h].real for k in range(c)])
 
 
 def _right_factors(blocks: np.ndarray, table: np.ndarray) -> np.ndarray:
@@ -286,57 +250,45 @@ def _right_factors(blocks: np.ndarray, table: np.ndarray) -> np.ndarray:
     return factors.view(np.float64).reshape(b, c, 2 * h, 2 * h)
 
 
+def _left_products(groups: list, lead: tuple, skip: int, buffers: list, out=None) -> list:
+    """``np.matmul`` calls that apply ``groups`` in order to float64 ``buffers``.
+
+    Group (a, width, blocks) multiplies a (*lead, 2^(a-1-skip), c,
+    2^width/c, -1) view by its c control blocks, ``skip`` walked qubits
+    being outside the buffers.  Group i reads buffers[i % 2] and writes
+    buffers[1 - i % 2], except that the last writes ``out`` where given.
+    """
+    calls = []
+    for i, (a, width, blocks) in enumerate(groups):
+        shape = (*lead, 2 ** (a - 1 - skip), len(blocks), 2**width // len(blocks), -1)
+        dst = out if out is not None and i == len(groups) - 1 else buffers[1 - i % 2]
+        src, dst = buffers[i % 2].reshape(shape), dst.reshape(shape)
+        calls.append(partial(np.matmul, blocks, src, out=dst))
+    return calls
+
+
+def check_z_angles(phis: np.ndarray, n: int) -> np.ndarray:
+    """``phis`` as a float (B, n) array, B >= 1: both walkers' z angle check."""
+    phis = np.asarray(phis, dtype=float)
+    if phis.ndim != 2 or phis.shape[1] != n or not len(phis):
+        raise ConfigurationError(f"z angles have shape {phis.shape}, expected (B, {n}) with B >= 1")
+    return phis
+
+
 def iterate_stack(spec: TrotterCircuitSpec, phis: np.ndarray):
     """Yield (eta, amps) after each Trotter step of a stack of circuits, eta = 1..n_steps.
 
     Every row shares ``spec``'s size, step count, gate family, bond angles
-    and initial site; row b has its own realized z angles
-    ``phis[b]`` (``spec.z_layer`` is not used).  ``amps`` is the live
-    (B, 2^N) amplitude stack, mutated by further iteration; copy it to keep
-    a trajectory.
-
-    The walk runs in the frame D = diag(i^g(x)) of the module docstring:
-    every yield but the last holds the frame amplitudes D^-1 psi, which
-    differ from the state's only by a phase per basis state, so their
-    |a|^2, occupations and norms are the state's exactly.  The final yield
-    is the state itself.
-
-    Walks the block of m qubits that can change: all N for XY, qubits
-    s+1..N for CRx from site s (module docstring).  Each step applies
-    ``_fused_groups`` in order, in place, in two passes over the block.
-    The low groups, from the first that lies wholly inside the last k
-    walked qubits on, act inside slices of 2^k amplitudes, 2^k at most
-    _SCRATCH_AMPS unless two rows of the last group need more; the high
-    groups before them act on the first ``top`` walked qubits.  The high
-    pass copies one row's (2^top, cols) sub-block, a chunk of its columns,
-    into a scratch, alternates its groups between two scratches and has the
-    last write the chunk back.  The low pass takes a chunk of rows and one slice: its
-    first group reads the chunk, and its groups alternate between a scratch
-    and the chunk, as an unchunked walk alternates between the block and a
-    buffer of its size.  Every group but the last is a real ``np.matmul``
-    on float64 views; a CRx group after the first, whose first qubit is
-    only a control, multiplies as its two control blocks, and its zero
-    blocks are never multiplied.  The last group, which ends on the last
-    qubit, multiplies the chunk's float64 pairs on the right, and one
-    broadcast multiply by a phase table, with the CRx constant phase folded
-    in, writes the chunk back.  Where a row's factors take fewer bytes than
-    the row, 2 width + 1 - log2(c) < m, each row has its own factors, which
-    also apply the Rz diagonal of the group's qubits, and the table holds
-    the phases of the qubits before it.  Otherwise one shared factor runs
-    as c products over every row of the chunk, which keeps at least two rows
-    where the stack has them, and the table holds the phases of all m
-    qubits.  The Rz layer's tables are built once, for steps 1..n_steps-1,
-    and D's are written over them when the last step begins: per-row
-    factors and lead phases as ``_kron_tables`` builds them, a shared
-    path's table from ``_frame_table``'s one row.  The stack stays zero
-    outside the block.  The final stack is norm-checked before it is
-    yielded.
+    and initial site; row b has its own realized z angles ``phis[b]``
+    (``spec.z_layer`` is not used).  ``amps`` is the live (B, 2^N) stack
+    of frame amplitudes a = D^-1 psi, each the state's up to a power of i,
+    mutated by further iteration; copy it to keep a trajectory.  The final
+    stack is norm-checked before it is yielded.  The frame, the fused
+    groups and the two passes of a step are the module docstring's.
     """
     n = spec.n_qubits
     _check_n(n)
-    phis = np.asarray(phis, dtype=float)
-    if phis.ndim != 2 or phis.shape[1] != n or not len(phis):
-        raise ConfigurationError(f"z angles have shape {phis.shape}, expected (B, {n}) with B >= 1")
+    phis = check_z_angles(phis, n)
     b, site = len(phis), spec.initial_excitation_site
     xy = spec.gate_family is GateFamily.XY
     first = 1 if xy else site + 1  # the block's first qubit
@@ -347,11 +299,9 @@ def iterate_stack(spec: TrotterCircuitSpec, phis: np.ndarray):
     block = amps[:, : 2**m] if xy else amps[:, 2**m : 2 ** (m + 1)]
 
     # m = 0 (CRx from site N): the block's one amplitude only gains phases
-    groups = _fused_groups(spec, first) or [(1, 0, np.ones((1, 1)))]
-    # a CRx group after the first splits on its first qubit, only a control there
-    blocks = [_control_blocks(u, 1 if xy or i == 0 else 2) for i, (_, _, u) in enumerate(groups)]
-    a, width, _ = groups[-1]
-    lead, c = a - 1, len(blocks[-1])  # qubits before the last group; its control blocks
+    groups = _fused_groups(spec, first) or [(1, 0, np.ones((1, 1, 1)))]
+    a, width, blocks = groups[-1]
+    lead, c = a - 1, len(blocks)  # qubits before the last group; its control blocks
     # Fold the last group's Rz phases into per-row factors only where a row's
     # factors, 2^(2 width + 2) / c floats, take fewer bytes than the row
     # itself; else one shared factor applies the group, and the closing
@@ -367,21 +317,19 @@ def iterate_stack(spec: TrotterCircuitSpec, phis: np.ndarray):
     np.exp(0.5j * phis[:, first - 1 :].T, out=diagonals[:, 1])
     np.conjugate(diagonals[:, 1], out=diagonals[:, 0])
     phases = _kron_tables(diagonals[:cut]).reshape(b, 2**lead, -1)
-    if fold:
-        factors = _right_factors(blocks[-1], _kron_tables(diagonals[lead:]))
-    else:  # one shared (1, c, 2h, 2h) factor: the control blocks alone
-        factors = _right_factors(blocks[-1], np.ones((1, 2**width)))
+    shared = _right_factors(blocks, np.ones((1, 2**width)))  # (1, c, 2h, 2h): the blocks alone
+    factors = _right_factors(blocks, _kron_tables(diagonals[lead:])) if fold else shared
     if not xy:  # qubits 1..s-1 hold |0> and qubit s holds |1>
         outside = phis[:, site - 1] - phis[:, : site - 1].sum(axis=1)
         phases *= np.exp(0.5j * outside)[:, None, None]
 
-    # The plan: the groups from the first that lies wholly inside the last k
-    # walked qubits on act inside slices of 2^k amplitudes, in chunks of
-    # rows, which have more than one row only when k = m.  A slice holds two
-    # runs of the last group's product, a high chunk four columns, and a
-    # chunk two rows where the stack has them if those rows are the shared
-    # product's: a narrower product takes another BLAS kernel, which rounds
-    # differently, and the walk's numbers must not depend on its chunks.
+    # The plan: the low groups act inside slices of 2^k amplitudes, 2^k at
+    # most _SCRATCH_AMPS unless two rows of the last group need more, in
+    # chunks of rows, which have more than one row only when k = m.  A slice
+    # holds two runs of the last group's product, a high chunk four columns,
+    # and a chunk two rows where the stack has them if those rows are the
+    # shared product's: a narrower product takes another BLAS kernel, which
+    # rounds differently, and the walk's numbers must not depend on its chunks.
     k = min(m, max(_SCRATCH_AMPS.bit_length() - 1, width + 1))
     split = next(i for i, (a_i, _, _) in enumerate(groups) if a_i > m - k)
     runs = 2 ** (k - width)  # a slice's runs of the last group
@@ -390,7 +338,7 @@ def iterate_stack(spec: TrotterCircuitSpec, phis: np.ndarray):
         chunks = max(1, min(chunks, b // 2))
     bounds = [b * i // chunks for i in range(chunks + 1)]
 
-    high = []  # (block chunk, scratch, products) of one row's columns
+    step = []  # every kernel call of a step, in order
     if split:  # k < m: a row outgrows the scratch
         a_h, w_h, _ = groups[split - 1]
         top = a_h + w_h - 1  # the high groups act on walked qubits 1..top
@@ -402,67 +350,54 @@ def iterate_stack(spec: TrotterCircuitSpec, phis: np.ndarray):
         for r in range(b):
             for c0 in range(0, 2 ** (m - top), cols):
                 chunk = sub[r, :, c0 : c0 + cols].view(np.float64)
-                products = []
-                for i, ((a_i, width_i, _), blk) in enumerate(zip(groups[:split], blocks)):
-                    shape = (2 ** (a_i - 1), len(blk), 2**width_i // len(blk), -1)
-                    out = chunk if i == split - 1 else pair[1 - i % 2]
-                    products.append((blk, pair[i % 2].reshape(shape), out.reshape(shape)))
-                high.append((chunk, pair[0].reshape(chunk.shape), products))
+                step.append(partial(np.copyto, pair[0].reshape(chunk.shape), chunk))
+                step += _left_products(groups[:split], (), 0, pair, out=chunk)
     else:
         scratch = np.empty((-(-b // chunks), 2**k), dtype=np.complex128)
-    low = []  # (products, last product, phase table, block chunk) of rows x one slice
     # the last group's (q, c, runs, 2h) floats times per-row (q, c, 2h, 2h)
     # factors or the shared (1, c, 2h, 2h) one; with one run a row, the
     # floats are (1, 1, q, 2h), so one product takes all the chunk's rows
     order = (1, 2, 0, 3) if runs == 1 else (0, 2, 1, 3)
     for r0, r1 in zip(bounds, bounds[1:]):
+        q = r1 - r0
         for s in range(2 ** (m - k)):
-            buffers = (block[r0:r1, s << k : (s + 1) << k], scratch[: r1 - r0])
-            right = factors[r0:r1] if fold else factors
-            table = phases[r0:r1, s * runs : (s + 1) * runs]
+            buffers = (block[r0:r1, s << k : (s + 1) << k], scratch[:q])
             floats = [x.view(np.float64) for x in buffers]
-            q = r1 - r0
-            products = []
-            for i, ((a_i, width_i, _), blk) in enumerate(zip(groups[split:-1], blocks[split:])):
-                shape = (q, 2 ** (a_i - 1 - m + k), len(blk), 2**width_i // len(blk), -1)
-                x, y = floats[i % 2], floats[1 - i % 2]
-                products.append((blk, x.reshape(shape), y.reshape(shape)))
-            j, shape = len(products) % 2, (q, runs, c, 2 ** (width + 1) // c)
+            low = _left_products(groups[split:-1], (q,), m - k, floats)
+            j, shape = len(low) % 2, (q, runs, c, 2 ** (width + 1) // c)
             src, dst = (x.reshape(shape).transpose(order) for x in (floats[j], floats[1 - j]))
-            products.append((src, right, dst))
+            low.append(partial(np.matmul, src, factors[r0:r1] if fold else factors, out=dst))
             last, back = (x.reshape(q, runs, 2**width) for x in (buffers[1 - j], buffers[0]))
-            low.append((products, last, table, back))
+            table = phases[r0:r1, s * runs : (s + 1) * runs]
+            step += [*low, partial(np.multiply, last, table, out=back)]
 
     for eta in range(1, spec.n_steps + 1):
-        if eta == spec.n_steps:  # D in place of the dropped Rz layer leaves the frame
-            if fold:
-                d = _frame_factors(np.arange(first, n + 1), xy)
-                _fill_kron_table(phases.reshape(b, -1), d[:lead])
-                factors[...] = _right_factors(blocks[-1], _kron_tables(d[lead:]))
-            else:
-                phases.reshape(b, -1)[...] = _frame_table(m, xy)
-        for chunk, copy, products in high:
-            np.copyto(copy, chunk)
-            for x, y, out in products:
-                np.matmul(x, y, out=out)
-        for products, last, table, back in low:
-            for x, y, out in products:
-                np.matmul(x, y, out=out)
-            np.multiply(last, table, out=back)
-        if eta == spec.n_steps:  # exact, as every factor of D is a power of i
+        if eta == spec.n_steps:  # the last step has no Rz layer
+            phases[...] = 1.0
+            factors[...] = shared
+        for call in step:
+            call()
+        if eta == spec.n_steps:
             check_norms(spec, amps)
         yield eta, amps
 
 
 def final_stack(walk, spec: TrotterCircuitSpec, phis: np.ndarray) -> np.ndarray:
-    """The final, norm-checked amplitude stack of either backend's ``walk(spec, phis)``."""
+    """The final, norm-checked amplitude stack of either backend's ``walk(spec, phis)``.
+
+    The dense walker's holds frame amplitudes a, psi = D a (module docstring).
+    """
     for _, amps in walk(spec, phis):
         pass
     return amps
 
 
 def run_circuit(spec: TrotterCircuitSpec, seed: int | None = None) -> StateVector:
-    """The state after the whole circuit for ``spec``."""
+    """The frame amplitudes a after the whole circuit for ``spec``: the state is psi = D a.
+
+    D = diag(i^g(x)) is the walker's frame (module docstring), so |a|^2,
+    occupations and norms are the state's.
+    """
     phis = np.asarray([realize_z_layer(spec.z_layer, spec.n_qubits, seed)])
     return StateVector(spec.n_qubits, final_stack(iterate_stack, spec, phis)[0])
 

@@ -5,13 +5,14 @@ XY-family circuits conserve the excitation number, so a circuit started from
 ``|e_j>``.  This backend tracks one amplitude ``a_j`` per site in the chain
 convention: a z layer multiplies site j by ``exp(-i phi_j)``, matching a
 chain with +V_j on-site potentials.  The gate-level Rz layer gives ``|e_j>``
-the opposite relative phase, ``exp(+i phi_j)``, so the dense amplitude of
+the opposite relative phase, ``exp(+i phi_j)``, so the state's amplitude of
 ``|e_j>`` is ``c * (-1)^j * conj(a_j)`` with one global phase ``|c| = 1``
 (conjugation also flips the sign of the bonds' ``-i sin`` terms, which the
-``(-1)^j`` undoes).  Neither changes an occupation ``|a_j|^2``, so this
-backend gives the dense walker's occupations at N instead of 2^N amplitudes
-a state, and every XY sweep walks here.  States are plain complex arrays:
-(N,) for one, (B, N) for a stack.
+``(-1)^j`` undoes), and the dense walker's frame amplitude, ``i^-j`` times
+it, is ``c * i^j * conj(a_j)``.  None of these changes an occupation
+``|a_j|^2``, so this backend gives the dense walker's occupations at N
+instead of 2^N amplitudes a state, and every XY sweep walks here.  States
+are plain complex arrays: (N,) for one, (B, N) for a stack.
 
 ``iterate_stack`` is the circuit walker: it steps a (B, N) stack of circuits
 that differ only in their z angles, one matrix product per Trotter step, and
@@ -33,7 +34,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dense import check_norms
+from .dense import check_norms, check_z_angles
 from .errors import ConfigurationError, NumericalError
 from .model import GateFamily, TrotterCircuitSpec
 
@@ -95,9 +96,7 @@ def iterate_stack(spec: TrotterCircuitSpec, phis: np.ndarray):
     n = spec.n_qubits
     if n > MAX_CHAIN_SITES:
         raise ConfigurationError(f"n_qubits {n} exceeds {MAX_CHAIN_SITES}")
-    phis = np.asarray(phis, dtype=float)
-    if phis.ndim != 2 or phis.shape[1] != n or not len(phis):
-        raise ConfigurationError(f"z angles have shape {phis.shape}, expected (B, {n}) with B >= 1")
+    phis = check_z_angles(phis, n)
     bond_t = step_matrix(spec.bond_angles, np.zeros(n)).T
     z_phases = np.exp(-1j * phis)
     amps = np.zeros(phis.shape, dtype=np.complex128)

@@ -322,9 +322,9 @@ def frame_phases(spec: TrotterCircuitSpec) -> np.ndarray:
 
 
 def walker_view(spec: TrotterCircuitSpec, series: list[np.ndarray]) -> list[np.ndarray]:
-    """What the walker yields for a reference trajectory: frame amplitudes, then the state."""
+    """What the walker yields for a reference trajectory: its frame amplitudes at every step."""
     phases = frame_phases(spec)
-    return [phases * amps for amps in series[:-1]] + series[-1:]
+    return [phases * amps for amps in series]
 
 
 @st.composite
@@ -347,6 +347,28 @@ def circuit_specs(draw):
     if not hand_set:
         phis = realize_z_layer(law, n, seed)
     return spec, np.array([phis])
+
+
+@pytest.mark.parametrize("family", GateFamily)
+def test_run_circuit_amplitudes_times_the_frame_are_the_state(family):
+    # run_circuit returns the walker's frame amplitudes a, and D a is the
+    # state that build_circuit's gates make one by one, from every site
+    rng = np.random.default_rng(30)
+    for n in range(2, 7):
+        for site in range(1, n + 1):
+            spec = TrotterCircuitSpec(
+                n_qubits=n,
+                n_steps=3,
+                gate_family=family,
+                bond_angles=tuple(rng.uniform(-np.pi, np.pi, n - 1)),
+                z_layer=ZLayerSpec(base_phi=float(rng.uniform(-np.pi, np.pi)), disorder_radius=1.0),
+                initial_excitation_site=site,
+            )
+            state = init_basis(n, "0" * n)
+            for gate in build_circuit(spec, seed=site):
+                apply_gate(state, gate)
+            got = np.conj(frame_phases(spec)) * run_circuit(spec, seed=site).amplitudes
+            assert np.max(np.abs(got - state.amplitudes)) <= 1e-12
 
 
 @given(circuit_specs())
@@ -487,13 +509,14 @@ def test_frame_groups_are_real_orthogonal_matrices(family):
                 initial_excitation_site=site,
             )
             first = 1 if family is GateFamily.XY else site + 1
-            for i, (_, width, u) in enumerate(_fused_groups(spec, first)):
+            for i, (_, width, blocks) in enumerate(_fused_groups(spec, first)):
                 widths.add(width)
-                assert np.all(u.imag == 0.0)
-                assert np.max(np.abs(u.real @ u.real.T - np.eye(2**width))) <= 1e-14
-                if family is GateFamily.CRX and i > 0:
-                    h = 2 ** (width - 1)
-                    assert np.all(u[:h, h:] == 0.0) and np.all(u[h:, :h] == 0.0)
+                assert blocks.dtype == np.float64
+                assert len(blocks) == (2 if family is GateFamily.CRX and i > 0 else 1)
+                h = len(blocks[0])
+                assert h * len(blocks) == 2**width
+                for u in blocks:
+                    assert np.max(np.abs(u @ u.T - np.eye(h))) <= 1e-14
     assert widths == ({2, 3, 4} if family is GateFamily.XY else {1, 2, 3, 4})
 
 
@@ -502,14 +525,16 @@ def test_fused_groups_are_the_gate_by_gate_groups_bit_for_bit(family):
     # each group as it was built gate by gate: apply_gate on eye(2^q), read
     # as a 2q-qubit state whose first q qubits index the rows, one GateOp per
     # bond of the run (bond first - 1 joins the first run), then the frame
-    # phases; N = 2..20 from every first walked qubit
+    # phases, which leave exact zeros in the imaginary part and, where the
+    # group splits on its first qubit, in the off-diagonal control blocks;
+    # N = 2..20 from every first walked qubit
     kind = GateKind.XY if family is GateFamily.XY else GateKind.CRX
     rng = np.random.default_rng(27)
     count = 0
     for n in range(2, 21):
         spec = TrotterCircuitSpec(n, 1, family, tuple(rng.uniform(-np.pi, np.pi, n - 1)))
         for first in range(1, n + 2):
-            for a, width, u in _fused_groups(spec, first):
+            for a, width, blocks in _fused_groups(spec, first):
                 # the run's bonds j0..j1 act on qubits j0..j1 + 1
                 j0 = first - 1 if a == 1 and first > 1 else first + a - 1
                 j1 = first + a + width - 3
@@ -519,7 +544,13 @@ def test_fused_groups_are_the_gate_by_gate_groups_bit_for_bit(family):
                     bond = GateOp(kind, (j - j0 + 1, j - j0 + 2), spec.bond_angles[j - 1])
                     apply_gate(state, bond)
                 ref = state.amplitudes.reshape(2**q, 2**q)[-(2**width) :, -(2**width) :]
-                assert np.array_equal(u, ref * _frame_phases(width, family is GateFamily.XY))
+                ref = ref * _frame_phases(width, family is GateFamily.XY)
+                assert np.all(ref.imag == 0.0)
+                c, h = len(blocks), 2**width // len(blocks)
+                split = ref.real.reshape(c, h, c, h)
+                for k in range(c):
+                    assert np.array_equal(split[k, :, k], blocks[k])
+                    assert np.all(np.delete(split[k], k, axis=1) == 0.0)
                 count += 1
     assert count > 500  # 530 groups per family at FUSED_QUBITS = 4
 
@@ -567,7 +598,7 @@ def test_tail_read_matches_the_tail_of_the_occupations(n, steps, seed, data):
 )
 def test_n20_walk_allocates_only_the_state_and_scratch(family, steps):
     # the state is 16 MiB, the scratch at most 1 MiB and the lead-phase table
-    # 1/16 of the block, which D's table at the last step is written over; no
+    # 1/16 of the block, which the last step fills with ones in place; no
     # buffer, table or index of the walk may grow to the block's size, which
     # is 8 MiB for the CRx walk from site 1 and the whole 16 MiB stack for XY
     spec = TrotterCircuitSpec(

@@ -97,11 +97,13 @@ def test_run_discrete_matches_dense_probabilities(seed):
 @pytest.mark.parametrize("seed", range(4))
 def test_dense_amplitudes_are_the_signed_conjugate_of_subspace_amplitudes(seed):
     # the gate-level Rz layer gives |e_j> the phase exp(+i phi_j) and the
-    # subspace walker exp(-i phi_j): dense <e_j|psi> = c (-1)^j conj(a_j), |c| = 1
+    # subspace walker exp(-i phi_j): <e_j|psi> = c (-1)^j conj(a_j), |c| = 1,
+    # and the dense walker's frame amplitude of |e_j>, i^-j times it, is
+    # c i^j conj(a_j)
     spec, phis = random_circuit_spec(np.random.default_rng(seed))
     n = spec.n_qubits
     dense = final_stack(dense_stack, spec, phis)[0, [2 ** (n - j) for j in range(1, n + 1)]]
-    mapped = (-1.0) ** np.arange(1, n + 1) * np.conj(final_stack(iterate_stack, spec, phis)[0])
+    mapped = 1j ** np.arange(1, n + 1) * np.conj(final_stack(iterate_stack, spec, phis)[0])
     k = np.argmax(np.abs(mapped))
     c = dense[k] / mapped[k]
     assert abs(abs(c) - 1) < 1e-12
