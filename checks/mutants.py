@@ -92,9 +92,9 @@ MUTANTS = (
         ("tests/test_analytics.py",),
     ),
     Mutant(
-        "subspace walker keeps the last z layer", "subspace.py",
-        "            amps[...] = bonded\n",
-        "            np.multiply(bonded, z_phases, out=amps)\n",
+        "subspace last step drops its z layer", "subspace.py",
+        "np.multiply(bonded, z_phases, out=amps)",
+        "np.multiply(bonded, z_phases if eta < spec.n_steps else 1.0, out=amps)",
         ("tests/test_subspace.py",),
     ),
     Mutant(
@@ -103,9 +103,9 @@ MUTANTS = (
         ("tests/test_model.py",),
     ),
     Mutant(
-        "norm bound counts n more gates", "dense.py",
-        "gates = 1 + steps * (n - 1) + (steps - 1) * n",
-        "gates = 1 + steps * (n - 1) + (steps - 1) * n + n",
+        "norm bound counts n fewer gates", "dense.py",
+        "gates = 1 + steps * (2 * n - 1)",
+        "gates = 1 + steps * (2 * n - 1) - n",
         ("tests/test_dense.py",),
     ),
     Mutant(
@@ -121,6 +121,11 @@ MUTANTS = (
     Mutant(
         "bond mixing turns CRx by its full angle", "dense.py",
         "(2, 3, angle / 2)", "(2, 3, angle)",
+        ("tests/test_dense.py",),
+    ),
+    Mutant(
+        "frame bond turns CRx by its full angle", "dense.py",
+        "else (3, 2, spec.bond_angles[j - 1] / 2)", "else (3, 2, spec.bond_angles[j - 1])",
         ("tests/test_dense.py",),
     ),
     Mutant(
@@ -144,13 +149,11 @@ MUTANTS = (
         ("tests/test_dense.py",),
     ),
     Mutant(
-        "the last step keeps its Rz phase table", "dense.py",
-        "            phases[...] = 1.0\n", "            pass\n",
-        ("tests/test_dense.py",),
-    ),
-    Mutant(
-        "the fold path keeps its Rz factors at the last step", "dense.py",
-        "            factors[...] = shared\n", "            pass\n",
+        "dense last step writes ones over its Rz table", "dense.py",
+        "        for call in step:\n",
+        "        if eta == spec.n_steps:\n"
+        "            phases[...] = 1.0\n"
+        "        for call in step:\n",
         ("tests/test_dense.py",),
     ),
     Mutant(
@@ -168,6 +171,17 @@ MUTANTS = (
         "high chunks all read the first columns", "dense.py",
         "sub[r, :, c0 : c0 + cols]", "sub[r, :, :cols]",
         ("tests/test_dense.py",),
+    ),
+    Mutant(
+        "convergence study steps by t / (n_t + 1)", "sweep.py",
+        "tau = t / n_t", "tau = t / (n_t + 1)",
+        ("tests/test_sweep.py",),
+    ),
+    Mutant(
+        "convergence study undoes the last z layer", "sweep.py",
+        "disc = np.linalg.matrix_power(u, n_t) @ init",
+        "disc = np.exp(1j * potentials * tau) * (np.linalg.matrix_power(u, n_t) @ init)",
+        ("tests/test_sweep.py",),
     ),
     Mutant(
         "chain oracle skips its start-vector check", "subspace.py",

@@ -33,35 +33,34 @@ control is its lower qubit and Rz is diagonal, so qubits 1..s-1 stay |0>,
 qubit s stays |1> (bond s fires with its control fixed), the Rz phase of
 qubits 1..s is a constant per row, and only indices [2^(N-s), 2^(N-s+1))
 can be non-zero.  ``apply_gate`` on ``build_circuit``'s gate list is the
-gate-by-gate reference the walker is tested against, and the only code that
-spells out a gate.  ``_mix_bond`` is the one spelling of a bond:
-``apply_gate`` calls it for every XY or CRx gate, and the walker calls it
-on the identity to build its group unitaries, with no gate objects.
+gate-by-gate reference the walker is tested against.  ``_mix_bond`` spells
+a bond for ``apply_gate`` alone: the walker builds its groups in its own
+frame, with no gate objects, so the two share no code.
 
 The walker runs in the fixed phase frame D = diag(i^g(x)), g(x) the sum of
 the positions of x's excited qubits for XY and the count of its excited
 walked qubits for CRx.  Every bond mixes its pair of states, whose g differ
 by one, as [[c, -is], [-is, c]]; in the frame that mixing is the real
-[[c, s], [-s, c]] or its transpose, the identity Rx(t) = S Ry(-t) S^dagger.
-So every fused group is a real orthogonal matrix, applied as a float64
+rotation [[c, -s], [s, c]] on |01>, |10> for XY and its transpose on |10>,
+|11> for CRx, the identity Rx(t) = S Ry(-t) S^dagger.  So ``_fused_groups``
+builds every group as a real orthogonal matrix, applied as a float64
 product on the stack's real view at half the flops of a complex one.  D is
 a product of one-qubit phases, so it commutes with every Rz layer, and the
-walk never leaves the frame: every amplitude it yields, the last step's
-included, is a = D^-1 psi, so psi = D a.  Each differs from the state's by
-a power of i, so |a|^2, occupations and norms are the state's exactly, and
-they are all that any caller reads.  The group that ends on the last
-qubit, whose amplitudes sit next to each other as (re, im) pairs,
-multiplies the rows' pairs on the right by real factors, and each step ends
-with one multiply by a table of phases.  A group of width w with c control
-blocks folds the Rz phases of its qubits into per-row factors, of
-2^(2w+2)/c floats a row, only where they take fewer bytes than a row of the
-m walked qubits, 2w + 1 - log2(c) < m; the table then holds the phases of
-the qubits before it, 1/16 of the block.  Below that threshold, blocks of
-at most 9 qubits, one shared factor serves every row and the table holds
-the phases of all m qubits, the stack's size: the trade-off of the gate
-clustering above, which folds a diagonal into a product only where that
-pays.  The last step has no Rz layer: its table is all ones, and the
-shared factor takes the place of the per-row ones.
+walk never leaves the frame: every amplitude it yields is a = D^-1 psi, so
+psi = D a.  Each differs from the state's by a power of i, so |a|^2,
+occupations and norms are the state's exactly, and they are all that any
+caller reads.  The group that ends on the last qubit, whose amplitudes sit
+next to each other as (re, im) pairs, multiplies the rows' pairs on the
+right by real factors, and each step ends with one multiply by a table of
+phases.  A group of width w with c control blocks folds the Rz phases of
+its qubits into per-row factors, of 2^(2w+2)/c floats a row, only where
+they take fewer bytes than a row of the m walked qubits, 2w + 1 - log2(c)
+< m; the table then holds the phases of the qubits before it, 1/16 of the
+block.  Below that threshold, blocks of at most 9 qubits, one shared factor
+serves every row and the table holds the phases of all m qubits, the
+stack's size: the trade-off of the gate clustering above, which folds a
+diagonal into a product only where that pays.  Every step, the last
+included, applies its Rz layer, so a step is the same calls each time.
 
 ``occupation_stack`` reads all N occupations of a stack and ``tail_stack``
 the summed occupation of a window of trailing qubits, each from one or two
@@ -183,35 +182,19 @@ def _kron_tables(factors: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(cols.T)
 
 
-@lru_cache
-def _frame_phases(width: int, xy: bool) -> np.ndarray:
-    """The read-only exact matrix i^(g(col) - g(row)) that takes a width-qubit group to the frame.
-
-    D's factor on local qubit j is [1, i^j] for XY and [1, i] for CRx;
-    powers of i are exact, and so is every product of them.
-    """
-    powers = np.arange(1, width + 1) % 4 if xy else np.ones(width, dtype=int)
-    d = _kron_tables(np.stack((np.ones(width), _I_POWERS[powers]), axis=-1)[:, :, None])[0]
-    phases = np.outer(d.conjugate(), d)
-    phases.flags.writeable = False
-    return phases
-
-
 def _fused_groups(spec: TrotterCircuitSpec, first: int) -> list[tuple[int, int, np.ndarray]]:
     """The bond layer on qubits first..N as (a, width, control blocks) groups, in gate order.
 
     A group is a run of bonds on at most FUSED_QUBITS walked qubits [a, a +
     width), walked qubit w being qubit first + w - 1; runs are cut from the
     right, so the last one ends on qubit N.  Bond first - 1 of a CRx walk
-    joins the first run with its control held at |1>.  ``_mix_bond`` mixes
-    each bond of a run into the row index of eye(2^q), the run's q qubits,
-    and the unitary times the exact frame phases is orthogonal, with an
-    imaginary part of exact zeros (module docstring).  A group keeps the
-    real (c, 2^width/c, 2^width/c) diagonal blocks on its first qubit: c = 2
-    where that qubit is only a control, in every CRx run but one that holds
-    bond first - 1, and the off-diagonal blocks are exact zeros; else c = 1.
-    XY conserves the excitation count, so a group's frame needs only its
-    local positions 1..width.
+    joins the first run with its control held at |1>.  Each bond of a run
+    turns the row index of a float64 eye(2^q), the run's q qubits, by its
+    real frame rotation (module docstring), so the group is orthogonal.  A
+    group keeps the (c, 2^width/c, 2^width/c) diagonal blocks on its first
+    qubit: c = 2 where that qubit is only a control, in every CRx run but
+    one that holds bond first - 1, and the off-diagonal blocks are exact
+    zeros; else c = 1.
     """
     xy = spec.gate_family is GateFamily.XY
     groups = []
@@ -221,11 +204,17 @@ def _fused_groups(spec: TrotterCircuitSpec, first: int) -> list[tuple[int, int, 
         if j0 <= first:
             j0 = max(first - 1, 1)
         q = j1 + 2 - j0
-        u = np.eye(2**q, dtype=np.complex128)
+        u = np.eye(2**q)
         for j in range(j0, j1 + 1):
-            _mix_bond(u.reshape(2 ** (j - j0), 4, -1), xy, spec.bond_angles[j - 1])
+            # XY turns |01>, |10> by [[c, -s], [s, c]]; CRx |11>, |10> by half the angle
+            i, k, t = (1, 2, spec.bond_angles[j - 1]) if xy else (3, 2, spec.bond_angles[j - 1] / 2)
+            c, s = np.cos(t), np.sin(t)
+            v = u.reshape(2 ** (j - j0), 4, -1)
+            x, y = v[:, i, :].copy(), v[:, k, :]
+            v[:, i, :] = c * x - s * y
+            v[:, k, :] = s * x + c * y
         width = j1 + 2 - max(j0, first)
-        u = (u[-(2**width) :, -(2**width) :] * _frame_phases(width, xy)).real
+        u = u[-(2**width) :, -(2**width) :]
         h = 2**width // (2 if not xy and j0 >= first else 1)
         blocks = np.array([u[i : i + h, i : i + h] for i in range(0, 2**width, h)])
         groups.append((max(j0, first) - first + 1, width, blocks))
@@ -282,9 +271,10 @@ def iterate_stack(spec: TrotterCircuitSpec, phis: np.ndarray):
     and initial site; row b has its own realized z angles ``phis[b]``
     (``spec.z_layer`` is not used).  ``amps`` is the live (B, 2^N) stack
     of frame amplitudes a = D^-1 psi, each the state's up to a power of i,
-    mutated by further iteration; copy it to keep a trajectory.  The final
-    stack is norm-checked before it is yielded.  The frame, the fused
-    groups and the two passes of a step are the module docstring's.
+    mutated by further iteration; copy it to keep a trajectory.  Every step
+    is the bond layer, then the Rz layer, and the final stack is
+    norm-checked before it is yielded.  The frame, the fused groups and the
+    two passes of a step are the module docstring's.
     """
     n = spec.n_qubits
     _check_n(n)
@@ -317,8 +307,8 @@ def iterate_stack(spec: TrotterCircuitSpec, phis: np.ndarray):
     np.exp(0.5j * phis[:, first - 1 :].T, out=diagonals[:, 1])
     np.conjugate(diagonals[:, 1], out=diagonals[:, 0])
     phases = _kron_tables(diagonals[:cut]).reshape(b, 2**lead, -1)
-    shared = _right_factors(blocks, np.ones((1, 2**width)))  # (1, c, 2h, 2h): the blocks alone
-    factors = _right_factors(blocks, _kron_tables(diagonals[lead:])) if fold else shared
+    right = _kron_tables(diagonals[lead:]) if fold else np.ones((1, 2**width))
+    factors = _right_factors(blocks, right)  # per-row (B, c, 2h, 2h) or shared (1, c, 2h, 2h)
     if not xy:  # qubits 1..s-1 hold |0> and qubit s holds |1>
         outside = phis[:, site - 1] - phis[:, : site - 1].sum(axis=1)
         phases *= np.exp(0.5j * outside)[:, None, None]
@@ -372,9 +362,6 @@ def iterate_stack(spec: TrotterCircuitSpec, phis: np.ndarray):
             step += [*low, partial(np.multiply, last, table, out=back)]
 
     for eta in range(1, spec.n_steps + 1):
-        if eta == spec.n_steps:  # the last step has no Rz layer
-            phases[...] = 1.0
-            factors[...] = shared
         for call in step:
             call()
         if eta == spec.n_steps:
@@ -412,8 +399,8 @@ def check_norms(spec: TrotterCircuitSpec, amps: np.ndarray) -> None:
     allocates no 2^N temporary.
     """
     n, steps = spec.n_qubits, spec.n_steps
-    # the X gate, n - 1 bonds every step, and n Rz gates every step but the last
-    gates = 1 + steps * (n - 1) + (steps - 1) * n
+    # the X gate, then n - 1 bonds and n Rz gates every step
+    gates = 1 + steps * (2 * n - 1)
     bound = max(1e-12, NORM_DRIFT_C * np.finfo(float).eps * gates)
     # np.max propagates a NaN row, and a NaN error fails ``err <= bound``
     v = amps.view(np.float64)

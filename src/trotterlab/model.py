@@ -11,9 +11,9 @@ Conventions, fixed here and relied on everywhere else:
 * ``CRX(theta)`` applies ``exp(-i theta sx/2)`` to the target (second site)
   when the control (first site) is 1.
 * A Trotter step is one two-qubit layer over bonds (1,2),(2,3),...,(N-1,N)
-  in that order, followed by one Rz layer on qubits 1..N.  The Rz layer of
-  the last step is always dropped: it is diagonal, so it cannot change any
-  occupation probability.
+  in that order, followed by one Rz layer on qubits 1..N.  Every step, the
+  last included, is the same: a circuit is the first-order product formula
+  (e^{-iH_z tau} e^{-iH_xy tau})^N_T.
 * The z-layer angles are quenched: one realization is drawn per circuit and
   reused for every step.
 """
@@ -161,9 +161,8 @@ def build_circuit(spec: TrotterCircuitSpec, seed: int | None = None) -> list[Gat
     """Emit the ordered gate list for ``spec``.
 
     Layout: an X gate on the initial excitation site, then per step the
-    two-qubit layer over ascending bonds followed by the Rz layer, except
-    after the final step.  Every Rz layer carries the same realized angles
-    (quenched disorder).
+    two-qubit layer over ascending bonds followed by the Rz layer.  Every Rz
+    layer carries the same realized angles (quenched disorder).
     """
     phis = realize_z_layer(spec.z_layer, spec.n_qubits, seed)
     bond_kind = GateKind.XY if spec.gate_family is GateFamily.XY else GateKind.CRX
@@ -173,7 +172,7 @@ def build_circuit(spec: TrotterCircuitSpec, seed: int | None = None) -> list[Gat
     ]
     z_layer = [GateOp(GateKind.RZ, (j,), phi) for j, phi in enumerate(phis, start=1)]
     x = GateOp(GateKind.X, (spec.initial_excitation_site,))
-    return [x] + (bonds + z_layer) * (spec.n_steps - 1) + bonds
+    return [x] + (bonds + z_layer) * spec.n_steps
 
 
 def parse_angle(value: float | int | str, name: str = "angle") -> float:

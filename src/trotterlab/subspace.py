@@ -86,10 +86,10 @@ def iterate_stack(spec: TrotterCircuitSpec, phis: np.ndarray):
 
     Every row shares ``spec``'s size, step count, bond angles and initial
     site; row b has its own realized z angles ``phis[b]`` (``spec.z_layer``
-    is not used).  ``amps`` is the live (B, N) amplitude stack.  A step is
-    one product with the transposed bond-layer matrix and one multiply by
-    the z phases; the last step has no z layer, as in ``build_circuit``, and
-    is norm-checked before it is yielded.
+    is not used).  ``amps`` is the live (B, N) amplitude stack.  Every step,
+    the last included, is one product with the transposed bond-layer matrix
+    and one multiply by the z phases, as in ``build_circuit``; the final
+    stack is norm-checked before it is yielded.
     """
     if spec.gate_family is not GateFamily.XY:
         raise ConfigurationError("the subspace backend only supports XY-family circuits")
@@ -104,10 +104,8 @@ def iterate_stack(spec: TrotterCircuitSpec, phis: np.ndarray):
     bonded = np.empty_like(amps)
     for eta in range(1, spec.n_steps + 1):
         np.matmul(amps, bond_t, out=bonded)
-        if eta < spec.n_steps:
-            np.multiply(bonded, z_phases, out=amps)
-        else:
-            amps[...] = bonded
+        np.multiply(bonded, z_phases, out=amps)
+        if eta == spec.n_steps:
             check_norms(spec, amps)
         yield eta, amps
 

@@ -9,8 +9,12 @@ caption angles to direct hop angles (theta/2), see README and the recipes.
 """
 
 import math
+import os
+import subprocess
+import sys
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -359,17 +363,28 @@ def test_criterion_13_crx_outputs_byte_identical_across_threads(tmp_path):
     from trotterlab import sweep
     from trotterlab.cli import main
 
-    # panel 3c walks five N = 15 dense items as several stacks, so two
-    # threads really share them out; GEMM results must not depend on that
+    # panel 3c walks five N = 15 dense items as several stacks of GEMMs.
+    # --threads is accepted and ignored, so its legs check reruns; the thread
+    # count that can change a GEMM is BLAS's, fixed at process start, so two
+    # more runs set it to 1 and 2 in subprocesses
     assert sweep.MAX_STACK_AMPLITUDES < 5 * 2**15
+    src = str(Path(sweep.__file__).parents[1])
     runs = []
-    for name, threads in (("t1", "1"), ("t1-again", "1"), ("t2", "2")):
-        out = tmp_path / name
+    for i, (knob, threads) in enumerate(
+        [("--threads", "1"), ("--threads", "1"), ("--threads", "2")]
+        + [("OPENBLAS_NUM_THREADS", "1"), ("OPENBLAS_NUM_THREADS", "2")]
+    ):
+        out = tmp_path / str(i)
         out.mkdir()
-        assert main(["figure", "3c", "--seed", "5", "--threads", threads, "--out", str(out / "f.csv")]) == 0
+        args = ["figure", "3c", "--seed", "5", "--out", str(out / "f.csv")]
+        if knob == "--threads":
+            assert main([*args, knob, threads]) == 0
+        else:
+            env = dict(os.environ, PYTHONPATH=src, **{knob: threads})
+            subprocess.run([sys.executable, "-m", "trotterlab.cli", *args], env=env, check=True)
         runs.append({f.name: f.read_bytes() for f in sorted(out.iterdir())})
     assert len(runs[0]) == 11  # the figure file and its ten companions
-    assert runs[0] == runs[1] == runs[2]
+    assert all(run == runs[0] for run in runs[1:])
     report(13, "CRx panel 3c byte-identical across runs and thread counts")
 
 

@@ -78,16 +78,24 @@ def test_resonance_subcommand_writes_csv(tmp_path, capsys):
 
 
 def test_identical_files_across_runs_and_threads(tmp_path):
+    # --threads is ignored, so its legs are reruns; BLAS's thread count is
+    # set at process start, so its runs at 1 and 2 threads are subprocesses
     cfg = write_config(tmp_path, RESONANCE_CONFIG)
+    src = str(Path(trotterlab.__file__).parents[1])
     outs = []
-    for name, threads in (("a.csv", "1"), ("b.csv", "1"), ("c.csv", "3")):
-        out = tmp_path / name
-        code = main(
-            ["resonance", "--config", cfg, "--seed", "7", "--out", str(out), "--threads", threads]
-        )
-        assert code == 0
+    for i, (knob, threads) in enumerate(
+        [("--threads", "1"), ("--threads", "1"), ("--threads", "3")]
+        + [("OPENBLAS_NUM_THREADS", "1"), ("OPENBLAS_NUM_THREADS", "2")]
+    ):
+        out = tmp_path / f"{i}.csv"
+        args = ["resonance", "--config", cfg, "--seed", "7", "--out", str(out)]
+        if knob == "--threads":
+            assert main([*args, knob, threads]) == 0
+        else:
+            env = dict(os.environ, PYTHONPATH=src, **{knob: threads})
+            subprocess.run([sys.executable, "-m", "trotterlab.cli", *args], env=env, check=True)
         outs.append(out.read_bytes())
-    assert outs[0] == outs[1] == outs[2]
+    assert all(out == outs[0] for out in outs[1:])
 
 
 def test_seed_flag_changes_output_of_seeded_run(tmp_path):
@@ -777,8 +785,8 @@ def test_readout_field_is_read_before_any_z_layer_is_drawn(
 
 def test_removed_walker_settings_are_ignored(tmp_path, monkeypatch):
     # engine.backend, fixed.drop_final_z, engine.threads and TROTTERLAB_THREADS
-    # are unread: the gate family picks the walker, the final Rz layer is
-    # always dropped and every sweep walks on one thread
+    # are unread: the gate family picks the walker, every step applies its Rz
+    # layer and every sweep walks on one thread
     def run(name, engine, fixed):
         cfg = {
             "experiment": {

@@ -10,7 +10,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
@@ -19,7 +19,6 @@ from trotterlab.analytics import tail_prob, tail_start
 from trotterlab.dense import (
     NORM_DRIFT_C,
     StateVector,
-    _frame_phases,
     _fused_groups,
     apply_gate,
     check_norms,
@@ -271,17 +270,17 @@ def test_check_norms_flags_any_drifted_row_of_a_stack():
 
 
 def test_check_norms_bound_counts_every_gate_of_the_circuit():
-    # 5691 gates lift the bound eps * 5691 = 1.26e-12 above the 1e-12 floor, so
+    # 5701 gates lift the bound eps * 5701 = 1.27e-12 above the 1e-12 floor, so
     # a drift 0.1 % either side of it pins the gate count, one gate in 600
     spec = TrotterCircuitSpec(n_qubits=10, n_steps=300, bond_angles=(0.3,) * 9)
     gates = len(build_circuit(spec))
-    assert gates == 5691
+    assert gates == 5701
     bound = NORM_DRIFT_C * np.finfo(float).eps * gates
     amps = np.zeros((1, 10), dtype=np.complex128)
     amps[0, 0] = np.sqrt(1 + 0.999 * bound)
     check_norms(spec, amps)
     amps[0, 0] = np.sqrt(1 + 1.001 * bound)
-    with pytest.raises(InvalidStateError, match="after 5691 gates"):
+    with pytest.raises(InvalidStateError, match="after 5701 gates"):
         check_norms(spec, amps)
 
 
@@ -297,9 +296,8 @@ def reference_trajectory(spec: TrotterCircuitSpec, phis: np.ndarray) -> list[np.
     )
     state = apply_gate(init_basis(n, "0" * n), next(gates))  # the X gate
     series = []
-    for eta in range(1, spec.n_steps + 1):
-        z_gates = n if eta < spec.n_steps else 0
-        for _ in range(n - 1 + z_gates):
+    for _ in range(spec.n_steps):
+        for _ in range(2 * n - 1):  # the bond layer, then the Rz layer
             apply_gate(state, next(gates))
         series.append(state.amplitudes.copy())
     assert next(gates, None) is None
@@ -410,9 +408,8 @@ def test_crx_from_the_last_site_only_gains_z_phases():
     phase = np.exp(0.5j * (phis[0, -1] - phis[0, :-1].sum()))
     reference = reference_trajectory(spec, phis[0])
     for (eta, amps), ref in zip(iterate_stack(spec, phis), reference):
-        layers = min(eta, spec.n_steps - 1)
         expected = np.zeros(2**n, dtype=complex)
-        expected[1] = phase**layers
+        expected[1] = phase**eta
         assert np.max(np.abs(amps[0] - expected)) <= 1e-15
         assert np.max(np.abs(ref - expected)) <= 1e-15
 
@@ -522,12 +519,12 @@ def test_frame_groups_are_real_orthogonal_matrices(family):
 
 @pytest.mark.parametrize("family", GateFamily)
 def test_fused_groups_are_the_gate_by_gate_groups_bit_for_bit(family):
-    # each group as it was built gate by gate: apply_gate on eye(2^q), read
-    # as a 2q-qubit state whose first q qubits index the rows, one GateOp per
-    # bond of the run (bond first - 1 joins the first run), then the frame
-    # phases, which leave exact zeros in the imaginary part and, where the
-    # group splits on its first qubit, in the off-diagonal control blocks;
-    # N = 2..20 from every first walked qubit
+    # each group as the gate-by-gate reference builds it: apply_gate on
+    # eye(2^q), read as a 2q-qubit state whose first q qubits index the rows,
+    # one GateOp per bond of the run (bond first - 1 joins the first run),
+    # then the group-local frame i^(g(col) - g(row)), which leaves exact zeros
+    # in the imaginary part and, where the group splits on its first qubit,
+    # in the off-diagonal control blocks; N = 2..20 from every first walked qubit
     kind = GateKind.XY if family is GateFamily.XY else GateKind.CRX
     rng = np.random.default_rng(27)
     count = 0
@@ -544,7 +541,11 @@ def test_fused_groups_are_the_gate_by_gate_groups_bit_for_bit(family):
                     bond = GateOp(kind, (j - j0 + 1, j - j0 + 2), spec.bond_angles[j - 1])
                     apply_gate(state, bond)
                 ref = state.amplitudes.reshape(2**q, 2**q)[-(2**width) :, -(2**width) :]
-                ref = ref * _frame_phases(width, family is GateFamily.XY)
+                # g: the local positions 1..width of the excited qubits for XY, their count for CRx
+                bits = (np.arange(2**width)[:, None] >> np.arange(width - 1, -1, -1)) & 1
+                xy = family is GateFamily.XY
+                g = bits @ (np.arange(1, width + 1) if xy else np.ones(width, int))
+                ref = ref * np.array([1, 1j, -1, -1j])[(g[None, :] - g[:, None]) % 4]
                 assert np.all(ref.imag == 0.0)
                 c, h = len(blocks), 2**width // len(blocks)
                 split = ref.real.reshape(c, h, c, h)
@@ -598,7 +599,7 @@ def test_tail_read_matches_the_tail_of_the_occupations(n, steps, seed, data):
 )
 def test_n20_walk_allocates_only_the_state_and_scratch(family, steps):
     # the state is 16 MiB, the scratch at most 1 MiB and the lead-phase table
-    # 1/16 of the block, which the last step fills with ones in place; no
+    # 1/16 of the block, which every step applies in place; no
     # buffer, table or index of the walk may grow to the block's size, which
     # is 8 MiB for the CRx walk from site 1 and the whole 16 MiB stack for XY
     spec = TrotterCircuitSpec(
@@ -704,6 +705,70 @@ def test_shared_factor_walks_match_the_reference(family):
                 for step, amps in enumerate(got):
                     want = np.array([expected[r % 6][step] for r in range(b)])
                     assert np.max(np.abs(amps - want)) <= 1e-12
+
+
+PERMUTATION_ANGLES = {GateFamily.XY: np.pi / 2, GateFamily.CRX: np.pi}
+
+
+def permutation_limit(spec: TrotterCircuitSpec, phis: np.ndarray) -> tuple[int, complex]:
+    """The one basis index, and the lab amplitude there, of a circuit at the permutation angles.
+
+    Every bond angle is k times PERMUTATION_ANGLES[family], k in {-1, 0, 1}.
+    Then a CRx bond whose control is 1 flips its target, and an XY bond that
+    holds one excitation moves it across, each with a factor -ik; every Rz
+    layer multiplies by exp(i/2 sum_j +-phi_j), + on excited qubits
+    (Aaronson and Gottesman, PRA 70, 052328 (2004)).
+    """
+    crx = spec.gate_family is GateFamily.CRX
+    x = [int(q == spec.initial_excitation_site) for q in range(1, spec.n_qubits + 1)]
+    amp = 1.0 + 0j
+    ks = [round(t / PERMUTATION_ANGLES[spec.gate_family]) for t in spec.bond_angles]
+    for _ in range(spec.n_steps):
+        for j, k in enumerate(ks):
+            if k and (x[j] if crx else x[j] != x[j + 1]):
+                x[j + 1] ^= 1  # CRx flips its target, XY moves the excitation across
+                x[j] ^= not crx
+                amp *= -1j * k
+        amp *= np.exp(0.5j * sum(phi if bit else -phi for phi, bit in zip(phis, x)))
+    return int("".join(map(str, x)), 2), amp
+
+
+@st.composite
+def permutation_cases(draw):
+    # B * 2^m * steps <= 2^21 amplitude updates a case, m the walked qubits
+    family = draw(st.sampled_from(GateFamily))
+    n = draw(st.integers(2, 20))
+    site = draw(st.integers(1, n))
+    m = n if family is GateFamily.XY else n - site
+    b = draw(st.integers(1, min(4, 2**21 >> m)))
+    steps = draw(st.integers(1, min(12, 2**21 // (b << m))))
+    ks = draw(st.lists(st.sampled_from([-1, 0, 1]), min_size=n - 1, max_size=n - 1))
+    angles = tuple(k * PERMUTATION_ANGLES[family] for k in ks)
+    row = st.lists(st.floats(-np.pi, np.pi), min_size=n, max_size=n)
+    phis = np.array(draw(st.lists(row, min_size=b, max_size=b)))
+    return TrotterCircuitSpec(n, steps, family, angles, initial_excitation_site=site), phis
+
+
+@given(permutation_cases())
+# m = 16 and 19 walked qubits: every step runs the high pass and the low pass
+@example((TrotterCircuitSpec(16, 3, GateFamily.XY, (np.pi / 2,) * 15, initial_excitation_site=5),
+          np.linspace(-3, 3, 32).reshape(2, 16)))
+@example((TrotterCircuitSpec(20, 2, GateFamily.CRX, (np.pi, -np.pi, 0.0) * 6 + (np.pi,)),
+          np.linspace(-3, 2, 20)[None]))
+def test_dense_walker_meets_the_permutation_limit(case):
+    # at the permutation angles a basis state stays one basis state, whose
+    # index and lab phase follow in O(N * steps); psi = D a from final_stack
+    # holds that amplitude there and no mass elsewhere
+    spec, phis = case
+    n, site = spec.n_qubits, spec.initial_excitation_site
+    amps = final_stack(iterate_stack, spec, phis)
+    for row, z in zip(amps, phis):
+        index, amp = permutation_limit(spec, z)
+        x = [(index >> (n - q)) & 1 for q in range(1, n + 1)]
+        xy = spec.gate_family is GateFamily.XY
+        g = sum(q * bit for q, bit in enumerate(x, 1)) if xy else sum(x[site:])
+        assert abs(1j ** (g % 4) * row[index] - amp) <= 1e-12
+        assert np.vdot(row, row).real - abs(row[index]) ** 2 <= 1e-12
 
 
 @pytest.mark.parametrize("walk", [iterate_stack, subspace_stack], ids=["dense", "subspace"])

@@ -85,22 +85,24 @@ def test_build_circuit_n2_layout():
         GateOp(GateKind.RZ, (1,), 0.2),
         GateOp(GateKind.RZ, (2,), -0.2),
         GateOp(GateKind.XY, (1, 2), 0.7),
+        GateOp(GateKind.RZ, (1,), 0.2),
+        GateOp(GateKind.RZ, (2,), -0.2),
     ]
 
 
-def test_build_circuit_single_step_has_no_rz():
+def test_build_circuit_single_step_ends_with_its_rz_layer():
     spec = TrotterCircuitSpec(
         n_qubits=3, n_steps=1, bond_angles=(0.3, 0.4), z_layer=ZLayerSpec(base_phi=1.0)
     )
     gates = build_circuit(spec)
-    assert [g.kind for g in gates] == [GateKind.X, GateKind.XY, GateKind.XY]
+    assert [g.kind for g in gates] == [GateKind.X] + [GateKind.XY] * 2 + [GateKind.RZ] * 3
 
 
 def test_build_circuit_gate_count_n3():
     spec = TrotterCircuitSpec(
         n_qubits=3, n_steps=2, bond_angles=(0.3, 0.4), z_layer=ZLayerSpec(base_phi=1.0)
     )
-    assert len(build_circuit(spec)) == 8  # 1 X + 2x2 XY + 1 Rz layer of 3
+    assert len(build_circuit(spec)) == 11  # 1 X + 2x2 XY + 2 Rz layers of 3
 
 
 def test_build_circuit_quenched_disorder():

@@ -43,8 +43,8 @@ def test_trotter_step_two_steps_give_p001():
     # two steps with explicit (phi, alpha, phi) reproduce the closed form
     theta, phi, alpha = 0.65, 0.4, -1.1
     state = basis_state(3, 1)
-    trotter_step(state, (theta, theta), (phi, alpha, phi))
-    trotter_step(state, (theta, theta), (0.0, 0.0, 0.0))  # the last step has no z layer
+    for _ in range(2):  # the last z layer is diagonal: it leaves every |a_j|^2 as it is
+        trotter_step(state, (theta, theta), (phi, alpha, phi))
     from trotterlab.analytics import p001_closed_form
 
     assert abs(abs(state[2]) ** 2 - p001_closed_form(theta, phi, alpha)) < 1e-12
@@ -366,7 +366,7 @@ def test_stacked_walker_rows_match_per_bond_steps(case):
     refs = [basis_state(spec.n_qubits, spec.initial_excitation_site) for _ in phis]
     for eta, amps in iterate_stack(spec, phis):
         for row, ref, z in zip(amps, refs, phis):
-            trotter_step(ref, spec.bond_angles, z if eta < spec.n_steps else 0 * z)
+            trotter_step(ref, spec.bond_angles, z)
             assert np.max(np.abs(row - ref)) <= 1e-12
     assert eta == spec.n_steps
 

@@ -292,9 +292,8 @@ def test_convergence_study_requires_increasing_steps():
 
 @pytest.mark.parametrize("n_t", [1, 3, 7])
 def test_convergence_study_walks_the_mapped_circuit(n_t):
-    # theta_j = J_j tau and phi_j = V_j tau: the walker's final state, times
-    # the last z layer (a circuit drops it, convergence_study applies it),
-    # sits at convergence_study's distance from the exact evolution
+    # theta_j = J_j tau and phi_j = V_j tau: the walker's final state is
+    # convergence_study's discrete state, at its distance from the exact evolution
     rng = np.random.default_rng(n_t)
     n = int(rng.integers(4, 6))
     couplings, potentials = rng.uniform(-2, 2, n - 1), rng.uniform(-3, 3, n)
@@ -304,7 +303,7 @@ def test_convergence_study_walks_the_mapped_circuit(n_t):
         n_qubits=n, n_steps=n_t, bond_angles=tuple(j * tau for j in couplings)
     )
     phis = np.array([[v * tau for v in potentials]])
-    disc = final_stack(subspace_stack, circuit, phis)[0] * np.exp(-1j * phis[0])
+    disc = final_stack(subspace_stack, circuit, phis)[0]
     hams = chain_hamiltonians(couplings[None], potentials[None])
     dist = float(np.linalg.norm(disc - evolve_chains(hams, t, basis_state(n))[0]))
     assert abs(dist - convergence_study(couplings, potentials, t, [n_t])[0][1]) <= 1e-12
